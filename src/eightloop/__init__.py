@@ -18,16 +18,9 @@ __version__ = "0.1.0"
 
 from .geometry import (
     SQRT2,
-    LevelClass,
     NonPositiveEnergy,
-    OutOfRange,
-    OvalGeometry,
     PerturbationParams,
-    PhasePoint,
-    branch_y,
-    classify_level,
     energy,
-    oval_geometry,
     vector_field,
 )
 from .integrals import (
@@ -44,7 +37,6 @@ from .series import (
     IllConditionedFit,
     OutOfTrustRegion,
     PFResiduals,
-    SeriesExpansion,
     default_constants,
     fit_constants,
     limit_constants,
@@ -53,7 +45,6 @@ from .series import (
     pf_residuals,
     save_constants,
     series_eval,
-    series_expansion,
     tilde_series_eval,
 )
 from .melnikov import (

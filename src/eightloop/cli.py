@@ -5,10 +5,13 @@ A run is described by a JSON scenario file:
     {"command": "pf-check", "parameters": {...}, "seed": 7, "output_dir": "out"}
 
 Commands: integrals, pf-check, series-fit, melnikov-zeros, simulate,
-convergence, cyclicity-sweep.  Parsing is strict — unknown top-level or
-parameter keys are rejected (exit 2) rather than ignored, so a typo cannot
-silently change a run.  Numerical failures exit 3 with partial outputs
-retained.  Every run writes manifest.json recording the scenario hash, tool
+convergence, cyclicity-sweep.  One table (COMMANDS) gives each command's
+handler, whether it needs the fitted constants, and a converter and default
+for each of its parameters.  Parsing is strict — unknown top-level or
+parameter keys, wrongly typed values and non-finite numbers are rejected
+(exit 2) rather than ignored, so a typo cannot silently change a run;
+arguments the library rejects as out of range exit 2 as well.  Numerical
+failures exit 3 with partial outputs retained.  Every run writes manifest.json recording the scenario hash, tool
 version, the fitted-constants provenance, the seed, and wall time; every
 numeric table starts with a seed-stamped comment and a header row.
 """
@@ -18,10 +21,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,39 +43,18 @@ from .dynamics import (
     integrate,
     melnikov_convergence,
 )
-from .geometry import energy, oval_geometry
+from .geometry import energy, x_plus
 from .integrals import QuadratureConfig, ToleranceNotMet, integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
 from .series import (
     FittedConstants,
     IllConditionedFit,
-    OutOfTrustRegion,
     default_constants,
     fit_constants,
     load_constants,
     pf_residuals,
     save_constants,
 )
-
-COMMANDS = (
-    "integrals",
-    "pf-check",
-    "series-fit",
-    "melnikov-zeros",
-    "simulate",
-    "convergence",
-    "cyclicity-sweep",
-)
-
-_ALLOWED_PARAMS = {
-    "integrals": {"h_min", "h_max", "n", "h_grid"},
-    "pf-check": {"h_min", "h_max", "n", "threshold"},
-    "series-fit": {"h_min", "h_max", "n", "degree"},
-    "melnikov-zeros": {"k", "lam1k", "lam4k", "lam2", "lam3", "interval", "grid_n", "backend"},
-    "simulate": {"x0", "y0", "h0", "lam", "t_end", "n_points"},
-    "convergence": {"coeff_table", "order", "h_probe", "eps_seq"},
-    "cyclicity-sweep": {"family", "eps", "h_window", "n_samples", "grid_n", "refine_tol"},
-}
 
 _NUMERICAL = (ToleranceNotMet, IllConditionedFit, TimeCap, EscapedRegion, StepFailure)
 
@@ -89,10 +73,13 @@ class MissingInput(ConfigError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: ``parameters`` as written, ``args`` converted with every default filled in."""
+
     command: str
     parameters: dict
     seed: int
     output_dir: Path
+    args: dict
 
 
 @dataclass(frozen=True)
@@ -105,21 +92,42 @@ class RunManifest:
     command: str
     status: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario_sha256": self.scenario_sha256,
-            "tool_version": self.tool_version,
-            "constants": self.constants,
-            "wall_time_s": self.wall_time_s,
-            "seed": self.seed,
-            "command": self.command,
-            "status": self.status,
-        }
-
 
 # --------------------------------------------------------------------------
 # Scenario parsing
 # --------------------------------------------------------------------------
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(_number(v) for v in value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _coeff_table(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object of coefficient lists, got {value!r}")
+    return {name: _numbers(seq) for name, seq in value.items()}
 
 
 def parse_scenario(doc: dict, seed_override=None, out_override=None) -> Scenario:
@@ -130,18 +138,28 @@ def parse_scenario(doc: dict, seed_override=None, out_override=None) -> Scenario
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     command = doc.get("command")
     if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
+        raise ConfigError(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("parameters must be an object")
-    bad = set(params) - _ALLOWED_PARAMS[command]
+    table = COMMANDS[command].params
+    bad = set(params) - set(table)
     if bad:
         raise ConfigError(f"unknown parameters for {command}: {sorted(bad)}")
+    args = {}
+    for name, (convert, default) in table.items():
+        if name not in params:
+            args[name] = default
+            continue
+        try:
+            args[name] = convert(params[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"parameter {name!r} of {command}: {exc}") from None
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
     out = out_override if out_override is not None else doc.get("output_dir", "out")
-    return Scenario(command=command, parameters=dict(params), seed=seed, output_dir=Path(out))
+    return Scenario(command=command, parameters=dict(params), seed=seed, output_dir=Path(out), args=args)
 
 
 def _scenario_hash(s: Scenario) -> str:
@@ -222,21 +240,15 @@ def emit_plot_data(kind: str, inputs: dict, out_dir) -> Path:
 # --------------------------------------------------------------------------
 
 
-def _h_grid(params: dict, default_min=1e-4, default_max=3.0, default_n=50):
-    if "h_grid" in params:
-        return [float(h) for h in params["h_grid"]]
-    return list(
-        np.geomspace(
-            float(params.get("h_min", default_min)),
-            float(params.get("h_max", default_max)),
-            int(params.get("n", default_n)),
-        )
-    )
+def _h_grid(p: dict):
+    if p.get("h_grid") is not None:
+        return list(p["h_grid"])
+    return list(np.geomspace(p["h_min"], p["h_max"], p["n"]))
 
 
 def _run_integrals(s: Scenario, ctx: dict) -> None:
     cfg = QuadratureConfig()
-    samples = [integral_triple(h, cfg) for h in _h_grid(s.parameters)]
+    samples = [integral_triple(h, cfg) for h in _h_grid(s.args)]
     _write_csv(
         s.output_dir / "integrals.csv",
         ("h", "I0", "I1", "I2", "I0p", "I2p", "I4p", "I0pp", "err_max"),
@@ -252,10 +264,10 @@ def _run_integrals(s: Scenario, ctx: dict) -> None:
 
 def _run_pf_check(s: Scenario, ctx: dict) -> None:
     cfg = QuadratureConfig()
-    threshold = float(s.parameters.get("threshold", 1e-7))
+    threshold = s.args["threshold"]
     rows = []
     worst = 0.0
-    for h in _h_grid(s.parameters):
+    for h in _h_grid(s.args):
         r = pf_residuals(integral_triple(h, cfg))
         rows.append((h, r.r1, r.r2, r.r3, r.r4))
         worst = max(worst, r.r1, r.r2, r.r3, r.r4)
@@ -266,10 +278,10 @@ def _run_pf_check(s: Scenario, ctx: dict) -> None:
 
 def _run_series_fit(s: Scenario, ctx: dict) -> None:
     cfg = QuadratureConfig()
-    hs = _h_grid(s.parameters, default_min=0.01, default_max=0.15, default_n=24)
+    hs = _h_grid(s.args)
     consts = fit_constants(
         [(h, integral_triple(h, cfg)) for h in hs],
-        degree=int(s.parameters.get("degree", 8)),
+        degree=s.args["degree"],
     )
     save_constants(consts, s.output_dir / "constants.json")
     _write_json(
@@ -288,17 +300,17 @@ def _run_series_fit(s: Scenario, ctx: dict) -> None:
 
 
 def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
-    p = s.parameters
+    p = s.args
     spec = MelnikovSpec(
-        k=int(p.get("k", 1)),
-        lam1k=float(p.get("lam1k", 0.0)),
-        lam4k=float(p.get("lam4k", 0.0)),
-        lam2=tuple(float(v) for v in p.get("lam2", ())),
-        lam3=tuple(float(v) for v in p.get("lam3", ())),
+        k=p["k"],
+        lam1k=p["lam1k"],
+        lam4k=p["lam4k"],
+        lam2=p["lam2"],
+        lam3=p["lam3"],
     )
-    interval = tuple(float(v) for v in p.get("interval", (1e-3, 0.3)))
-    grid_n = int(p.get("grid_n", 160))
-    backend = p.get("backend", "quadrature")
+    interval = p["interval"]
+    grid_n = p["grid_n"]
+    backend = p["backend"]
     consts = ctx["consts"]()
     f = lambda h: mk(h, spec, backend=backend, consts=consts)  # noqa: E731
     zc = count_zeros(f, interval, grid_n=grid_n)
@@ -322,17 +334,15 @@ def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
 
 
 def _run_simulate(s: Scenario, ctx: dict) -> None:
-    p = s.parameters
-    if "h0" in p:
-        p0 = (oval_geometry(float(p["h0"])).x_plus, 0.0)
+    p = s.args
+    if p["h0"] is not None:
+        p0 = (x_plus(p["h0"]), 0.0)
     else:
-        p0 = (float(p.get("x0", 2.0)), float(p.get("y0", 0.0)))
-    lam = tuple(float(v) for v in p.get("lam", (0.0, 0.0, 0.0, 0.0)))
-    if len(lam) != 4:
+        p0 = (p["x0"], p["y0"])
+    if len(p["lam"]) != 4:
         raise ConfigError("lam must have four entries")
-    t_end = float(p.get("t_end", 20.0))
-    traj = integrate(p0, lam, t_end, IntegratorConfig())
-    ts = np.linspace(0.0, t_end, int(p.get("n_points", 2001)))
+    traj = integrate(p0, p["lam"], p["t_end"], IntegratorConfig())
+    ts = np.linspace(0.0, p["t_end"], p["n_points"])
     states = traj.interpolant(ts)
     rows = [
         (float(t), float(x), float(y), energy((x, y)))
@@ -342,16 +352,15 @@ def _run_simulate(s: Scenario, ctx: dict) -> None:
 
 
 def _run_convergence(s: Scenario, ctx: dict) -> None:
-    p = s.parameters
-    table = p.get("coeff_table", {"lam1": [0.0, 1.0]})
+    p = s.args
     arc = ArcSpec(
-        coeff_table={k: tuple(float(c) for c in v) for k, v in table.items()},
-        order=int(p.get("order", 2)),
+        coeff_table=dict(p["coeff_table"]),
+        order=p["order"],
     )
     rows = melnikov_convergence(
         arc,
-        [float(h) for h in p.get("h_probe", (0.1, 0.2, 0.4))],
-        [float(e) for e in p.get("eps_seq", (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))],
+        list(p["h_probe"]),
+        list(p["eps_seq"]),
         IntegratorConfig(),
     )
     _write_csv(
@@ -368,19 +377,19 @@ _FAMILIES = {"general": arc_sampler_general, "no-first-order": arc_sampler_no_fi
 
 
 def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
-    p = s.parameters
-    family = p.get("family", "general")
+    p = s.args
+    family = p["family"]
     if family not in _FAMILIES:
         raise ConfigError(f"family must be one of {sorted(_FAMILIES)}")
     result = cyclicity_sweep(
         _FAMILIES[family],
-        eps=float(p.get("eps", 1e-3)),
-        h_window=tuple(float(v) for v in p.get("h_window", (1e-3, 0.2))),
-        n_samples=int(p.get("n_samples", 200)),
+        eps=p["eps"],
+        h_window=p["h_window"],
+        n_samples=p["n_samples"],
         cfg=IntegratorConfig(),
         seed=s.seed,
-        grid_n=int(p.get("grid_n", 24)),
-        refine_tol=float(p.get("refine_tol", 1e-4)),
+        grid_n=p["grid_n"],
+        refine_tol=p["refine_tol"],
         threads=ctx["threads"],
     )
     with open(s.output_dir / "sweep.jsonl", "w") as f:
@@ -417,17 +426,80 @@ def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
     emit_plot_data("sweep-histogram", {"histogram": result.histogram}, s.output_dir)
 
 
-_HANDLERS = {
-    "integrals": _run_integrals,
-    "pf-check": _run_pf_check,
-    "series-fit": _run_series_fit,
-    "melnikov-zeros": _run_melnikov_zeros,
-    "simulate": _run_simulate,
-    "convergence": _run_convergence,
-    "cyclicity-sweep": _run_cyclicity_sweep,
-}
+# --------------------------------------------------------------------------
+# Command table
+# --------------------------------------------------------------------------
 
-_NEEDS_CONSTANTS = {"melnikov-zeros", "convergence"}
+
+@dataclass(frozen=True)
+class Command:
+    """A command's handler, whether it needs the fitted constants, and its parameters.
+
+    params maps each parameter name to (converter, default).  A converter
+    raises TypeError or ValueError on a value it cannot accept; a default of
+    None means the parameter is simply absent.
+    """
+
+    handler: Callable
+    params: dict
+    needs_constants: bool = False
+
+
+def _grid_params(h_min: float, h_max: float, n: int) -> dict:
+    return {"h_min": (_number, h_min), "h_max": (_number, h_max), "n": (_integer, n)}
+
+
+COMMANDS = {
+    "integrals": Command(_run_integrals, {**_grid_params(1e-4, 3.0, 50), "h_grid": (_numbers, None)}),
+    "pf-check": Command(_run_pf_check, {**_grid_params(1e-4, 3.0, 50), "threshold": (_number, 1e-7)}),
+    "series-fit": Command(_run_series_fit, {**_grid_params(0.01, 0.15, 24), "degree": (_integer, 8)}),
+    "melnikov-zeros": Command(
+        _run_melnikov_zeros,
+        {
+            "k": (_integer, 1),
+            "lam1k": (_number, 0.0),
+            "lam4k": (_number, 0.0),
+            "lam2": (_numbers, ()),
+            "lam3": (_numbers, ()),
+            "interval": (_numbers, (1e-3, 0.3)),
+            "grid_n": (_integer, 160),
+            "backend": (_text, "quadrature"),
+        },
+        needs_constants=True,
+    ),
+    "simulate": Command(
+        _run_simulate,
+        {
+            "x0": (_number, 2.0),
+            "y0": (_number, 0.0),
+            "h0": (_number, None),
+            "lam": (_numbers, (0.0, 0.0, 0.0, 0.0)),
+            "t_end": (_number, 20.0),
+            "n_points": (_integer, 2001),
+        },
+    ),
+    "convergence": Command(
+        _run_convergence,
+        {
+            "coeff_table": (_coeff_table, {"lam1": (0.0, 1.0)}),
+            "order": (_integer, 2),
+            "h_probe": (_numbers, (0.1, 0.2, 0.4)),
+            "eps_seq": (_numbers, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)),
+        },
+        needs_constants=True,
+    ),
+    "cyclicity-sweep": Command(
+        _run_cyclicity_sweep,
+        {
+            "family": (_text, "general"),
+            "eps": (_number, 1e-3),
+            "h_window": (_numbers, (1e-3, 0.2)),
+            "n_samples": (_integer, 200),
+            "grid_n": (_integer, 24),
+            "refine_tol": (_number, 1e-4),
+        },
+    ),
+}
 
 
 # --------------------------------------------------------------------------
@@ -457,11 +529,12 @@ def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
 
     status = 0
     error = None
+    command = COMMANDS[scenario.command]
     try:
-        if scenario.command in _NEEDS_CONSTANTS:
+        if command.needs_constants:
             resolve_consts()  # fail early if the file is missing
-        _HANDLERS[scenario.command](scenario, {"consts": resolve_consts, "threads": threads})
-    except (ConfigError, OutOfTrustRegion) as exc:
+        command.handler(scenario, {"consts": resolve_consts, "threads": threads})
+    except ValueError as exc:  # ConfigError, OutOfTrustRegion, or an argument the library rejects
         status, error = 2, str(exc)
     except (NumericalFailure, *_NUMERICAL) as exc:
         status, error = 3, str(exc)
@@ -484,7 +557,7 @@ def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
         command=scenario.command,
         status="ok" if status == 0 else f"error: {error}",
     )
-    _write_json(scenario.output_dir / "manifest.json", manifest.to_json_dict())
+    _write_json(scenario.output_dir / "manifest.json", asdict(manifest))
     if error is not None:
         print(f"{scenario.command}: {error}", file=sys.stderr)
     return status

@@ -21,6 +21,7 @@ across worker processes without coordinating generator state.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,13 +31,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import SQRT2, PerturbationParams, energy, oval_geometry
+from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, mk
 
 logger = logging.getLogger(__name__)
 
 H_FLOOR = 1e-3
 ESCAPE_BOUND = 10.0
+MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCap
 
 
 class TimeCap(RuntimeError):
@@ -48,7 +50,7 @@ class EscapedRegion(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """The step controller gave up or exceeded the step budget."""
+    """The step controller gave up."""
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_time: float = 200.0  # flow-time cap per return
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_time <= 0 or self.max_steps <= 0:
-            raise ValueError("caps must be positive")
+        if self.max_time <= 0:
+            raise ValueError("max_time must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,18 @@ class ArcSpec:
 # --------------------------------------------------------------------------
 
 
-def _rhs(t, state, lam):
-    x, y = state
-    l1, l2, l3, l4 = lam
-    return (y, x - x * x * x + l1 * y + l2 * x * x + l3 * x * y + l4 * x * x * y)
+def _solve(t_span, state, lam: tuple, cfg: IntegratorConfig, **kwargs):
+    """The one solver set-up both integrators use: DOP853 at cfg's tolerances."""
+    return solve_ivp(
+        vector_field,
+        t_span,
+        state,
+        args=(lam,),
+        method="DOP853",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        **kwargs,
+    )
 
 
 def _ev_down(t, state, lam):
@@ -172,54 +181,34 @@ def integrate(p0, lam, t_end: float, cfg: IntegratorConfig | None = None) -> Tra
     """Flow from p0 for time t_end with dense output.
 
     t_end beyond cfg.max_time raises TimeCap up front; a solver breakdown
-    or a blown step budget raises StepFailure.
+    raises StepFailure.
     """
     cfg = cfg or IntegratorConfig()
     if t_end > cfg.max_time:
         raise TimeCap(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    sol = solve_ivp(
-        _rhs,
-        (0.0, t_end),
-        (float(p0[0]), float(p0[1])),
-        args=(tuple(lam),),
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        dense_output=True,
-    )
+    sol = _solve((0.0, t_end), (float(p0[0]), float(p0[1])), tuple(lam), cfg, dense_output=True)
     if sol.status != 0:
         raise StepFailure(sol.message)
-    if sol.t.size > cfg.max_steps:
-        raise StepFailure(f"step budget {cfg.max_steps} exceeded")
     return Trajectory(t=sol.t, states=sol.y.T, interpolant=sol.sol)
 
 
-def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None, max_discard: int = 64) -> ReturnMapSample:
+def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
     """First return to Sigma = {y = 0, x >= sqrt(2)} in the energy chart.
 
     Launches from (x_plus(h_in), 0); accepts the first downward crossing of
     y = 0 with x > sqrt(2), discarding (and counting) crossings inside the
-    lobes.  TimeCap if the time budget or the discard budget runs out;
+    lobes.  TimeCap if the time budget or the MAX_DISCARD budget runs out;
     EscapedRegion if the orbit leaves the working box.
     """
     cfg = cfg or IntegratorConfig()
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
-    state = (oval_geometry(h_in).x_plus, 0.0)
+    state = (x_plus(h_in), 0.0)
     lam = tuple(lam)
     t0 = 0.0
     discarded = 0
-    while t0 < cfg.max_time and discarded < max_discard:
-        sol = solve_ivp(
-            _rhs,
-            (t0, cfg.max_time),
-            state,
-            args=(lam,),
-            method="DOP853",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            events=(_ev_down, _ev_escape),
-        )
+    while t0 < cfg.max_time and discarded < MAX_DISCARD:
+        sol = _solve((t0, cfg.max_time), state, lam, cfg, events=(_ev_down, _ev_escape))
         if sol.t_events[1].size:
             raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={sol.t_events[1][0]:.3f}")
         if sol.status == -1:
@@ -317,24 +306,23 @@ def find_limit_cycles(
 # Displacement-vs-bifurcation-function comparisons
 # --------------------------------------------------------------------------
 
-_scale_cache: list = []
-
-
 def measure_displacement_scale(cfg: IntegratorConfig | None = None) -> float:
-    """Global scale s with displacement ~ eps^k * s * M_k, measured once.
+    """Global scale s with displacement ~ eps^k * s * M_k, measured once per config.
 
     The per-lobe normalization of the integrals differs from the
     full-contour displacement by the contour constant, so s is expected to
     land on kappa; it is measured from the arc eps*(1,0,0,0) at h = 0.2,
-    eps = 1e-4, and cached for the process.
+    eps = 1e-4, and cached for the process, one value per IntegratorConfig.
     """
-    if not _scale_cache:
-        cfg = cfg or IntegratorConfig()
-        eps = 1e-4
-        d = displacement(0.2, (eps, 0.0, 0.0, 0.0), cfg)
-        m = mk(0.2, MelnikovSpec(k=1, lam1k=1.0, lam4k=0.0), backend="quadrature")
-        _scale_cache.append(d / (eps * m))
-    return _scale_cache[0]
+    return _displacement_scale(cfg or IntegratorConfig())
+
+
+@functools.cache
+def _displacement_scale(cfg: IntegratorConfig) -> float:
+    eps = 1e-4
+    d = displacement(0.2, (eps, 0.0, 0.0, 0.0), cfg)
+    m = mk(0.2, MelnikovSpec(k=1, lam1k=1.0, lam4k=0.0), backend="quadrature")
+    return d / (eps * m)
 
 
 class ConvergenceRow(NamedTuple):
@@ -457,7 +445,7 @@ def _sweep_one(args) -> SweepSample:
         records = find_limit_cycles(
             arc.params_at(eps), h_window, grid_n=grid_n, cfg=cfg, refine_tol=refine_tol, epsilon=eps
         )
-    except Exception as exc:  # per-sample failure, logged, never aborts the sweep
+    except (TimeCap, EscapedRegion, StepFailure) as exc:  # per-sample failure, logged, never aborts the sweep
         logger.warning("sweep sample %d failed: %s", index, exc)
         return SweepSample(index=index, arc=arc, count=0, bound=bound, records=(), failed=True)
     return SweepSample(index=index, arc=arc, count=len(records), bound=bound, records=tuple(records))

@@ -9,8 +9,8 @@ with critical value -1/4, and the zero level set is a figure-eight loop
 (two homoclinic lobes).  For h > 0 the level set {H = h} is a single closed
 "exterior" oval surrounding both lobes, crossing the x-axis at +-x_plus(h)
 with x_plus^2 = 1 + sqrt(1 + 4h) > 2.  Everything downstream (quadrature,
-return maps) uses the energy h as the canonical transverse coordinate, so
-the level-set bookkeeping lives here.
+return maps) uses the energy h as the canonical transverse coordinate and
+x_plus(h) to place the oval on the x-axis.
 
 The perturbed vector field is
 
@@ -22,8 +22,6 @@ with no smallness assumption baked in; smallness is the caller's concern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 SQRT2 = math.sqrt(2.0)
@@ -31,15 +29,6 @@ SQRT2 = math.sqrt(2.0)
 
 class NonPositiveEnergy(ValueError):
     """Raised when an exterior-oval operation is asked for h <= 0."""
-
-
-class OutOfRange(ValueError):
-    """Raised when a branch evaluation is asked for |x| beyond the turning point."""
-
-
-class PhasePoint(NamedTuple):
-    x: float
-    y: float
 
 
 class PerturbationParams(NamedTuple):
@@ -51,64 +40,25 @@ class PerturbationParams(NamedTuple):
     lambda4: float = 0.0
 
 
-class LevelClass(Enum):
-    """Topological type of a level set {H = h}.
-
-    ExteriorOval: one closed oval around both lobes (h > 0)
-    EightLoop:    the figure-eight separatrix (h = 0)
-    InteriorPair: two closed ovals, one in each well (-1/4 < h < 0)
-    CenterPair:   the two center equilibria (h = -1/4)
-    Empty:        no real points (h < -1/4)
-    """
-
-    EXTERIOR_OVAL = "ExteriorOval"
-    EIGHT_LOOP = "EightLoop"
-    INTERIOR_PAIR = "InteriorPair"
-    CENTER_PAIR = "CenterPair"
-    EMPTY = "Empty"
-
-
-@dataclass(frozen=True)
-class OvalGeometry:
-    """Exterior oval at energy h > 0: outer turning point and orientation.
-
-    The orientation is fixed so that the area integral of y dx over the oval
-    is positive; with the flow running clockwise this means traversing the
-    top branch from -x_plus to +x_plus and back along the bottom branch.
-    """
-
-    h: float
-    x_plus: float
-    orientation: int = +1
-
-
 def energy(p) -> float:
     """H(x, y) = y^2/2 - x^2/2 + x^4/4.
 
-    Accepts a PhasePoint or any (x, y) pair; works elementwise on arrays.
+    Accepts any (x, y) pair; works elementwise on arrays.
     """
     x, y = p
     return 0.5 * y * y - 0.5 * x * x + 0.25 * x**4
 
 
-def vector_field(p, lam: PerturbationParams):
-    """Right-hand side (x', y') of the perturbed system at p."""
-    x, y = p
+def vector_field(t, state, lam):
+    """Right-hand side (x', y') of the perturbed system at state.
+
+    The signature is the one scipy's solve_ivp calls (t is unused; lam is
+    passed through args), so the integrators hand this function to the
+    solver directly.
+    """
+    x, y = state
     l1, l2, l3, l4 = lam
-    return (y, x - x**3 + l1 * y + l2 * x * x + l3 * x * y + l4 * x * x * y)
-
-
-def classify_level(h: float) -> LevelClass:
-    """Topological type of {H = h}; boundary values compare exactly."""
-    if h > 0.0:
-        return LevelClass.EXTERIOR_OVAL
-    if h == 0.0:
-        return LevelClass.EIGHT_LOOP
-    if h > -0.25:
-        return LevelClass.INTERIOR_PAIR
-    if h == -0.25:
-        return LevelClass.CENTER_PAIR
-    return LevelClass.EMPTY
+    return (y, x - x * x * x + l1 * y + l2 * x * x + l3 * x * y + l4 * x * x * y)
 
 
 def x_plus(h: float) -> float:
@@ -116,20 +66,3 @@ def x_plus(h: float) -> float:
     if h <= 0.0:
         raise NonPositiveEnergy(f"exterior oval needs h > 0, got h={h}")
     return math.sqrt(1.0 + math.sqrt(1.0 + 4.0 * h))
-
-
-def oval_geometry(h: float) -> OvalGeometry:
-    """Geometry record for the exterior oval at energy h > 0."""
-    return OvalGeometry(h=h, x_plus=x_plus(h))
-
-
-def branch_y(x: float, h: float) -> float:
-    """Upper branch y_plus(x) = sqrt(2h + x^2 - x^4/2) of the exterior oval.
-
-    Nonnegative by construction; the radicand is clamped at zero to absorb
-    roundoff at the turning points, where it vanishes exactly.
-    """
-    xp = x_plus(h)
-    if abs(x) > xp:
-        raise OutOfRange(f"|x|={abs(x)} exceeds turning point x_plus={xp} at h={h}")
-    return math.sqrt(max(0.0, 2.0 * h + x * x - 0.5 * x**4))

@@ -120,6 +120,16 @@ def _theta_quad(f, h: float, cfg: QuadratureConfig, label: str):
     return value, err
 
 
+def _oval(h: float):
+    """(x_plus, s, sqrt(1+4h)) of the exterior oval at a finite energy h > 0."""
+    if not math.isfinite(h):
+        raise ValueError(f"quadrature needs a finite h, got h={h}")
+    if h <= 0.0:
+        raise NonPositiveEnergy(f"quadrature needs h > 0, got h={h}")
+    r = math.sqrt(1.0 + 4.0 * h)
+    return x_plus(h), r - 1.0, r
+
+
 def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
     """Full-contour I_i(h) = oint x^i y dx for i in {0, 1, 2}.
 
@@ -128,11 +138,8 @@ def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 1, 2):
         raise ValueError(f"i must be one of 0, 1, 2 (got {i})")
-    if h <= 0.0:
-        raise NonPositiveEnergy(f"quadrature needs h > 0, got h={h}")
+    a, s, _ = _oval(h)
     cfg = cfg or QuadratureConfig()
-    a = x_plus(h)
-    s = math.sqrt(1.0 + 4.0 * h) - 1.0
 
     def f(th):
         x = a * np.sin(th)
@@ -149,11 +156,8 @@ def integral_xi_over_y(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 2, 4):
         raise ValueError(f"i must be one of 0, 2, 4 (got {i})")
-    if h <= 0.0:
-        raise NonPositiveEnergy(f"quadrature needs h > 0, got h={h}")
+    a, s, _ = _oval(h)
     cfg = cfg or QuadratureConfig()
-    a = x_plus(h)
-    s = math.sqrt(1.0 + 4.0 * h) - 1.0
 
     def f(th):
         x = a * np.sin(th)
@@ -169,12 +173,8 @@ def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     Returns (value, err).  Diverges like -2*kappa/h as h -> 0+ (consistent
     with 4h(4h+1) I''_0 = -3 I_0), so expect large magnitudes at small h.
     """
-    if h <= 0.0:
-        raise NonPositiveEnergy(f"quadrature needs h > 0, got h={h}")
+    a, s, r = _oval(h)
     cfg = cfg or QuadratureConfig()
-    a = x_plus(h)
-    r = math.sqrt(1.0 + 4.0 * h)
-    s = r - 1.0
 
     def f(th):
         sin_th = np.sin(th)

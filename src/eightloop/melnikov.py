@@ -35,6 +35,8 @@ import numpy as np
 from .integrals import QuadratureConfig, integral_xi_over_y, integral_xiy
 from .series import FittedConstants, default_constants, series_eval, tilde_series_eval
 
+SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
+
 
 @dataclass(frozen=True)
 class MelnikovSpec:
@@ -103,16 +105,15 @@ class ZeroCount:
 
 def _moments(h: float, backend: str, consts: FittedConstants | None, cfg: QuadratureConfig | None):
     """Per-lobe (I0, I2, I4') at energy h for the requested backend."""
+    if backend not in ("series", "quadrature"):
+        raise ValueError(f"unknown backend {backend!r}")
+    c = consts if consts is not None else default_constants()
     if backend == "series":
-        c = consts if consts is not None else default_constants()
         return (
             series_eval("I0", h, c),
             series_eval("I2", h, c),
             series_eval("I4p", h, c),
         )
-    if backend != "quadrature":
-        raise ValueError(f"unknown backend {backend!r}")
-    c = consts if consts is not None else default_constants()
     q = cfg or QuadratureConfig()
     return (
         integral_xiy(h, 0, q)[0] / c.kappa,
@@ -130,8 +131,7 @@ def m1(
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """First-order bifurcation function lam1 I0(h) + lam4 I2(h)."""
-    i0, i2, _ = _moments(h, backend, consts, cfg)
-    return lam1 * i0 + lam4 * i2
+    return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend, consts, cfg)
 
 
 def mk(
@@ -190,14 +190,13 @@ def count_zeros(
     interval,
     grid_n: int = 400,
     refine_tol: float = 1e-10,
-    suspect_rel: float = 1e-4,
 ) -> ZeroCount:
     """Count zeros of f on an interval by sign changes plus suspect flags.
 
     A grid of grid_n points locates sign changes, each refined by plain
     bisection until the bracket is narrower than refine_tol; zeros are
     (h_star, width) pairs.  Interior local minima of |f| whose
-    parabola-extrapolated minimum is below suspect_rel * max|f| without a
+    parabola-extrapolated minimum is below SUSPECT_REL * max|f| without a
     sign change are reported as suspects (possible even-order zeros that
     sign counting cannot see); they are not included in count.
     """
@@ -235,7 +234,7 @@ def count_zeros(
                 vmin = y1 - 0.25 * (y0 - y2) * delta
             else:
                 vmin = y1
-            if scale > 0.0 and abs(vmin) < suspect_rel * scale:
+            if scale > 0.0 and abs(vmin) < SUSPECT_REL * scale:
                 suspects.append(float(hs[i]))
     return ZeroCount(
         interval=(a, b),

@@ -29,11 +29,11 @@ The system pins the whole structure down:
   same relation fixes the I4' analytic part from those of I0 and I2
   (h^2 coefficient: 4 a1 + 5 b2 - 16).
 
-Two expansion sources coexist: ``derived`` (the recurrences above, used for
-all evaluation) and ``tabulated`` (a fixed classical coefficient table kept
-verbatim so that disagreements can be reported by the test suite rather
-than silently hidden; its I2 h^4 ln h and I4' h^4 ln h entries do not
-match the recurrence).
+Evaluation uses the recurrences above, converted to floats once at import
+(order 10).  A fixed classical coefficient table is kept verbatim beside
+them so that its disagreements can be reported by the test suite rather
+than silently hidden: its I2 h^4 ln h and I4' h^4 ln h entries do not match
+the recurrence.
 
 The free analytic constants a1, a2, b2 carry real information not fixed by
 the system; they are recovered by least squares against quadrature samples,
@@ -49,6 +49,7 @@ checks the fitted a1 against it; evaluation still uses the fitted value.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -58,9 +59,10 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .integrals import IntegralTriple, QuadratureConfig, integral_xi_over_y, integral_xiy
+from .integrals import IntegralTriple, QuadratureConfig, integral_triple, integral_xi_over_y, integral_xiy
 
 TRUST_REGION_MAX = 0.2
+SERIES_ORDER = 10  # truncation order of the evaluated log parts
 
 # Per-lobe limit constants at h = 0+ and the shared linear analytic term.
 I0_CONST = Fraction(4, 3)
@@ -147,22 +149,6 @@ TABULATED_I4P_H2 = lambda a1, b2: 4.0 * a1 + 5.0 * b2 - 304.0 / 3.0  # noqa: E73
 
 
 @dataclass(frozen=True)
-class SeriesExpansion:
-    """One moment's expansion P(h) ln h + A(h) with provenance flags.
-
-    log_coeffs and the exact part of analytic_coeffs are Fractions;
-    fitted analytic entries are floats, marked in fitted_mask.
-    """
-
-    which: str
-    log_coeffs: tuple
-    analytic_coeffs: tuple
-    fitted_mask: tuple
-    order: int
-    source: str  # 'derived' or 'tabulated'
-
-
-@dataclass(frozen=True)
 class FittedConstants:
     """Free analytic constants plus the measured contour normalization.
 
@@ -188,50 +174,6 @@ class PFResiduals:
     r4: float
 
 
-def series_expansion(
-    which: str, consts: FittedConstants | None = None, source: str = "derived", order: int = 10
-) -> SeriesExpansion:
-    """Expansion record for one moment.
-
-    source='derived' uses the recurrence log coefficients (default order 10);
-    source='tabulated' uses the fixed table at its own printed order.  The
-    analytic coefficients beyond the exactly-known ones require consts.
-    """
-    if source == "tabulated":
-        logs = tuple(TABULATED_LOG_COEFFS[which])
-        order = len(logs) - 1
-    elif source == "derived":
-        logs = tuple(log_coefficients(which, order))
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    if which == "I0":
-        analytic = [I0_CONST, None, None]
-        mask = (False, True, True)
-        if consts is not None:
-            analytic = [I0_CONST, consts.a1, consts.a2]
-    elif which == "I2":
-        analytic = [I2_CONST, LINEAR_COEFF, None]
-        mask = (False, False, True)
-        if consts is not None:
-            analytic = [I2_CONST, LINEAR_COEFF, consts.b2]
-    elif which == "I4p":
-        analytic = [I4P_CONST, LINEAR_COEFF, None]
-        mask = (False, False, True)
-        if consts is not None:
-            # forced by (4h+1) I4' = 4h I0 + 5 I2 at order h^2
-            analytic = [I4P_CONST, LINEAR_COEFF, 4.0 * consts.a1 + 5.0 * consts.b2 - 16.0]
-    else:
-        raise ValueError(f"unknown series {which!r}")
-    return SeriesExpansion(
-        which=which,
-        log_coeffs=logs,
-        analytic_coeffs=tuple(analytic),
-        fitted_mask=mask,
-        order=order,
-        source=source,
-    )
-
-
 def _poly_eval(coeffs, h: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -239,33 +181,36 @@ def _poly_eval(coeffs, h: float) -> float:
     return acc
 
 
-def _check_trust(h: float):
-    if h > TRUST_REGION_MAX:
-        raise OutOfTrustRegion(f"series trusted only for h <= {TRUST_REGION_MAX}, got {h}")
+#: Float log-part coefficients of I0 and I2 at the evaluation order, built once.
+_LOG_FLOATS = {
+    which: tuple(float(c) for c in log_coefficients(which, SERIES_ORDER)) for which in ("I0", "I2")
+}
 
 
-def series_eval(which: str, h: float, consts: FittedConstants, order: int = 10) -> float:
+def series_eval(which: str, h: float, consts: FittedConstants) -> float:
     """Truncated-series value of a per-lobe moment at 0 <= h <= 0.2.
 
-    I0 and I2 are evaluated directly; I4' goes through the exact relation
-    (4h+1) I4' = 4h I0 + 5 I2, which is noticeably more accurate than an
-    independently truncated series (the I0/I2 truncation errors enter
-    damped by the division and the large constant term).
+    I0 and I2 are evaluated directly at order 10; I4' goes through the exact
+    relation (4h+1) I4' = 4h I0 + 5 I2, which is noticeably more accurate
+    than an independently truncated series (the I0/I2 truncation errors
+    enter damped by the division and the large constant term).
     At h = 0 all h-dependent terms vanish and the limit constant returns.
     """
-    _check_trust(h)
-    if h < 0.0:
-        raise OutOfTrustRegion(f"series needs h >= 0, got {h}")
+    if not 0.0 <= h <= TRUST_REGION_MAX:
+        raise OutOfTrustRegion(f"series trusted only for 0 <= h <= {TRUST_REGION_MAX}, got {h}")
     if which == "I4p":
-        s0 = series_eval("I0", h, consts, order)
-        s2 = series_eval("I2", h, consts, order)
+        s0 = series_eval("I0", h, consts)
+        s2 = series_eval("I2", h, consts)
         return (4.0 * h * s0 + 5.0 * s2) / (4.0 * h + 1.0)
-    exp = series_expansion(which, consts, source="derived", order=order)
+    if which == "I0":
+        analytic = (float(I0_CONST), consts.a1, consts.a2)
+    elif which == "I2":
+        analytic = (float(I2_CONST), float(LINEAR_COEFF), consts.b2)
+    else:
+        raise ValueError(f"unknown series {which!r}")
     if h == 0.0:
-        return float(exp.analytic_coeffs[0])
-    log_part = _poly_eval(exp.log_coeffs, h)
-    analytic = _poly_eval(exp.analytic_coeffs, h)
-    return log_part * math.log(h) + analytic
+        return analytic[0]
+    return _poly_eval(_LOG_FLOATS[which], h) * math.log(h) + _poly_eval(analytic, h)
 
 
 def tilde_series_eval(which: str, h: float, order: int = 10) -> float:
@@ -401,8 +346,8 @@ def fit_constants(samples, degree: int = 8) -> FittedConstants:
     kappa = measure_kappa()
     i0 = np.array([p[1].I0 for p in pts]) / kappa
     i2 = np.array([p[1].I2 for p in pts]) / kappa
-    logs0 = np.array([_poly_eval(log_coefficients("I0"), h) for h in hs])
-    logs2 = np.array([_poly_eval(log_coefficients("I2"), h) for h in hs])
+    logs0 = np.array([_poly_eval(_LOG_FLOATS["I0"], h) for h in hs])
+    logs2 = np.array([_poly_eval(_LOG_FLOATS["I2"], h) for h in hs])
     ln = np.log(hs)
     g0 = i0 - logs0 * ln - float(I0_CONST)
     g2 = i2 - logs2 * ln - float(I2_CONST) - float(LINEAR_COEFF) * hs
@@ -444,16 +389,8 @@ def load_constants(path) -> FittedConstants:
     )
 
 
-_default_cache: list = []
-
-
-def default_constants(cfg: QuadratureConfig | None = None) -> FittedConstants:
-    """Fit once on a standard window and cache for the process lifetime."""
-    if not _default_cache:
-        cfg = cfg or QuadratureConfig()
-        from .integrals import integral_triple
-
-        hs = np.geomspace(0.01, 0.15, 24)
-        samples = [(h, integral_triple(h, cfg)) for h in hs]
-        _default_cache.append(fit_constants(samples))
-    return _default_cache[0]
+@functools.cache
+def default_constants() -> FittedConstants:
+    """Fit once on a standard window with the default quadrature; cached for the process."""
+    hs = np.geomspace(0.01, 0.15, 24)
+    return fit_constants([(h, integral_triple(h)) for h in hs])

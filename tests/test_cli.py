@@ -1,6 +1,7 @@
 """Scenario parsing, command execution, exit codes, and output determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,33 @@ def test_parse_scenario_applies_overrides(tmp_path):
     s = cli.parse_scenario(doc, seed_override=9, out_override=str(tmp_path))
     assert s.seed == 9
     assert s.output_dir == tmp_path
+
+
+# Wrong values for each kind of parameter: wrong types, and non-finite numbers
+_BAD_VALUES = {
+    cli._number: ["abc", None, True, [1.0], math.nan, math.inf, -math.inf],
+    cli._integer: ["abc", 2.5, True, [1]],
+    cli._numbers: ["abc", 5, [0.1, "abc"], [math.nan], [math.inf]],
+    cli._text: [5, ["general"]],
+    cli._coeff_table: ["abc", 5, {"lam1": 1.0}, {"lam1": [0.0, math.nan]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command,name", [(command, name) for command, spec in cli.COMMANDS.items() for name in spec.params]
+)
+def test_bad_parameter_values_exit_2(command, name, tmp_path):
+    convert = cli.COMMANDS[command].params[name][0]
+    for i, value in enumerate(_BAD_VALUES[convert]):
+        config = tmp_path / f"bad{i}.json"
+        config.write_text(json.dumps({"command": command, "parameters": {name: value}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2, value
+
+
+def test_scenario_hash_is_stable():
+    # the manifest's scenario_sha256 hashes the parameters as written
+    s = cli.parse_scenario({"command": "pf-check", "parameters": {"h_min": 1e-4, "h_max": 3.0, "n": 50}})
+    assert cli._scenario_hash(s) == "43e1ecf4976519179c6ee30b8f95fe6e8aa0bb61e1c33e67116d73336d7c87cf"
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +238,20 @@ def test_cyclicity_sweep_outputs(tmp_path):
 def test_unknown_sweep_family_is_config_error(tmp_path):
     s = _scenario("cyclicity-sweep", {"family": "exotic", "n_samples": 1}, out=tmp_path)
     assert cli.run(s) == 2
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("cyclicity-sweep", {"h_window": [1e-4, 0.2], "n_samples": 1}),
+        ("simulate", {"h0": -1.0}),
+        ("melnikov-zeros", {"k": 0, "lam1k": 1.0}),
+    ],
+)
+def test_arguments_the_library_rejects_are_config_errors(command, params, tmp_path):
+    assert cli.run(_scenario(command, params, out=tmp_path)) == 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"].startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from eightloop import dynamics
 from eightloop.dynamics import H_FLOOR
 from eightloop.geometry import x_plus
 
@@ -202,6 +203,23 @@ def test_displacement_scale_is_cached_and_order_two():
     npt.assert_allclose(s1, 2.0, rtol=1e-3)
 
 
+def test_displacement_scale_is_measured_once_per_config(monkeypatch):
+    calls = []
+    real = dynamics.displacement
+
+    def counting(h_in, lam, cfg=None):
+        calls.append(cfg)
+        return real(h_in, lam, cfg)
+
+    monkeypatch.setattr(dynamics, "displacement", counting)
+    a = el.IntegratorConfig(max_time=150.0)
+    b = el.IntegratorConfig(max_time=160.0)
+    s_a = el.measure_displacement_scale(a)
+    el.measure_displacement_scale(b)
+    assert el.measure_displacement_scale(a) == s_a
+    assert calls == [a, b]
+
+
 # ---------------------------------------------------------------------------
 # Samplers and sweeps
 # ---------------------------------------------------------------------------
@@ -238,3 +256,22 @@ def test_sweep_samples_record_bound_and_anomaly():
     assert s.bound == 2
     assert s.anomaly == (not s.failed and s.count > s.bound)
     assert list(res.anomalies) == [x for x in res.samples if x.anomaly]
+
+
+def test_sweep_records_numerical_failures_and_propagates_other_errors(monkeypatch):
+    kw = dict(eps=1e-3, h_window=(0.05, 0.2), n_samples=1, grid_n=12, refine_tol=1e-3)
+
+    def capped(*args, **kwargs):
+        raise el.TimeCap("flow-time budget spent")
+
+    monkeypatch.setattr(dynamics, "find_limit_cycles", capped)
+    res = el.cyclicity_sweep(el.arc_sampler_general, **kw)
+    assert [s.failed for s in res.samples] == [True]
+    assert res.histogram == {}
+
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error, not a numerical failure")
+
+    monkeypatch.setattr(dynamics, "find_limit_cycles", broken)
+    with pytest.raises(TypeError):
+        el.cyclicity_sweep(el.arc_sampler_general, **kw)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
-from eightloop.geometry import SQRT2, LevelClass
+from eightloop.geometry import SQRT2, x_plus
 
 
 def test_energy_known_points():
@@ -22,7 +22,7 @@ def test_energy_is_conserved_form_of_vector_field():
     rng = np.random.default_rng(42)
     for _ in range(50):
         x, y = rng.uniform(-2, 2, size=2)
-        fx, fy = el.vector_field((x, y), el.PerturbationParams())
+        fx, fy = el.vector_field(0.0, (x, y), el.PerturbationParams())
         dHx = -x + x**3
         dHy = y
         assert abs(dHx * fx + dHy * fy) < 1e-12
@@ -31,56 +31,27 @@ def test_energy_is_conserved_form_of_vector_field():
 def test_vector_field_perturbation_terms():
     lam = el.PerturbationParams(lambda1=0.1, lambda2=0.2, lambda3=0.3, lambda4=0.4)
     x, y = 1.5, -0.7
-    fx, fy = el.vector_field((x, y), lam)
+    fx, fy = el.vector_field(0.0, (x, y), lam)
     assert fx == y
     expected = x - x**3 + 0.1 * y + 0.2 * x**2 + 0.3 * x * y + 0.4 * x**2 * y
     npt.assert_allclose(fy, expected, rtol=1e-15)
 
 
-def test_classify_level_all_branches():
-    assert el.classify_level(0.5) is LevelClass.EXTERIOR_OVAL
-    assert el.classify_level(0.0) is LevelClass.EIGHT_LOOP
-    assert el.classify_level(-0.1) is LevelClass.INTERIOR_PAIR
-    assert el.classify_level(-0.25) is LevelClass.CENTER_PAIR
-    assert el.classify_level(-0.3) is LevelClass.EMPTY
-
-
 def test_oval_geometry_turning_points():
     # x_plus^2 = 1 + sqrt(1 + 4h)
-    g = el.oval_geometry(2.0)
-    npt.assert_allclose(g.x_plus, 2.0, rtol=1e-14)
-    g = el.oval_geometry(0.75)
-    npt.assert_allclose(g.x_plus, math.sqrt(3.0), rtol=1e-14)
+    npt.assert_allclose(x_plus(2.0), 2.0, rtol=1e-14)
+    npt.assert_allclose(x_plus(0.75), math.sqrt(3.0), rtol=1e-14)
     # at the loop itself the outer turning point tends to sqrt(2)
-    npt.assert_allclose(el.oval_geometry(1e-12).x_plus, SQRT2, rtol=1e-9)
+    npt.assert_allclose(x_plus(1e-12), SQRT2, rtol=1e-9)
 
 
 def test_oval_geometry_rejects_nonpositive_h():
     with pytest.raises(el.NonPositiveEnergy):
-        el.oval_geometry(0.0)
+        x_plus(0.0)
     with pytest.raises(el.NonPositiveEnergy):
-        el.oval_geometry(-0.1)
-
-
-def test_branch_y_on_oval():
-    h = 0.6
-    g = el.oval_geometry(h)
-    # the branch value closes the energy relation
-    for x in np.linspace(-g.x_plus, g.x_plus, 17):
-        y = el.branch_y(x, h)
-        assert y >= 0.0
-        npt.assert_allclose(el.energy((x, y)), h, atol=1e-12)
-    assert el.branch_y(g.x_plus, h) == 0.0
-
-
-def test_branch_y_out_of_range():
-    g = el.oval_geometry(0.5)
-    with pytest.raises(el.OutOfRange):
-        el.branch_y(g.x_plus + 0.01, 0.5)
+        x_plus(-0.1)
 
 
 def test_phase_point_and_params_defaults():
-    p = el.PhasePoint(1.0, 2.0)
-    assert (p.x, p.y) == (1.0, 2.0)
     lam = el.PerturbationParams()
     assert lam == (0.0, 0.0, 0.0, 0.0)

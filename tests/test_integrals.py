@@ -95,6 +95,17 @@ def test_nonpositive_energy_rejected(quad_cfg):
         el.integral_xi_over_y(-0.1, 0, quad_cfg)
 
 
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+def test_nonfinite_energy_rejected(h, quad_cfg):
+    for call in (
+        lambda: el.integral_xiy(h, 0, quad_cfg),
+        lambda: el.integral_xi_over_y(h, 4, quad_cfg),
+        lambda: integral_I0pp(h, quad_cfg),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_tolerance_failure_raises_with_payload():
     starved = el.QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=2)
     with pytest.raises(el.ToleranceNotMet) as exc:

@@ -98,26 +98,6 @@ def test_quadrature_arbitrates_the_h4_coefficients():
     assert abs(report["I4p"][4] - (-471 / 256)) > 8.0
 
 
-def test_series_expansion_records():
-    exp = el.series_expansion("I0", source="tabulated")
-    assert exp.source == "tabulated"
-    assert exp.log_coeffs == tuple(TABULATED_LOG_COEFFS["I0"])
-    exp = el.series_expansion("I2", source="derived", order=6)
-    assert exp.analytic_coeffs[0] == F(16, 15)
-    assert exp.analytic_coeffs[1] == 4
-    assert exp.fitted_mask == (False, False, True)
-    with pytest.raises(ValueError):
-        el.series_expansion("I3")
-
-
-def test_series_expansion_with_constants(consts):
-    exp = el.series_expansion("I4p", consts)
-    assert exp.analytic_coeffs[0] == F(16, 3)
-    npt.assert_allclose(
-        exp.analytic_coeffs[2], 4.0 * consts.a1 + 5.0 * consts.b2 - 16.0, rtol=1e-14
-    )
-
-
 def test_series_eval_limits(consts):
     assert el.series_eval("I0", 0.0, consts) == 4.0 / 3.0
     npt.assert_allclose(el.series_eval("I2", 1e-12, consts), 16.0 / 15.0, rtol=1e-9)
@@ -129,6 +109,9 @@ def test_series_eval_trust_region(consts):
         el.series_eval("I0", 0.21, consts)
     with pytest.raises(el.OutOfTrustRegion):
         el.series_eval("I2", -0.05, consts)
+    for which in ("I0", "I2", "I4p"):
+        with pytest.raises(el.OutOfTrustRegion):
+            el.series_eval(which, math.nan, consts)
 
 
 @pytest.mark.parametrize("which,i,kind", [("I0", 0, "xiy"), ("I2", 2, "xiy"), ("I4p", 4, "xi_over_y")])
