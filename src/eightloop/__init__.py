@@ -45,7 +45,6 @@ from .series import (
     pf_residuals,
     save_constants,
     series_eval,
-    tilde_series_eval,
 )
 from .melnikov import (
     LeadingCoeffs,
@@ -55,7 +54,6 @@ from .melnikov import (
     leading_coeffs,
     m1,
     mk,
-    mk_tilde,
 )
 from .dynamics import (
     ArcSpec,

@@ -11,7 +11,8 @@ for each of its parameters.  Parsing is strict — unknown top-level or
 parameter keys, wrongly typed values and non-finite numbers are rejected
 (exit 2) rather than ignored, so a typo cannot silently change a run;
 arguments the library rejects as out of range exit 2 as well.  Numerical
-failures exit 3 with partial outputs retained.  Every run writes manifest.json recording the scenario hash, tool
+failures exit 3 with partial outputs retained.  Every run, a rejected
+scenario included, writes manifest.json recording the scenario hash, tool
 version, the fitted-constants provenance, the seed, and wall time; every
 numeric table starts with a seed-stamped comment and a header row.
 """
@@ -50,7 +51,7 @@ from .series import (
     FittedConstants,
     IllConditionedFit,
     default_constants,
-    fit_constants,
+    fit_quadrature,
     load_constants,
     pf_residuals,
     save_constants,
@@ -65,10 +66,6 @@ class ConfigError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A computation missed its accuracy contract; exit status 3."""
-
-
-class MissingInput(ConfigError):
-    """emit_plot_data was pointed at inputs that do not exist."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class RunManifest:
     tool_version: str
     constants: dict | None  # kappa/a1/a2/b2 + source file hash, or None if unused
     wall_time_s: float
-    seed: int
+    seed: int  # as written (possibly not an int, or None) when the scenario was rejected
     command: str
     status: str
 
@@ -162,14 +159,19 @@ def parse_scenario(doc: dict, seed_override=None, out_override=None) -> Scenario
     return Scenario(command=command, parameters=dict(params), seed=seed, output_dir=Path(out), args=args)
 
 
-def _scenario_hash(s: Scenario) -> str:
-    doc = {
-        "command": s.command,
-        "parameters": s.parameters,
-        "seed": s.seed,
-        "output_dir": str(s.output_dir),
-    }
+def _document_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _scenario_hash(s: Scenario) -> str:
+    return _document_hash(
+        {
+            "command": s.command,
+            "parameters": s.parameters,
+            "seed": s.seed,
+            "output_dir": str(s.output_dir),
+        }
+    )
 
 
 # --------------------------------------------------------------------------
@@ -177,62 +179,25 @@ def _scenario_hash(s: Scenario) -> str:
 # --------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header, rows, seed: int, command: str) -> None:
+def _write_rows(path: Path, rows, sep: str = " ", head=()) -> None:
+    """Write the head lines, then one line per row: floats as %.17g, anything else via str.
+
+    With the default separator this is a plot-ready file of whitespace-separated
+    columns (no plotting in-process).
+    """
     with open(path, "w") as f:
-        f.write(f"# command={command} seed={seed}\n")
-        f.write(",".join(header) + "\n")
+        for line in head:
+            f.write(line + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(sep.join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _write_csv(path: Path, header, rows, seed: int, command: str) -> None:
+    _write_rows(path, rows, ",", (f"# command={command} seed={seed}", ",".join(header)))
 
 
 def _write_json(path: Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def emit_plot_data(kind: str, inputs: dict, out_dir) -> Path:
-    """Plot-ready whitespace-separated columns; no plotting in-process.
-
-    kinds: 'integrals' (h I0 I2 I4p from 'samples'), 'melnikov' (h M from
-    'h'/'values'), 'displacement' (h scaled predicted from 'rows' at the
-    smallest eps), 'sweep-histogram' (count samples from 'histogram').
-    """
-    out_dir = Path(out_dir)
-    path = out_dir / f"plot_{kind.replace('-', '_')}.txt"
-    if kind == "integrals":
-        samples = inputs.get("samples")
-        if not samples:
-            raise MissingInput("integrals plot needs 'samples'")
-        lines = [f"{t.h:.17g} {t.I0:.17g} {t.I2:.17g} {t.I4p:.17g}" for t in samples]
-    elif kind == "melnikov":
-        hs, vals = inputs.get("h"), inputs.get("values")
-        if hs is None or vals is None:
-            raise MissingInput("melnikov plot needs 'h' and 'values'")
-        lines = [f"{h:.17g} {v:.17g}" for h, v in zip(hs, vals)]
-    elif kind == "displacement":
-        rows = inputs.get("rows")
-        if not rows:
-            raise MissingInput("displacement plot needs 'rows'")
-        eps_min = min(r.eps for r in rows)
-        lines = [
-            f"{r.h:.17g} {r.scaled_displacement:.17g} {r.m_k:.17g}"
-            for r in rows
-            if r.eps == eps_min
-        ]
-    elif kind == "sweep-histogram":
-        hist = inputs.get("histogram")
-        if hist is None:
-            raise MissingInput("sweep-histogram plot needs 'histogram'")
-        lines = [f"{count} {hist[count]}" for count in sorted(hist)]
-    else:
-        raise ConfigError(f"unknown plot kind {kind!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +224,7 @@ def _run_integrals(s: Scenario, ctx: dict) -> None:
         s.seed,
         s.command,
     )
-    emit_plot_data("integrals", {"samples": samples}, s.output_dir)
+    _write_rows(s.output_dir / "plot_integrals.txt", [(t.h, t.I0, t.I2, t.I4p) for t in samples])
 
 
 def _run_pf_check(s: Scenario, ctx: dict) -> None:
@@ -277,12 +242,8 @@ def _run_pf_check(s: Scenario, ctx: dict) -> None:
 
 
 def _run_series_fit(s: Scenario, ctx: dict) -> None:
-    cfg = QuadratureConfig()
     hs = _h_grid(s.args)
-    consts = fit_constants(
-        [(h, integral_triple(h, cfg)) for h in hs],
-        degree=s.args["degree"],
-    )
+    consts = fit_quadrature(hs, s.args["degree"])
     save_constants(consts, s.output_dir / "constants.json")
     _write_json(
         s.output_dir / "fit_report.json",
@@ -330,7 +291,7 @@ def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
     )
     _write_json(s.output_dir / "zero_count.json", doc)
     hs = np.geomspace(interval[0], interval[1], grid_n)
-    emit_plot_data("melnikov", {"h": hs, "values": [f(h) for h in hs]}, s.output_dir)
+    _write_rows(s.output_dir / "plot_melnikov.txt", [(h, f(h)) for h in hs])
 
 
 def _run_simulate(s: Scenario, ctx: dict) -> None:
@@ -370,7 +331,11 @@ def _run_convergence(s: Scenario, ctx: dict) -> None:
         s.seed,
         s.command,
     )
-    emit_plot_data("displacement", {"rows": rows}, s.output_dir)
+    eps_min = min((r.eps for r in rows), default=None)
+    _write_rows(
+        s.output_dir / "plot_displacement.txt",
+        [(r.h, r.scaled_displacement, r.m_k) for r in rows if r.eps == eps_min],
+    )
 
 
 _FAMILIES = {"general": arc_sampler_general, "no-first-order": arc_sampler_no_first_order}
@@ -423,7 +388,7 @@ def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
             "seed": result.seed,
         },
     )
-    emit_plot_data("sweep-histogram", {"histogram": result.histogram}, s.output_dir)
+    _write_rows(s.output_dir / "plot_sweep_histogram.txt", sorted(result.histogram.items()))
 
 
 # --------------------------------------------------------------------------
@@ -540,9 +505,13 @@ def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
         status, error = 3, str(exc)
 
     consts = consts_holder.get("value")
-    manifest = RunManifest(
+    _write_manifest(
+        scenario.output_dir,
+        t_start,
+        error,
         scenario_sha256=_scenario_hash(scenario),
-        tool_version=__version__,
+        command=scenario.command,
+        seed=scenario.seed,
         constants=None
         if consts is None
         else {
@@ -552,15 +521,22 @@ def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
             "b2": consts.b2,
             "file_sha256": consts_holder.get("hash"),
         },
-        wall_time_s=time.monotonic() - t_start,
-        seed=scenario.seed,
-        command=scenario.command,
-        status="ok" if status == 0 else f"error: {error}",
     )
-    _write_json(scenario.output_dir / "manifest.json", asdict(manifest))
     if error is not None:
         print(f"{scenario.command}: {error}", file=sys.stderr)
     return status
+
+
+def _write_manifest(out_dir: Path, t_start: float, error, **fields) -> None:
+    """Write out_dir/manifest.json from the other RunManifest fields; status "ok" when error is None."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
+        tool_version=__version__,
+        wall_time_s=time.monotonic() - t_start,
+        status="ok" if error is None else f"error: {error}",
+        **fields,
+    )
+    _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
 def main(argv=None) -> int:
@@ -574,6 +550,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
     parser.add_argument("--constants", default=None, help="fitted-constants JSON to use")
     args = parser.parse_args(argv)
+    t_start = time.monotonic()
     try:
         doc = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
@@ -585,7 +562,19 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(doc, seed_override=args.seed, out_override=args.out)
     except ConfigError as exc:
+        # a rejected scenario still gets a manifest, with its fields as written
         print(f"config error: {exc}", file=sys.stderr)
+        fields = doc if isinstance(doc, dict) else {}
+        out = args.out if args.out is not None else fields.get("output_dir")
+        _write_manifest(
+            Path(out if isinstance(out, str) else "out"),
+            t_start,
+            exc,
+            scenario_sha256=_document_hash(doc),
+            command=fields.get("command"),
+            seed=args.seed if args.seed is not None else fields.get("seed"),
+            constants=None,
+        )
         return 2
     return run(scenario, threads=args.threads, constants_path=args.constants)
 

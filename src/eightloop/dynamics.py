@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 H_FLOOR = 1e-3
 ESCAPE_BOUND = 10.0
 MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCap
+MAX_LEADING_ORDER = 4  # highest arc order ArcSpec.leading_order inspects
 
 
 class TimeCap(RuntimeError):
@@ -124,9 +125,9 @@ class ArcSpec:
             lam3=pad("lam3"),
         )
 
-    def leading_order(self, k_max: int = 4):
-        """Lowest k with a nonzero bifurcation function, or None."""
-        for k in range(1, k_max + 1):
+    def leading_order(self):
+        """Lowest k <= MAX_LEADING_ORDER with a nonzero bifurcation function, or None."""
+        for k in range(1, MAX_LEADING_ORDER + 1):
             s = self.melnikov_spec(k)
             if s.lam1k != 0.0 or s.lam4k != 0.0 or s.cross_coefficient != 0.0:
                 return k

@@ -167,6 +167,17 @@ def integral_xi_over_y(h: float, i: int, cfg: QuadratureConfig | None = None):
     return 2.0 * v, 2.0 * e
 
 
+def moment(name: str, h: float, cfg: QuadratureConfig | None):
+    """Full-contour moment of M_k by name, as (value, err): 'I0', 'I2' or 'I4p' (= I'_4).
+
+    The one place the moment names of the series and Melnikov layers map to
+    a quadrature; cfg None means the default QuadratureConfig.
+    """
+    if name == "I4p":
+        return integral_xi_over_y(h, 4, cfg)
+    return integral_xiy(h, {"I0": 0, "I2": 2}[name], cfg)
+
+
 def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     """Full-contour I''_0(h), the h-derivative of the regularized I'_0 form.
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import QuadratureConfig, integral_xi_over_y, integral_xiy
-from .series import FittedConstants, default_constants, series_eval, tilde_series_eval
+from .integrals import moment
+from .series import FittedConstants, default_constants, series_eval
 
 SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
 
@@ -103,35 +103,15 @@ class ZeroCount:
         }
 
 
-def _moments(h: float, backend: str, consts: FittedConstants | None, cfg: QuadratureConfig | None):
-    """Per-lobe (I0, I2, I4') at energy h for the requested backend."""
-    if backend not in ("series", "quadrature"):
-        raise ValueError(f"unknown backend {backend!r}")
-    c = consts if consts is not None else default_constants()
-    if backend == "series":
-        return (
-            series_eval("I0", h, c),
-            series_eval("I2", h, c),
-            series_eval("I4p", h, c),
-        )
-    q = cfg or QuadratureConfig()
-    return (
-        integral_xiy(h, 0, q)[0] / c.kappa,
-        integral_xiy(h, 2, q)[0] / c.kappa,
-        integral_xi_over_y(h, 4, q)[0] / c.kappa,
-    )
-
-
 def m1(
     h: float,
     lam1: float,
     lam4: float,
     backend: str = "series",
     consts: FittedConstants | None = None,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """First-order bifurcation function lam1 I0(h) + lam4 I2(h)."""
-    return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend, consts, cfg)
+    return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend, consts)
 
 
 def mk(
@@ -139,36 +119,33 @@ def mk(
     spec: MelnikovSpec,
     backend: str = "series",
     consts: FittedConstants | None = None,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
-    """Order-k bifurcation function for an arbitrary arc order."""
-    i0, i2, i4p = _moments(h, backend, consts, cfg)
-    return spec.lam1k * i0 + spec.lam4k * i2 + spec.cross_coefficient * i4p
+    """Order-k bifurcation function for an arbitrary arc order.
 
-
-def mk_tilde(h: float, spec: MelnikovSpec, order: int = 10) -> float:
-    """Reduced bifurcation function on the vanishing cycle.
-
-    Same coefficients applied to the reduced (pure log-polynomial) series;
-    analytic through h = 0, usable on |h| <= 0.2.  The combination
-    5*I2~ - I4p~ has leading term 4 h^2, which makes it a convenient probe
-    of the reduced normalization.
+    The quadrature backend computes I4' only when c_k != 0; I0 and I2 are
+    always computed, so h is always checked.  Since I4' > 0, c_k * 0.0 is
+    the same signed zero as c_k * I4' when c_k = 0, so no bit changes.
     """
-    return (
-        spec.lam1k * tilde_series_eval("I0", h, order)
-        + spec.lam4k * tilde_series_eval("I2", h, order)
-        + spec.cross_coefficient * tilde_series_eval("I4p", h, order)
-    )
-
-
-def leading_coeffs(spec: MelnikovSpec, consts: FittedConstants | None = None) -> LeadingCoeffs:
-    """Exact-structure leading coefficients of M_k at h -> 0+."""
+    if backend not in ("series", "quadrature"):
+        raise ValueError(f"unknown backend {backend!r}")
     c = consts if consts is not None else default_constants()
+    ck = spec.cross_coefficient
+    if backend == "series":
+        i0, i2, i4p = series_eval(h, c)
+    else:
+        i0 = moment("I0", h, None)[0] / c.kappa
+        i2 = moment("I2", h, None)[0] / c.kappa
+        i4p = moment("I4p", h, None)[0] / c.kappa if ck != 0.0 else 0.0
+    return spec.lam1k * i0 + spec.lam4k * i2 + ck * i4p
+
+
+def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
+    """Exact-structure leading coefficients of M_k at h -> 0+ (a1 from default_constants)."""
     ck = spec.cross_coefficient
     return LeadingCoeffs(
         c0=(4.0 / 3.0) * spec.lam1k + (16.0 / 15.0) * spec.lam4k + (16.0 / 3.0) * ck,
         c1=-spec.lam1k,
-        c2=c.a1 * spec.lam1k + 4.0 * spec.lam4k + 4.0 * ck,
+        c2=default_constants().a1 * spec.lam1k + 4.0 * spec.lam4k + 4.0 * ck,
     )
 
 

@@ -30,7 +30,9 @@ The system pins the whole structure down:
   (h^2 coefficient: 4 a1 + 5 b2 - 16).
 
 Evaluation uses the recurrences above, converted to floats once at import
-(order 10).  A fixed classical coefficient table is kept verbatim beside
+(order 10).  The log parts P are also the reduced series of the vanishing
+cycle that shrinks into the saddle: its integrals are 2 pi i P(h), analytic
+through h = 0.  A fixed classical coefficient table is kept verbatim beside
 them so that its disagreements can be reported by the test suite rather
 than silently hidden: its I2 h^4 ln h and I4' h^4 ln h entries do not match
 the recurrence.
@@ -59,7 +61,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .integrals import IntegralTriple, QuadratureConfig, integral_triple, integral_xi_over_y, integral_xiy
+from .integrals import IntegralTriple, QuadratureConfig, moment
 
 TRUST_REGION_MAX = 0.2
 SERIES_ORDER = 10  # truncation order of the evaluated log parts
@@ -69,6 +71,8 @@ I0_CONST = Fraction(4, 3)
 I2_CONST = Fraction(16, 15)
 I4P_CONST = Fraction(16, 3)
 LINEAR_COEFF = Fraction(4)  # h-coefficient of both I2 and I4' analytic parts
+MOMENTS = ("I0", "I2", "I4p")  # the per-lobe moments M_k combines
+LIMIT_H_PAIR = (1e-3, 1e-4)  # energies of the extrapolation to h = 0+
 
 
 class OutOfTrustRegion(ValueError):
@@ -181,50 +185,30 @@ def _poly_eval(coeffs, h: float) -> float:
     return acc
 
 
-#: Float log-part coefficients of I0 and I2 at the evaluation order, built once.
-_LOG_FLOATS = {
-    which: tuple(float(c) for c in log_coefficients(which, SERIES_ORDER)) for which in ("I0", "I2")
-}
+#: Float log-part coefficients of each moment at the evaluation order, built once.
+_LOG_FLOATS = {which: tuple(float(c) for c in log_coefficients(which, SERIES_ORDER)) for which in MOMENTS}
 
 
-def series_eval(which: str, h: float, consts: FittedConstants) -> float:
-    """Truncated-series value of a per-lobe moment at 0 <= h <= 0.2.
+def series_eval(h: float, consts: FittedConstants) -> tuple:
+    """Truncated-series per-lobe (I0, I2, I4') at 0 <= h <= 0.2.
 
     I0 and I2 are evaluated directly at order 10; I4' goes through the exact
     relation (4h+1) I4' = 4h I0 + 5 I2, which is noticeably more accurate
     than an independently truncated series (the I0/I2 truncation errors
     enter damped by the division and the large constant term).
-    At h = 0 all h-dependent terms vanish and the limit constant returns.
+    At h = 0 all h-dependent terms vanish and the limit constants return.
     """
     if not 0.0 <= h <= TRUST_REGION_MAX:
         raise OutOfTrustRegion(f"series trusted only for 0 <= h <= {TRUST_REGION_MAX}, got {h}")
-    if which == "I4p":
-        s0 = series_eval("I0", h, consts)
-        s2 = series_eval("I2", h, consts)
-        return (4.0 * h * s0 + 5.0 * s2) / (4.0 * h + 1.0)
-    if which == "I0":
-        analytic = (float(I0_CONST), consts.a1, consts.a2)
-    elif which == "I2":
-        analytic = (float(I2_CONST), float(LINEAR_COEFF), consts.b2)
-    else:
-        raise ValueError(f"unknown series {which!r}")
     if h == 0.0:
-        return analytic[0]
-    return _poly_eval(_LOG_FLOATS[which], h) * math.log(h) + _poly_eval(analytic, h)
-
-
-def tilde_series_eval(which: str, h: float, order: int = 10) -> float:
-    """Reduced vanishing-cycle series: the pure log-part polynomial.
-
-    The cycle shrinking into the saddle carries integrals that are pure
-    imaginary multiples (2*pi*i) of the h^n ln h coefficient series; only
-    this real-valued reduction is stored, since downstream zero counting is
-    invariant under a nonzero constant factor.  Analytic at h = 0, so
-    negative h up to |h| = 0.2 is allowed.
-    """
-    if abs(h) > TRUST_REGION_MAX:
-        raise OutOfTrustRegion(f"reduced series trusted only for |h| <= {TRUST_REGION_MAX}")
-    return _poly_eval(log_coefficients(which, order), h)
+        i0, i2 = float(I0_CONST), float(I2_CONST)
+    else:
+        ln = math.log(h)
+        analytic0 = (float(I0_CONST), consts.a1, consts.a2)
+        analytic2 = (float(I2_CONST), float(LINEAR_COEFF), consts.b2)
+        i0 = _poly_eval(_LOG_FLOATS["I0"], h) * ln + _poly_eval(analytic0, h)
+        i2 = _poly_eval(_LOG_FLOATS["I2"], h) * ln + _poly_eval(analytic2, h)
+    return i0, i2, (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -257,45 +241,34 @@ def pf_residuals(t: IntegralTriple) -> PFResiduals:
 # --------------------------------------------------------------------------
 
 
-def _extrapolate_limit(values, hs, which: str, order: int = 10) -> float:
-    """Limit C = I(0+) from two samples using I(h) ~ C (1 + P(h) ln h / C0) + B h.
+def _extrapolate_limit(which: str, hs, cfg: QuadratureConfig | None) -> float:
+    """Full-contour limit C = I(0+) from quadrature at two energies.
 
-    C0 is the per-lobe limit constant, so P(h)/C0 is the known relative
-    log structure; the unknowns (C, B) solve a 2x2 system.  The neglected
-    h^2 terms enter only at O(h1*h2).
+    Uses I(h) ~ C (1 + P(h) ln h / C0) + B h: C0 is the per-lobe limit
+    constant, so P(h)/C0 is the known relative log structure; the unknowns
+    (C, B) solve a 2x2 system.  The neglected h^2 terms enter only at
+    O(h1*h2).
     """
     c0 = float({"I0": I0_CONST, "I2": I2_CONST, "I4p": I4P_CONST}[which])
-    logs = log_coefficients(which, order)
-    u = [1.0 + _poly_eval(logs, h) * math.log(h) / c0 for h in hs]
+    values = [moment(which, h, cfg)[0] for h in hs]
+    u = [1.0 + _poly_eval(_LOG_FLOATS[which], h) * math.log(h) / c0 for h in hs]
     det = u[0] * hs[1] - u[1] * hs[0]
     return (values[0] * hs[1] - values[1] * hs[0]) / det
 
 
-def limit_constants(cfg: QuadratureConfig | None = None, h_pair=(1e-3, 1e-4)) -> dict:
+def limit_constants(cfg: QuadratureConfig | None = None, h_pair=LIMIT_H_PAIR) -> dict:
     """Full-contour limits I(0+) for I0, I2, I4' by log-aware extrapolation."""
-    cfg = cfg or QuadratureConfig()
-    hs = tuple(h_pair)
-    out = {}
-    for which, fetch in (
-        ("I0", lambda h: integral_xiy(h, 0, cfg)[0]),
-        ("I2", lambda h: integral_xiy(h, 2, cfg)[0]),
-        ("I4p", lambda h: integral_xi_over_y(h, 4, cfg)[0]),
-    ):
-        vals = [fetch(h) for h in hs]
-        out[which] = _extrapolate_limit(vals, hs, which)
-    return out
+    return {which: _extrapolate_limit(which, tuple(h_pair), cfg) for which in MOMENTS}
 
 
-def measure_kappa(cfg: QuadratureConfig | None = None, h_pair=(1e-3, 1e-4)) -> float:
+def measure_kappa(cfg: QuadratureConfig | None = None) -> float:
     """Measured contour normalization: lim I0(h)/(4/3) as h -> 0+.
 
     Expected to be 2 (the oval encloses both lobes of the loop, each of
-    area-integral 4/3 in the limit), but measured rather than assumed.
+    area-integral 4/3 in the limit), but measured rather than assumed: the
+    I0 entry of limit_constants at its default energies.
     """
-    cfg = cfg or QuadratureConfig()
-    hs = tuple(h_pair)
-    vals = [integral_xiy(h, 0, cfg)[0] for h in hs]
-    return _extrapolate_limit(vals, hs, "I0") / float(I0_CONST)
+    return _extrapolate_limit("I0", LIMIT_H_PAIR, cfg) / float(I0_CONST)
 
 
 # --------------------------------------------------------------------------
@@ -329,23 +302,23 @@ def fit_series_tail(hs, residual_values, degree: int = 8):
     return np.asarray(power.coef, dtype=float), rms, cond
 
 
-def fit_constants(samples, degree: int = 8) -> FittedConstants:
-    """Recover (a1, a2, b2) from quadrature samples; measure kappa first.
+def fit_constants(hs, i0, i2, kappa: float, degree: int = 8) -> FittedConstants:
+    """Recover (a1, a2, b2) from full-contour I0 and I2 sampled at energies hs.
 
-    samples: list of (h, IntegralTriple) with at least 8 energies inside
-    [0.01, 0.15].  The exactly-known terms (limit constants, linear terms,
-    full log parts) are subtracted from the kappa-normalized values and the
-    smooth remainders are fitted; a1, a2 come from the I0 remainder, b2 from
-    the I2 remainder.  The reported residual is the RMS over both fits.
+    At least 8 energies must lie inside [0.01, 0.15]; kappa is the contour
+    normalization measured with the same quadrature as the samples.  The
+    exactly-known terms (limit constants, linear terms, full log parts) are
+    subtracted from the kappa-normalized values and the smooth remainders
+    are fitted; a1, a2 come from the I0 remainder, b2 from the I2 remainder.
+    The reported residual is the RMS over both fits.
     """
-    pts = sorted(samples, key=lambda p: p[0])
-    hs = np.array([p[0] for p in pts], dtype=float)
+    order = np.argsort(hs, kind="stable")
+    hs = np.asarray(hs, dtype=float)[order]
     inside = (hs >= 0.01) & (hs <= 0.15)
     if int(inside.sum()) < 8:
         raise ValueError("need at least 8 samples with h in [0.01, 0.15]")
-    kappa = measure_kappa()
-    i0 = np.array([p[1].I0 for p in pts]) / kappa
-    i2 = np.array([p[1].I2 for p in pts]) / kappa
+    i0 = np.asarray(i0, dtype=float)[order] / kappa
+    i2 = np.asarray(i2, dtype=float)[order] / kappa
     logs0 = np.array([_poly_eval(_LOG_FLOATS["I0"], h) for h in hs])
     logs2 = np.array([_poly_eval(_LOG_FLOATS["I2"], h) for h in hs])
     ln = np.log(hs)
@@ -389,8 +362,14 @@ def load_constants(path) -> FittedConstants:
     )
 
 
+def fit_quadrature(hs, degree: int) -> FittedConstants:
+    """fit_constants on default-quadrature I0, I2 at hs and kappa: 2 QUADPACK calls per energy, plus 2."""
+    i0 = [moment("I0", h, None)[0] for h in hs]
+    i2 = [moment("I2", h, None)[0] for h in hs]
+    return fit_constants(hs, i0, i2, measure_kappa(), degree)
+
+
 @functools.cache
 def default_constants() -> FittedConstants:
     """Fit once on a standard window with the default quadrature; cached for the process."""
-    hs = np.geomspace(0.01, 0.15, 24)
-    return fit_constants([(h, integral_triple(h)) for h in hs])
+    return fit_quadrature(np.geomspace(0.01, 0.15, 24), 8)

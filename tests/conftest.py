@@ -1,6 +1,7 @@
 import pytest
 
 import eightloop as el
+from eightloop import integrals
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +18,17 @@ def consts():
 @pytest.fixture(scope="session")
 def integ_cfg():
     return el.IntegratorConfig()
+
+
+@pytest.fixture
+def quadpack_calls(monkeypatch):
+    """A list that gains one entry per QUADPACK call made during the test."""
+    calls = []
+    quad = integrals.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "quad", counting)
+    return calls

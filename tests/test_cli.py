@@ -81,8 +81,27 @@ def test_bad_parameter_values_exit_2(command, name, tmp_path):
     convert = cli.COMMANDS[command].params[name][0]
     for i, value in enumerate(_BAD_VALUES[convert]):
         config = tmp_path / f"bad{i}.json"
-        config.write_text(json.dumps({"command": command, "parameters": {name: value}}))
-        assert cli.main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2, value
+        doc = {"command": command, "parameters": {name: value}}
+        config.write_text(json.dumps(doc))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["--config", str(config), "--out", str(out)]) == 2, value
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"].startswith("error:"), value
+        assert manifest["command"] == command
+        assert manifest["scenario_sha256"] == cli._document_hash(json.loads(config.read_text()))
+
+
+def test_rejected_scenario_manifest_goes_to_its_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"command": "pf-check", "seed": 4, "output_dir": "doc", "extra": 1}))
+    assert cli.main(["--config", str(config)]) == 2
+    manifest = json.loads((tmp_path / "doc" / "manifest.json").read_text())
+    assert manifest["seed"] == 4 and "unknown scenario keys" in manifest["status"]
+    # without a usable output_dir the manifest goes to the default directory
+    config.write_text(json.dumps(["not", "an", "object"]))
+    assert cli.main(["--config", str(config)]) == 2
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["command"] is None
 
 
 def test_scenario_hash_is_stable():
@@ -232,7 +251,9 @@ def test_cyclicity_sweep_outputs(tmp_path):
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["family"] == "general"
     assert sum(summary["histogram"].values()) == 2
-    assert (tmp_path / "plot_sweep_histogram.txt").exists()
+    # plot columns: count and number of samples, as plain integers
+    expected = "".join(f"{count} {n}\n" for count, n in summary["histogram"].items())
+    assert (tmp_path / "plot_sweep_histogram.txt").read_text() == expected
 
 
 def test_unknown_sweep_family_is_config_error(tmp_path):
@@ -259,19 +280,14 @@ def test_arguments_the_library_rejects_are_config_errors(command, params, tmp_pa
 # ---------------------------------------------------------------------------
 
 
-def test_emit_plot_data_requires_inputs(tmp_path):
-    with pytest.raises(cli.MissingInput):
-        cli.emit_plot_data("integrals", {}, tmp_path)
-    with pytest.raises(cli.MissingInput):
-        cli.emit_plot_data("melnikov", {"h": [0.1]}, tmp_path)
-    with pytest.raises(cli.ConfigError):
-        cli.emit_plot_data("pie-chart", {}, tmp_path)
-
-
-def test_emit_plot_data_formats_columns(tmp_path):
-    path = cli.emit_plot_data("melnikov", {"h": [0.1, 0.2], "values": [1.5, -2.5]}, tmp_path)
-    assert path.name == "plot_melnikov.txt"
-    assert path.read_text() == "0.10000000000000001 1.5\n0.20000000000000001 -2.5\n"
+def test_plot_files_format_columns(tmp_path):
+    assert cli.run(_scenario("integrals", {"h_grid": [0.1, 0.2]}, out=tmp_path)) == 0
+    lines = (tmp_path / "plot_integrals.txt").read_text().splitlines()
+    # h I0 I2 I4p, space-separated, each float with 17 significant digits
+    csv_rows = [ln.split(",") for ln in (tmp_path / "integrals.csv").read_text().splitlines()[2:]]
+    assert lines == [" ".join((r[0], r[1], r[3], r[6])) for r in csv_rows]
+    assert lines[0].split()[0] == "0.10000000000000001"
+    assert all(v == f"{float(v):.17g}" for ln in lines for v in ln.split())
 
 
 # ---------------------------------------------------------------------------

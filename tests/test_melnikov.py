@@ -54,7 +54,7 @@ def test_m1_basis_directions(consts):
         for h in (0.05, 0.1):
             npt.assert_allclose(
                 el.m1(h, 1.0, 0.0, backend=backend),
-                el.series_eval("I0", h, consts) if backend == "series"
+                el.series_eval(h, consts)[0] if backend == "series"
                 else el.integral_xiy(h, 0, None)[0] / consts.kappa,
                 rtol=1e-12,
             )
@@ -73,11 +73,8 @@ def test_mk_zero_spec_and_combination(consts):
     # general spec equals the stated linear combination of the integrals
     spec = el.MelnikovSpec(k=2, lam1k=0.7, lam4k=-0.4, lam2=(0.0, 1.5), lam3=(0.0, 2.0))
     h = 0.08
-    expect = (
-        0.7 * el.series_eval("I0", h, consts)
-        - 0.4 * el.series_eval("I2", h, consts)
-        + spec.cross_coefficient * el.series_eval("I4p", h, consts)
-    )
+    i0, i2, i4p = el.series_eval(h, consts)
+    expect = 0.7 * i0 - 0.4 * i2 + spec.cross_coefficient * i4p
     npt.assert_allclose(el.mk(h, spec), expect, rtol=1e-12)
 
 
@@ -112,18 +109,13 @@ def test_backend_consistency_on_the_overlap_window():
             assert abs(q - s) / abs(q) < 2e-3
 
 
-def test_mk_tilde_examples():
-    lam1_only = el.MelnikovSpec(k=2, lam1k=1.0, lam4k=0.0)
-    # the vanishing-cycle reduction of the area integral is analytic:
-    # -h + 3/8 h^2 - 35/64 h^3 + ...
-    h = 0.05
-    poly = -h + 3.0 / 8.0 * h**2 - 35.0 / 64.0 * h**3 + 1155.0 / 1024.0 * h**4
-    npt.assert_allclose(el.mk_tilde(h, lam1_only), poly, atol=5e-6)
-    # the (5,-1) combination reduces to 4h^2 + O(h^3)
-    npt.assert_allclose(el.mk_tilde(1e-4, SPEC_51) / 1e-8, 4.0, rtol=1e-3)
-    assert el.mk_tilde(0.1, el.MelnikovSpec(k=2, lam1k=0.0, lam4k=0.0)) == 0.0
-    with pytest.raises(el.OutOfTrustRegion):
-        el.mk_tilde(0.3, lam1_only)
+def test_quadrature_mk_computes_I4p_only_when_the_cross_term_needs_it(consts, quadpack_calls):
+    quadpack_calls.clear()
+    el.m1(0.1, 1.0, 0.5, backend="quadrature", consts=consts)
+    assert len(quadpack_calls) == 2  # I0, I2
+    quadpack_calls.clear()
+    el.mk(0.1, SPEC_51, backend="quadrature", consts=consts)
+    assert len(quadpack_calls) == 3  # I0, I2, I4'
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +216,8 @@ def test_count_zeros_flags_even_multiplicity():
     assert any(abs(s - 0.15) < 5e-3 for s in zc.suspects)
 
 
-def test_five_minus_one_has_no_zeros_on_the_oval_range(quad_cfg):
-    f = lambda h: el.mk(h, SPEC_51, backend="quadrature", cfg=quad_cfg)
+def test_five_minus_one_has_no_zeros_on_the_oval_range():
+    f = lambda h: el.mk(h, SPEC_51, backend="quadrature")
     zc = el.count_zeros(f, (1e-3, 0.3), grid_n=64)
     assert zc.count == 0
     assert zc.suspects == ()

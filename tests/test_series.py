@@ -17,6 +17,7 @@ import pytest
 
 import eightloop as el
 from eightloop.series import (
+    MOMENTS,
     TABULATED_I4P_H2,
     TABULATED_LOG_COEFFS,
     _poly_eval,
@@ -99,19 +100,16 @@ def test_quadrature_arbitrates_the_h4_coefficients():
 
 
 def test_series_eval_limits(consts):
-    assert el.series_eval("I0", 0.0, consts) == 4.0 / 3.0
-    npt.assert_allclose(el.series_eval("I2", 1e-12, consts), 16.0 / 15.0, rtol=1e-9)
-    assert el.series_eval("I4p", 0.0, consts) == 16.0 / 3.0
+    i0, _, i4p = el.series_eval(0.0, consts)
+    assert i0 == 4.0 / 3.0
+    assert i4p == 16.0 / 3.0
+    npt.assert_allclose(el.series_eval(1e-12, consts)[1], 16.0 / 15.0, rtol=1e-9)
 
 
 def test_series_eval_trust_region(consts):
-    with pytest.raises(el.OutOfTrustRegion):
-        el.series_eval("I0", 0.21, consts)
-    with pytest.raises(el.OutOfTrustRegion):
-        el.series_eval("I2", -0.05, consts)
-    for which in ("I0", "I2", "I4p"):
+    for h in (0.21, -0.05, math.nan):
         with pytest.raises(el.OutOfTrustRegion):
-            el.series_eval(which, math.nan, consts)
+            el.series_eval(h, consts)
 
 
 @pytest.mark.parametrize("which,i,kind", [("I0", 0, "xiy"), ("I2", 2, "xiy"), ("I4p", 4, "xi_over_y")])
@@ -119,39 +117,35 @@ def test_series_matches_quadrature(which, i, kind, quad_cfg, consts):
     fetch = el.integral_xiy if kind == "xiy" else el.integral_xi_over_y
     for h in (0.01, 0.03, 0.1):
         q = fetch(h, i, quad_cfg)[0] / consts.kappa
-        s = el.series_eval(which, h, consts)
+        s = el.series_eval(h, consts)[MOMENTS.index(which)]
         assert abs(s - q) / abs(q) < 1e-3
 
 
 def test_I4p_series_close_at_h01(quad_cfg, consts):
     q = el.integral_xi_over_y(0.1, 4, quad_cfg)[0] / consts.kappa
-    s = el.series_eval("I4p", 0.1, consts)
+    s = el.series_eval(0.1, consts)[2]
     assert abs(s - q) / q < 5e-4
+
+
+# The reduced vanishing-cycle series are the log-part polynomials P(h).
 
 
 def test_tilde_series_printed_truncation():
     # third-order truncation: -0.1 + 3/8*0.01 - 35/64*0.001
-    npt.assert_allclose(el.tilde_series_eval("I0", 0.1, order=3), -0.09679688, atol=5e-9)
-    assert el.tilde_series_eval("I2", 0.0) == 0.0
-
-
-def test_tilde_matches_log_coefficients(consts):
-    # the reduced series is exactly the log-part polynomial of the full one
-    h = 0.07
-    for which in ("I0", "I2", "I4p"):
-        expected = _poly_eval(log_coefficients(which, 10), h)
-        npt.assert_allclose(el.tilde_series_eval(which, h), expected, rtol=1e-15)
+    npt.assert_allclose(_poly_eval(log_coefficients("I0", 3), 0.1), -0.09679688, atol=5e-9)
+    assert _poly_eval(log_coefficients("I2", 10), 0.0) == 0.0
 
 
 def test_tilde_simple_and_double_zero_structure():
+    def tilde(which, h):
+        return _poly_eval(log_coefficients(which, 10), h)
+
     for h in (1e-5, 1e-7):
-        npt.assert_allclose(el.tilde_series_eval("I0", h) / h, -1.0, rtol=1e-3)
-        combo = 5.0 * el.tilde_series_eval("I2", h) - el.tilde_series_eval("I4p", h)
+        npt.assert_allclose(tilde("I0", h) / h, -1.0, rtol=1e-3)
+        combo = 5.0 * tilde("I2", h) - tilde("I4p", h)
         npt.assert_allclose(combo / h**2, 4.0, rtol=1e-3)
-    # analytic through 0: negative h is legitimate for the reduced series
-    assert el.tilde_series_eval("I0", -0.1) > 0
-    with pytest.raises(el.OutOfTrustRegion):
-        el.tilde_series_eval("I0", 0.25)
+    # analytic through 0: the area series changes sign with h
+    assert tilde("I0", -0.1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +177,24 @@ def test_pf_residuals_detect_injected_fault(quad_cfg):
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_triples(a1, a2, b2, kappa):
+def _synthetic_samples(a1, a2, b2, kappa):
+    """(hs, I0, I2): full-contour moments built from the series with the given constants."""
     hs = np.geomspace(0.01, 0.15, 24)
-    out = []
-    for h in hs:
-        l0 = _poly_eval(log_coefficients("I0", 10), h)
-        l2 = _poly_eval(log_coefficients("I2", 10), h)
-        i0 = kappa * (l0 * math.log(h) + 4.0 / 3.0 + a1 * h + a2 * h * h)
-        i2 = kappa * (l2 * math.log(h) + 16.0 / 15.0 + 4.0 * h + b2 * h * h)
-        out.append(
-            (h, el.IntegralTriple(h=h, I0=i0, I1=0.0, I2=i2, I0p=0.0, I2p=0.0, I4p=0.0, I0pp=0.0, err={}))
-        )
-    return out
+    l0 = np.array([_poly_eval(log_coefficients("I0", 10), h) for h in hs])
+    l2 = np.array([_poly_eval(log_coefficients("I2", 10), h) for h in hs])
+    i0 = kappa * (l0 * np.log(hs) + 4.0 / 3.0 + a1 * hs + a2 * hs * hs)
+    i2 = kappa * (l2 * np.log(hs) + 16.0 / 15.0 + 4.0 * hs + b2 * hs * hs)
+    return hs, i0, i2
+
+
+def _quadrature_samples(hs, cfg):
+    """(hs, I0, I2): full-contour moments by quadrature."""
+    return hs, [el.integral_xiy(h, 0, cfg)[0] for h in hs], [el.integral_xiy(h, 2, cfg)[0] for h in hs]
 
 
 def test_fit_recovers_synthetic_constants():
     kappa = el.measure_kappa()
-    fc = el.fit_constants(_synthetic_triples(3.7, 0.02, -0.13, kappa))
+    fc = el.fit_constants(*_synthetic_samples(3.7, 0.02, -0.13, kappa), kappa)
     npt.assert_allclose(fc.a1, 3.7, atol=1e-6)
     npt.assert_allclose(fc.a2, 0.02, atol=1e-6)
     npt.assert_allclose(fc.b2, -0.13, atol=1e-6)
@@ -214,16 +209,21 @@ def test_fit_on_real_samples(consts):
     npt.assert_allclose(consts.kappa, 2.0, atol=1e-6)
 
 
-def test_fit_requires_enough_samples(quad_cfg):
-    samples = [(h, el.integral_triple(h, quad_cfg)) for h in np.geomspace(0.02, 0.1, 5)]
+def test_fit_requires_enough_samples(quad_cfg, consts):
+    samples = _quadrature_samples(np.geomspace(0.02, 0.1, 5), quad_cfg)
     with pytest.raises(ValueError):
-        el.fit_constants(samples)
+        el.fit_constants(*samples, consts.kappa)
 
 
-def test_overparameterized_fit_is_rejected(quad_cfg):
-    samples = [(h, el.integral_triple(h, quad_cfg)) for h in np.geomspace(0.01, 0.15, 24)]
+def test_overparameterized_fit_is_rejected(quad_cfg, consts):
+    samples = _quadrature_samples(np.geomspace(0.01, 0.15, 24), quad_cfg)
     with pytest.raises(el.IllConditionedFit):
-        el.fit_constants(samples, degree=20)
+        el.fit_constants(*samples, consts.kappa, degree=20)
+
+
+def test_default_fit_costs_two_quadpack_calls_per_energy(quadpack_calls):
+    el.default_constants.__wrapped__()
+    assert len(quadpack_calls) == 2 * 24 + 2  # I0 and I2 at 24 energies, kappa's two I0
 
 
 def test_I4p_quadratic_coefficient_consistency(quad_cfg, consts):
