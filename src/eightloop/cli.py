@@ -81,7 +81,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunManifest:
-    scenario_sha256: str
+    scenario_sha256: str | None  # None when the config file could not be read
     tool_version: str
     constants: dict | None  # kappa/a1/a2/b2 + source file hash, or None if unused
     wall_time_s: float
@@ -155,7 +155,11 @@ def parse_scenario(doc: dict, seed_override=None, out_override=None) -> Scenario
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    out = out_override if out_override is not None else doc.get("output_dir", "out")
+    out = doc.get("output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError("output_dir must be a string")
+    if out_override is not None:
+        out = out_override
     return Scenario(command=command, parameters=dict(params), seed=seed, output_dir=Path(out), args=args)
 
 
@@ -451,7 +455,6 @@ COMMANDS = {
             "h_probe": (_numbers, (0.1, 0.2, 0.4)),
             "eps_seq": (_numbers, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)),
         },
-        needs_constants=True,
     ),
     "cyclicity-sweep": Command(
         _run_cyclicity_sweep,
@@ -552,31 +555,40 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t_start = time.monotonic()
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"config not found: {args.config}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        raw = Path(args.config).read_bytes()
+    except OSError as exc:
+        return _reject(args, t_start, f"config not readable: {exc}", None)
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:
+        return _reject(args, t_start, f"config is not valid JSON: {exc}", hashlib.sha256(raw).hexdigest())
     try:
         scenario = parse_scenario(doc, seed_override=args.seed, out_override=args.out)
     except ConfigError as exc:
-        # a rejected scenario still gets a manifest, with its fields as written
-        print(f"config error: {exc}", file=sys.stderr)
-        fields = doc if isinstance(doc, dict) else {}
-        out = args.out if args.out is not None else fields.get("output_dir")
-        _write_manifest(
-            Path(out if isinstance(out, str) else "out"),
-            t_start,
-            exc,
-            scenario_sha256=_document_hash(doc),
-            command=fields.get("command"),
-            seed=args.seed if args.seed is not None else fields.get("seed"),
-            constants=None,
-        )
-        return 2
+        return _reject(args, t_start, str(exc), _document_hash(doc), doc)
     return run(scenario, threads=args.threads, constants_path=args.constants)
+
+
+def _reject(args, t_start: float, error: str, sha256, doc=None) -> int:
+    """Exit status 2 for a config that is unreadable, not JSON or rejected, with a manifest.
+
+    The manifest carries what is known of the document as written: its
+    hash, command and seed, and it goes to --out, else the document's
+    output_dir when that is a string, else out.
+    """
+    print(f"config error: {error}", file=sys.stderr)
+    fields = doc if isinstance(doc, dict) else {}
+    out = args.out if args.out is not None else fields.get("output_dir")
+    _write_manifest(
+        Path(out if isinstance(out, str) else "out"),
+        t_start,
+        error,
+        scenario_sha256=sha256,
+        command=fields.get("command"),
+        seed=args.seed if args.seed is not None else fields.get("seed"),
+        constants=None,
+    )
+    return 2
 
 
 if __name__ == "__main__":

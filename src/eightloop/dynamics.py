@@ -10,9 +10,14 @@ Perturbed orbits can leave the exterior region altogether: once the energy
 drifts below 0 the orbit falls into one of the interior lobes and, if the
 perturbation keeps pumping energy the wrong way, spirals toward a center
 and never meets Sigma again.  Down-crossings of y = 0 with x < sqrt(2) are
-therefore counted and discarded (the crossings field of the sample), and a
-run that only produces such crossings ends in TimeCap: the return map is
+therefore counted and discarded (the crossings field of the sample) while
+the integration carries on from where it is, without a restart, and a run
+that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
+
+The return map steps DOP853 on Python floats (solve_ivp's tableau and step
+control, without its per-step array overhead on a two-dimensional state);
+integrate keeps solve_ivp for its dense output.
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -30,6 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, mk
@@ -139,37 +145,6 @@ class ArcSpec:
 # --------------------------------------------------------------------------
 
 
-def _solve(t_span, state, lam: tuple, cfg: IntegratorConfig, **kwargs):
-    """The one solver set-up both integrators use: DOP853 at cfg's tolerances."""
-    return solve_ivp(
-        vector_field,
-        t_span,
-        state,
-        args=(lam,),
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        **kwargs,
-    )
-
-
-def _ev_down(t, state, lam):
-    return state[1]
-
-
-_ev_down.direction = -1
-# terminal=2: launching from the section means y = 0 at t = 0, which the
-# event machinery reports as a crossing; the second event is the real one.
-_ev_down.terminal = 2
-
-
-def _ev_escape(t, state, lam):
-    return max(abs(state[0]), abs(state[1])) - ESCAPE_BOUND
-
-
-_ev_escape.terminal = True
-
-
 class Trajectory(NamedTuple):
     """Dense-output trajectory: t, states, and a queryable interpolant."""
 
@@ -179,7 +154,7 @@ class Trajectory(NamedTuple):
 
 
 def integrate(p0, lam, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Flow from p0 for time t_end with dense output.
+    """Flow from p0 for time t_end with dense output (solve_ivp's DOP853).
 
     t_end beyond cfg.max_time raises TimeCap up front; a solver breakdown
     raises StepFailure.
@@ -187,54 +162,158 @@ def integrate(p0, lam, t_end: float, cfg: IntegratorConfig | None = None) -> Tra
     cfg = cfg or IntegratorConfig()
     if t_end > cfg.max_time:
         raise TimeCap(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    sol = _solve((0.0, t_end), (float(p0[0]), float(p0[1])), tuple(lam), cfg, dense_output=True)
+    sol = solve_ivp(
+        vector_field,
+        (0.0, t_end),
+        (float(p0[0]), float(p0[1])),
+        args=(tuple(lam),),
+        method="DOP853",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        dense_output=True,
+    )
     if sol.status != 0:
         raise StepFailure(sol.message)
     return Trajectory(t=sol.t, states=sol.y.T, interpolant=sol.sol)
 
 
+# solve_ivp's step-control constants
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # the embedded error estimators are of order 7
+
+
+def _unrolled_dop853_step():
+    """One DOP853 step on a pair of floats, unrolled from solve_ivp's tableau with its zeros dropped.
+
+    The function returned is
+
+        _dop853_step(fun, s, u, v, k0u, k0v, h, lam)
+            -> (u_new, v_new, err5_u, err5_v, err3_u, err3_v)
+
+    for (u, v)' = fun(s, (u, v), lam) from s to s + h, with (k0u, k0v) the
+    slope at s; the error estimates are per component and not yet
+    multiplied by h.  Unrolling keeps the stage sums in local variables,
+    which roughly halves the cost of a step against loops over the
+    tableau; the coefficients' reprs round-trip, so the arithmetic is that
+    of the loops.
+    """
+    n = dop853_coefficients.N_STAGES
+    A, B, C = dop853_coefficients.A, dop853_coefficients.B, dop853_coefficients.C
+    E5, E3 = dop853_coefficients.E5, dop853_coefficients.E3
+    assert not (E5[n] or E3[n]), "the error estimate does not use the last (FSAL) stage"
+
+    def combination(coeffs, stages, component):
+        return " + ".join(f"{float(coeffs[j])!r} * k{j}{component}" for j in range(stages) if coeffs[j])
+
+    lines = ["def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):"]
+    for i in range(1, n):
+        lines.append(
+            f"    k{i}u, k{i}v = fun(s + {float(C[i])!r} * h, "
+            f"(u + h * ({combination(A[i], i, 'u')}), v + h * ({combination(A[i], i, 'v')})), lam)"
+        )
+    results = [f"u + h * ({combination(B, n, 'u')})", f"v + h * ({combination(B, n, 'v')})"]
+    results += [combination(E, n, component) for E in (E5, E3) for component in "uv"]
+    lines.append(f"    return {', '.join(results)}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
+    return namespace["_dop853_step"]
+
+
+_dop853_step = _unrolled_dop853_step()
+
+
+def _initial_step(x, y, fx, fy, lam, cfg: IntegratorConfig) -> float:
+    """solve_ivp's select_initial_step for the return map's flow, from (x, y) at t = 0."""
+    sx = cfg.abs_tol + abs(x) * cfg.rel_tol
+    sy = cfg.abs_tol + abs(y) * cfg.rel_tol
+    d0 = math.hypot(x / sx, y / sy) / SQRT2
+    d1 = math.hypot(fx / sx, fy / sy) / SQRT2
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, cfg.max_time)
+    gx, gy = vector_field(h0, (x + h0 * fx, y + h0 * fy), lam)
+    d2 = math.hypot((gx - fx) / sx, (gy - fy) / sy) / SQRT2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, cfg.max_time)
+
+
+def _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg: IntegratorConfig):
+    """One step of the flow from (x, y) at t under solve_ivp's step control, retried until accepted.
+
+    (fx, fy) is the slope at t and h_abs the step size to try.  Returns
+    t_new, x_new, y_new and the step size to try next; StepFailure once the
+    step falls below 10 ulp of t.
+    """
+    min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, cfg.max_time)
+        h = t_new - t
+        x_new, y_new, e5x, e5y, e3x, e3y = _dop853_step(vector_field, t, x, y, fx, fy, h, lam)
+        sx = cfg.abs_tol + max(abs(x), abs(x_new)) * cfg.rel_tol
+        sy = cfg.abs_tol + max(abs(y), abs(y_new)) * cfg.rel_tol
+        e5 = (e5x / sx) ** 2 + (e5y / sy) ** 2
+        e3 = (e3x / sx) ** 2 + (e3y / sy) ** 2
+        err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+        if err < 1.0:
+            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            return t_new, x_new, y_new, h * (min(1.0, factor) if rejected else factor)
+        h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+        rejected = True
+    raise StepFailure(f"step size {h_abs:.3g} below {min_step:.3g} at t={t:.6g}")
+
+
+def _in_y(y, state, lam):
+    """(t, x) as functions of y along the flow: dt/dy = 1/y', dx/dy = x'/y' = y/y'."""
+    t, x = state
+    dy = vector_field(t, (x, y), lam)[1]
+    return 1.0 / dy, y / dy
+
+
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
     """First return to Sigma = {y = 0, x >= sqrt(2)} in the energy chart.
 
-    Launches from (x_plus(h_in), 0); accepts the first downward crossing of
-    y = 0 with x > sqrt(2), discarding (and counting) crossings inside the
-    lobes.  TimeCap if the time budget or the MAX_DISCARD budget runs out;
-    EscapedRegion if the orbit leaves the working box.
+    Launches from (x_plus(h_in), 0) and steps with DOP853 under solve_ivp's
+    step control.  A step that takes y from positive to non-positive holds
+    a downward crossing, located exactly by one DOP853 step in y from the
+    step's start to y = 0 (Henon's trick).  The first crossing with
+    x > sqrt(2) is the return; crossings inside the lobes are counted and
+    discarded, and stepping goes on.  TimeCap if the time budget or the
+    MAX_DISCARD budget runs out; EscapedRegion if the orbit leaves the
+    working box; StepFailure if the step size collapses.
     """
     cfg = cfg or IntegratorConfig()
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
-    state = (x_plus(h_in), 0.0)
     lam = tuple(lam)
-    t0 = 0.0
+    t, x, y = 0.0, x_plus(h_in), 0.0
+    fx, fy = vector_field(t, (x, y), lam)
+    h_abs = _initial_step(x, y, fx, fy, lam, cfg)
     discarded = 0
-    while t0 < cfg.max_time and discarded < MAX_DISCARD:
-        sol = _solve((t0, cfg.max_time), state, lam, cfg, events=(_ev_down, _ev_escape))
-        if sol.t_events[1].size:
-            raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={sol.t_events[1][0]:.3f}")
-        if sol.status == -1:
-            raise StepFailure(sol.message)
-        # drop the event the launch itself triggers (y = 0 at departure)
-        hits = [
-            (float(te), float(xy[0]), float(xy[1]))
-            for te, xy in zip(sol.t_events[0], sol.y_events[0])
-            if te > t0 + 1e-12
-        ]
-        if not hits:
-            raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
-        for te, xe, ye in hits:
-            if xe > SQRT2:
+    while t < cfg.max_time:
+        t_new, x_new, y_new, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg)
+        if y > 0.0 >= y_new:
+            try:
+                t_cross, x_cross, *_ = _dop853_step(_in_y, y, t, x, 1.0 / fy, y / fy, -y, lam)
+            except ZeroDivisionError:
+                raise StepFailure(f"flow tangent to y = 0 near t={t:.6g} (h_in={h_in})") from None
+            if x_cross > SQRT2:
                 return ReturnMapSample(
-                    h_in=float(h_in), h_out=energy((xe, ye)), flow_time=te, crossings=discarded
+                    h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded
                 )
             discarded += 1
-            state = (xe, ye)
-            t0 = te
-        if sol.status == 0:
-            break  # time budget spent entirely on off-section crossings
-    raise TimeCap(
-        f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})"
-    )
+            if discarded >= MAX_DISCARD:
+                raise TimeCap(
+                    f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})"
+                )
+        t, x, y = t_new, x_new, y_new
+        if max(abs(x), abs(y)) >= ESCAPE_BOUND:
+            raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
+        fx, fy = vector_field(t, (x, y), lam)
+    raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
 
 
 def displacement(h_in: float, lam, cfg: IntegratorConfig | None = None) -> float:

@@ -53,8 +53,8 @@ def vector_field(t, state, lam):
     """Right-hand side (x', y') of the perturbed system at state.
 
     The signature is the one scipy's solve_ivp calls (t is unused; lam is
-    passed through args), so the integrators hand this function to the
-    solver directly.
+    passed through args): integrate hands this function to the solver, and
+    the return map's own DOP853 stepper calls it the same way.
     """
     x, y = state
     l1, l2, l3, l4 = lam

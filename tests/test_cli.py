@@ -1,5 +1,6 @@
 """Scenario parsing, command execution, exit codes, and output determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -225,6 +226,8 @@ def test_convergence_outputs(tmp_path):
     assert header == ["eps", "h", "scaled_displacement", "m_k", "ratio"]
     assert len(rows) == 2
     assert rows[0][4] > rows[1][4] > 1.0
+    # kappa cancels in s * M_k, so the run uses no fitted constants and its manifest names none
+    assert json.loads((tmp_path / "manifest.json").read_text())["constants"] is None
     # the plot file carries the smallest-eps slice
     assert len((tmp_path / "plot_displacement.txt").read_text().splitlines()) == 1
 
@@ -304,8 +307,27 @@ def test_main_end_to_end(tmp_path):
     assert manifest["seed"] == 5
 
 
-def test_main_missing_or_invalid_config(tmp_path):
+def test_main_missing_or_invalid_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # a missing file: the manifest goes to the default directory, without a hash
     assert cli.main(["--config", str(tmp_path / "absent.json")]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: config not readable")
+    assert manifest["scenario_sha256"] is None
+    assert manifest["command"] is None and manifest["seed"] is None and manifest["constants"] is None
+    # a file that is not JSON: the manifest goes to --out and hashes the bytes
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert cli.main(["--config", str(bad)]) == 2
+    assert cli.main(["--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: config is not valid JSON")
+    assert manifest["scenario_sha256"] == hashlib.sha256(b"{not json").hexdigest()
+    assert manifest["command"] is None and manifest["seed"] is None
+
+
+def test_output_dir_must_be_a_string(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "pf-check", "output_dir": 5}))
+    assert cli.main(["--config", str(config)]) == 2
+    assert "output_dir" in json.loads((tmp_path / "out" / "manifest.json").read_text())["status"]

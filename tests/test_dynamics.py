@@ -1,10 +1,13 @@
 """Flow integration, the section return map, and cycle detection."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 import eightloop as el
 from eightloop import dynamics
@@ -103,6 +106,158 @@ def test_orbit_captured_by_the_inner_lobes_raises(integ_cfg):
     # where it never meets the section again
     with pytest.raises(el.TimeCap):
         el.return_map(0.01, (0.0, 0.0, 0.2, 0.0), integ_cfg)
+
+
+# ---------------------------------------------------------------------------
+# The return-map stepper against solve_ivp
+# ---------------------------------------------------------------------------
+
+# the TimeCap wording perfbench/tracing.py reads the discarded crossings from
+DISCARDED = re.compile(r"discarded=(\d+)|absorbed: (\d+) off-section")
+
+
+def _ev_down(t, state, lam):
+    return state[1]
+
+
+_ev_down.direction = -1
+# terminal=2: launching from the section means y = 0 at t = 0, which the
+# event machinery reports as a crossing; the second event is the real one.
+_ev_down.terminal = 2
+
+
+def _ev_escape(t, state, lam):
+    return max(abs(state[0]), abs(state[1])) - dynamics.ESCAPE_BOUND
+
+
+_ev_escape.terminal = True
+
+
+def _oracle_return_map(h_in, lam, cfg):
+    """The first return located by solve_ivp's event machinery: an independent reference.
+
+    Each downward crossing of y = 0 is a root of the dense output; one
+    inside a lobe is counted, and the solver restarts from it.
+    """
+    state = (x_plus(h_in), 0.0)
+    lam = tuple(lam)
+    t0 = 0.0
+    discarded = 0
+    while t0 < cfg.max_time and discarded < dynamics.MAX_DISCARD:
+        sol = solve_ivp(el.vector_field, (t0, cfg.max_time), state, args=(lam,), method="DOP853",
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(_ev_down, _ev_escape))
+        if sol.t_events[1].size:
+            raise el.EscapedRegion(f"orbit left the box at t={sol.t_events[1][0]:.3f}")
+        if sol.status == -1:
+            raise el.StepFailure(sol.message)
+        # drop the event the launch itself triggers (y = 0 at departure)
+        hits = [(float(te), float(xy[0]), float(xy[1]))
+                for te, xy in zip(sol.t_events[0], sol.y_events[0]) if te > t0 + 1e-12]
+        if not hits:
+            raise el.TimeCap(f"no return within max_time={cfg.max_time} (discarded={discarded})")
+        for te, xe, ye in hits:
+            if xe > el.SQRT2:
+                return el.ReturnMapSample(h_in=h_in, h_out=el.energy((xe, ye)), flow_time=te, crossings=discarded)
+            discarded += 1
+            state = (xe, ye)
+            t0 = te
+        if sol.status == 0:
+            break
+    raise el.TimeCap(f"orbit absorbed: {discarded} off-section crossings without a return")
+
+
+def test_unrolled_step_does_the_arithmetic_of_the_tableau():
+    """The generated DOP853 step equals, bit for bit, a plain loop over scipy's tableau."""
+    n = dop853_coefficients.N_STAGES
+    A, B, C = dop853_coefficients.A, dop853_coefficients.B, dop853_coefficients.C
+    lam = (0.02, -0.01, 0.03, 0.015)
+    rng = np.random.default_rng(3)
+    for s, u, v, h in rng.uniform(-1.5, 1.5, (20, 4)).tolist():
+        k = [el.vector_field(s, (u, v), lam)]
+        for i in range(1, n):
+            du = dv = 0.0
+            for j in range(i):
+                if A[i, j]:
+                    du += float(A[i, j]) * k[j][0]
+                    dv += float(A[i, j]) * k[j][1]
+            k.append(el.vector_field(s + float(C[i]) * h, (u + h * du, v + h * dv), lam))
+
+        def combination(coeffs, component):
+            acc = 0.0
+            for j in range(n):
+                if coeffs[j]:
+                    acc += float(coeffs[j]) * k[j][component]
+            return acc
+
+        want = (u + h * combination(B, 0), v + h * combination(B, 1), combination(dop853_coefficients.E5, 0),
+                combination(dop853_coefficients.E5, 1), combination(dop853_coefficients.E3, 0),
+                combination(dop853_coefficients.E3, 1))
+        assert dynamics._dop853_step(el.vector_field, s, u, v, *k[0], h, lam) == want
+
+
+def _outcome(return_map, h, lam, cfg):
+    try:
+        return return_map(h, lam, cfg)
+    except el.TimeCap as exc:
+        return exc
+
+
+def _first_order_arcs(n):
+    rng = np.random.default_rng(2024)
+    return [el.arc_sampler_general(rng).params_at(1e-3) for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def lanes_at_default_tolerances(integ_cfg):
+    """(stepper outcome, solve_ivp outcome) on 24 energies in [1e-3, 0.2] x 8 first-order arcs."""
+    return [
+        (_outcome(el.return_map, float(h), lam, integ_cfg), _outcome(_oracle_return_map, float(h), lam, integ_cfg))
+        for lam in _first_order_arcs(8)
+        for h in np.geomspace(H_FLOOR, 0.2, 24)
+    ]
+
+
+def _capped(lanes, side):
+    return {i for i, lane in enumerate(lanes) if isinstance(lane[side], el.TimeCap)}
+
+
+def test_stepper_matches_solve_ivp_at_default_tolerances(lanes_at_default_tolerances):
+    lanes = lanes_at_default_tolerances
+    capped = _capped(lanes, 0)
+    assert capped == _capped(lanes, 1)
+    assert 0 < len(capped) < len(lanes)  # the sample holds lanes of both kinds
+    returned = [lane for i, lane in enumerate(lanes) if i not in capped]
+    assert max(abs(new.h_out - ref.h_out) for new, ref in returned) <= 1e-9
+    assert all(new.crossings == ref.crossings for new, ref in returned)
+    assert max(abs(new.flow_time - ref.flow_time) for new, ref in returned) <= 1e-9
+
+
+def test_stepper_matches_solve_ivp_at_strict_tolerances():
+    cfg = el.IntegratorConfig(1e-12, 1e-14)
+    worst = 0.0
+    for lam in _first_order_arcs(8):
+        for h in np.geomspace(0.01, 0.2, 6):
+            new, ref = el.return_map(float(h), lam, cfg), _oracle_return_map(float(h), lam, cfg)
+            worst = max(worst, abs(new.h_out - ref.h_out))
+    assert worst <= 1e-11
+
+
+def _discarded(exc):
+    m = DISCARDED.search(str(exc))
+    assert m, str(exc)
+    return int(m.group(1) or m.group(2))
+
+
+def test_time_cap_message_names_the_discarded_crossings(lanes_at_default_tolerances):
+    lanes = lanes_at_default_tolerances
+    counts = [(_discarded(lanes[i][0]), _discarded(lanes[i][1])) for i in sorted(_capped(lanes, 0))]
+    assert all(new == ref > 0 for new, ref in counts), counts
+    # with a longer budget the lobe crossings run out first
+    i = min(_capped(lanes, 0))
+    h, lam = float(np.geomspace(H_FLOOR, 0.2, 24)[i % 24]), _first_order_arcs(8)[i // 24]
+    with pytest.raises(el.TimeCap, match="absorbed") as info:
+        el.return_map(h, lam, el.IntegratorConfig(max_time=1000.0))
+    assert _discarded(info.value) == dynamics.MAX_DISCARD
 
 
 # ---------------------------------------------------------------------------
