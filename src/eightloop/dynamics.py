@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate import DOP853, solve_ivp
 
 from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, mk
@@ -182,44 +181,36 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the embedded error estimators are of order 7
 
 
-def _unrolled_dop853_step():
-    """One DOP853 step on a pair of floats, unrolled from solve_ivp's tableau with its zeros dropped.
+def _sparse(weights) -> tuple:
+    return tuple((j, float(w)) for j, w in enumerate(weights) if w)
 
-    The function returned is
 
-        _dop853_step(fun, s, u, v, k0u, k0v, h, lam)
-            -> (u_new, v_new, err5_u, err5_v, err3_u, err3_v)
+# solve_ivp's DOP853 tableau with its zero entries dropped: per stage after
+# the first, its node and the (j, a_ij) it sums; then the weights of the
+# solution and of the two error estimators, whose last (FSAL) entries are 0
+_STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1, DOP853.n_stages))
+_WEIGHTS = tuple(_sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
 
-    for (u, v)' = fun(s, (u, v), lam) from s to s + h, with (k0u, k0v) the
-    slope at s; the error estimates are per component and not yet
-    multiplied by h.  Unrolling keeps the stage sums in local variables,
-    which roughly halves the cost of a step against loops over the
-    tableau; the coefficients' reprs round-trip, so the arithmetic is that
-    of the loops.
+
+def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):
+    """One DOP853 step of (u, v)' = fun(s, (u, v), lam) from s to s + h on a pair of floats.
+
+    (k0u, k0v) is the slope at s.  Returns u_new, v_new and the per
+    component err5 and err3 estimates, not yet multiplied by h.
     """
-    n = dop853_coefficients.N_STAGES
-    A, B, C = dop853_coefficients.A, dop853_coefficients.B, dop853_coefficients.C
-    E5, E3 = dop853_coefficients.E5, dop853_coefficients.E3
-    assert not (E5[n] or E3[n]), "the error estimate does not use the last (FSAL) stage"
-
-    def combination(coeffs, stages, component):
-        return " + ".join(f"{float(coeffs[j])!r} * k{j}{component}" for j in range(stages) if coeffs[j])
-
-    lines = ["def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):"]
-    for i in range(1, n):
-        lines.append(
-            f"    k{i}u, k{i}v = fun(s + {float(C[i])!r} * h, "
-            f"(u + h * ({combination(A[i], i, 'u')}), v + h * ({combination(A[i], i, 'v')})), lam)"
-        )
-    results = [f"u + h * ({combination(B, n, 'u')})", f"v + h * ({combination(B, n, 'v')})"]
-    results += [combination(E, n, component) for E in (E5, E3) for component in "uv"]
-    lines.append(f"    return {', '.join(results)}")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
-    return namespace["_dop853_step"]
-
-
-_dop853_step = _unrolled_dop853_step()
+    ku, kv = [k0u], [k0v]
+    for c, row in _STAGES:
+        du = dv = 0.0
+        for j, a in row:
+            du += a * ku[j]
+            dv += a * kv[j]
+        k = fun(s + c * h, (u + h * du, v + h * dv), lam)
+        ku.append(k[0])
+        kv.append(k[1])
+    (bu, bv), (e5u, e5v), (e3u, e3v) = (
+        (sum(w * ku[j] for j, w in row), sum(w * kv[j] for j, w in row)) for row in _WEIGHTS
+    )
+    return u + h * bu, v + h * bv, e5u, e5v, e3u, e3v
 
 
 def _initial_step(x, y, fx, fy, lam, cfg: IntegratorConfig) -> float:
@@ -239,6 +230,19 @@ def _initial_step(x, y, fx, fy, lam, cfg: IntegratorConfig) -> float:
     return min(100.0 * h0, h1, cfg.max_time)
 
 
+def _min_step(t: float) -> float:
+    return 10.0 * (math.nextafter(t, math.inf) - t)
+
+
+def _error(h, u, v, u_new, v_new, e5u, e5v, e3u, e3v, cfg: IntegratorConfig) -> float:
+    """solve_ivp's DOP853 error norm of a step of length h on (u, v); below 1 the step is accepted."""
+    su = cfg.abs_tol + max(abs(u), abs(u_new)) * cfg.rel_tol
+    sv = cfg.abs_tol + max(abs(v), abs(v_new)) * cfg.rel_tol
+    e5 = (e5u / su) ** 2 + (e5v / sv) ** 2
+    e3 = (e3u / su) ** 2 + (e3v / sv) ** 2
+    return 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+
+
 def _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg: IntegratorConfig):
     """One step of the flow from (x, y) at t under solve_ivp's step control, retried until accepted.
 
@@ -246,18 +250,14 @@ def _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg: IntegratorConfig):
     t_new, x_new, y_new and the step size to try next; StepFailure once the
     step falls below 10 ulp of t.
     """
-    min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+    min_step = _min_step(t)
     h_abs = max(h_abs, min_step)
     rejected = False
     while h_abs >= min_step:
         t_new = min(t + h_abs, cfg.max_time)
         h = t_new - t
-        x_new, y_new, e5x, e5y, e3x, e3y = _dop853_step(vector_field, t, x, y, fx, fy, h, lam)
-        sx = cfg.abs_tol + max(abs(x), abs(x_new)) * cfg.rel_tol
-        sy = cfg.abs_tol + max(abs(y), abs(y_new)) * cfg.rel_tol
-        e5 = (e5x / sx) ** 2 + (e5y / sy) ** 2
-        e3 = (e3x / sx) ** 2 + (e3y / sy) ** 2
-        err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+        x_new, y_new, *estimates = _dop853_step(vector_field, t, x, y, fx, fy, h, lam)
+        err = _error(h, x, y, x_new, y_new, *estimates, cfg)
         if err < 1.0:
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
             return t_new, x_new, y_new, h * (min(1.0, factor) if rejected else factor)
@@ -273,15 +273,36 @@ def _in_y(y, state, lam):
     return 1.0 / dy, y / dy
 
 
+def _crossing(t, x, y, fy, t_new, lam, cfg: IntegratorConfig):
+    """(t, x) where the flow from (x, y > 0) at t, with y' = fy, meets y = 0 before t_new, or None.
+
+    One DOP853 step in the independent variable y, from y to 0 (Henon's
+    trick).  That needs y to fall monotonically over the step and the step
+    in y to pass the flow's error test, so a step that starts with y
+    rising, meets y' = 0 at a stage, fails the test or lands outside
+    [t, t_new] gives None.
+    """
+    if fy >= 0.0:
+        return None
+    try:
+        t_cross, x_cross, *estimates = _dop853_step(_in_y, y, t, x, 1.0 / fy, y / fy, -y, lam)
+    except ZeroDivisionError:
+        return None
+    if not t <= t_cross <= t_new or _error(-y, t, x, t_cross, x_cross, *estimates, cfg) >= 1.0:
+        return None
+    return t_cross, x_cross
+
+
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
     """First return to Sigma = {y = 0, x >= sqrt(2)} in the energy chart.
 
     Launches from (x_plus(h_in), 0) and steps with DOP853 under solve_ivp's
     step control.  A step that takes y from positive to non-positive holds
-    a downward crossing, located exactly by one DOP853 step in y from the
-    step's start to y = 0 (Henon's trick).  The first crossing with
-    x > sqrt(2) is the return; crossings inside the lobes are counted and
-    discarded, and stepping goes on.  TimeCap if the time budget or the
+    a downward crossing, located by one DOP853 step in y from the step's
+    start to y = 0 (Henon's trick); where that step is not valid (see
+    _crossing), the flow step is retried at half the length.  The first
+    crossing with x > sqrt(2) is the return; crossings inside the lobes are
+    counted and discarded, and stepping goes on.  TimeCap if the time budget or the
     MAX_DISCARD budget runs out; EscapedRegion if the orbit leaves the
     working box; StepFailure if the step size collapses.
     """
@@ -294,12 +315,17 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     h_abs = _initial_step(x, y, fx, fy, lam, cfg)
     discarded = 0
     while t < cfg.max_time:
-        t_new, x_new, y_new, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg)
+        t_new, x_new, y_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg)
         if y > 0.0 >= y_new:
-            try:
-                t_cross, x_cross, *_ = _dop853_step(_in_y, y, t, x, 1.0 / fy, y / fy, -y, lam)
-            except ZeroDivisionError:
-                raise StepFailure(f"flow tangent to y = 0 near t={t:.6g} (h_in={h_in})") from None
+            crossing = _crossing(t, x, y, fy, t_new, lam, cfg)
+            if crossing is None:
+                # a shorter step ends before the crossing or brings it
+                # within reach of an accurate step in y
+                h_abs = 0.5 * (t_new - t)
+                if h_abs < _min_step(t):
+                    raise StepFailure(f"crossing of y = 0 not resolved at t={t:.6g} (h_in={h_in})")
+                continue
+            t_cross, x_cross = crossing
             if x_cross > SQRT2:
                 return ReturnMapSample(
                     h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded
@@ -309,7 +335,7 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
                 raise TimeCap(
                     f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})"
                 )
-        t, x, y = t_new, x_new, y_new
+        t, x, y, h_abs = t_new, x_new, y_new, h_next
         if max(abs(x), abs(y)) >= ESCAPE_BOUND:
             raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
         fx, fy = vector_field(t, (x, y), lam)

@@ -1,15 +1,16 @@
-"""Record a before/after benchmark comparison as BENCH_<label>.json at the repo root.
+"""Record a before/after benchmark comparison as BENCH_<sha>.json at the repo root.
 
     python3 tools/bench_record.py --parent REV [--change REV] [--runs sweep:6 sweep:11 ...]
-                                  [--pairs 10] [--seconds 30] [--label LABEL]
 
 Run from the root of the repository.  Both revisions are exported with
 ``git archive`` into fresh temporary directories, so only committed files
-are measured.  For every workload:seed in --runs it runs ``perfbench/run.py
---trace 0`` --pairs times on each revision, in alternating order (parent
-first in even pairs, change first in odd ones), because the speed of a
-shared host drifts between sets of runs.  Then it runs one ``--trace 1`` per
-revision and workload, at the seed of the workload's first entry in --runs.
+are measured, and <sha> is the change's short sha.  For every workload:seed
+in --runs it runs ``perfbench/run.py --trace 0`` PAIRS times on each
+revision, for the run_seconds that BENCHMARK.json sets, in alternating
+order (parent first in even pairs, change first in odd ones), because the
+speed of a shared host drifts between sets of runs.  Then it runs one
+``--trace 1`` per revision and workload, at the seed of the workload's
+first entry in --runs.
 
 The file holds the two shas, the host's CPU count and software versions,
 and per workload:seed the median and quartiles of each end-to-end metric
@@ -36,6 +37,7 @@ import scipy
 
 ROOT = Path.cwd()
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 
 
 def _git(*args) -> str:
@@ -70,14 +72,12 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", default="HEAD", help="revision measured as the change (default HEAD)")
     parser.add_argument("--runs", nargs="+", default=["sweep:6", "cycle-search:6", "moments:6"],
-                        help="workload:seed entries, each run --pairs times per side")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--label", default=None, help="file label (default: the change's short sha)")
+                        help="workload:seed entries, each run PAIRS times per side")
     args = parser.parse_args(argv)
     shas = {side: _git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
-    label = args.label or _git("rev-parse", "--short", shas["change"])
+    label = _git("rev-parse", "--short", shas["change"])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     runs = [(w, int(s)) for w, s in (entry.split(":") for entry in args.runs)]
 
@@ -93,8 +93,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "run_seconds": args.seconds,
-            "pairs": args.pairs,
+            "run_seconds": seconds,
+            "pairs": PAIRS,
             "order": "alternating: parent first in even pairs, change first in odd ones",
             "end_to_end": {},
             "per_layer": {},
@@ -102,10 +102,10 @@ def main(argv=None) -> int:
         }
         for workload, seed in runs:
             pairs = []  # (parent metrics, change metrics) of the pairs where both runs were correct
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 pair = {}
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    result = _bench(checkouts[side], workload, seed, args.seconds, 0)
+                    result = _bench(checkouts[side], workload, seed, seconds, 0)
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload}:{seed} pair {i} {side}: wall_s {wall:.3f}", file=sys.stderr)
                     if result["correct"]:
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         for workload, seed in first_seed.items():
             doc["per_layer"][workload] = {"seed": seed}
             for side in SIDES:
-                result = _bench(checkouts[side], workload, seed, args.seconds, 1)
+                result = _bench(checkouts[side], workload, seed, seconds, 1)
                 doc["per_layer"][workload][side] = {k: v["value"] for k, v in result["metrics"].items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
