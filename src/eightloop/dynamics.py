@@ -192,25 +192,41 @@ _STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1,
 _WEIGHTS = tuple(_sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
 
 
-def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):
-    """One DOP853 step of (u, v)' = fun(s, (u, v), lam) from s to s + h on a pair of floats.
+def _unrolled_dop853_step():
+    """One DOP853 step on a pair of floats, unrolled from the tableau above.
 
-    (k0u, k0v) is the slope at s.  Returns u_new, v_new and the per
-    component err5 and err3 estimates, not yet multiplied by h.
+    The function returned is
+
+        _dop853_step(fun, s, u, v, k0u, k0v, h, lam)
+            -> (u_new, v_new, err5_u, err5_v, err3_u, err3_v)
+
+    for (u, v)' = fun(s, (u, v), lam) from s to s + h, with (k0u, k0v) the
+    slope at s; the error estimates are per component and not yet
+    multiplied by h.  Unrolled, the stage sums live in local variables,
+    and the sweep benchmark runs about twice as fast as with loops over
+    the tableau; the coefficients' reprs round-trip, so the arithmetic is
+    that of the loops.
     """
-    ku, kv = [k0u], [k0v]
-    for c, row in _STAGES:
-        du = dv = 0.0
-        for j, a in row:
-            du += a * ku[j]
-            dv += a * kv[j]
-        k = fun(s + c * h, (u + h * du, v + h * dv), lam)
-        ku.append(k[0])
-        kv.append(k[1])
-    (bu, bv), (e5u, e5v), (e3u, e3v) = (
-        (sum(w * ku[j] for j, w in row), sum(w * kv[j] for j, w in row)) for row in _WEIGHTS
-    )
-    return u + h * bu, v + h * bv, e5u, e5v, e3u, e3v
+
+    def combination(row, component):
+        return " + ".join(f"{a!r} * k{j}{component}" for j, a in row)
+
+    lines = ["def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):"]
+    for i, (c, row) in enumerate(_STAGES, 1):
+        lines.append(
+            f"    k{i}u, k{i}v = fun(s + {c!r} * h, "
+            f"(u + h * ({combination(row, 'u')}), v + h * ({combination(row, 'v')})), lam)"
+        )
+    b, e5, e3 = _WEIGHTS
+    results = [f"u + h * ({combination(b, 'u')})", f"v + h * ({combination(b, 'v')})"]
+    results += [combination(e, component) for e in (e5, e3) for component in "uv"]
+    lines.append(f"    return {', '.join(results)}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
+    return namespace["_dop853_step"]
+
+
+_dop853_step = _unrolled_dop853_step()
 
 
 def _initial_step(x, y, fx, fy, lam, cfg: IntegratorConfig) -> float:
