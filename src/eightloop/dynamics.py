@@ -203,9 +203,9 @@ def _unrolled_dop853_step():
     for (u, v)' = fun(s, (u, v), lam) from s to s + h, with (k0u, k0v) the
     slope at s; the error estimates are per component and not yet
     multiplied by h.  Unrolled, the stage sums live in local variables,
-    and the sweep benchmark runs about twice as fast as with loops over
-    the tableau; the coefficients' reprs round-trip, so the arithmetic is
-    that of the loops.
+    and the sweep benchmark's wall_s is about 40% lower than with loops
+    over the tableau; the coefficients' reprs round-trip, so the
+    arithmetic is that of the loops.
     """
 
     def combination(row, component):
@@ -318,9 +318,9 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     start to y = 0 (Henon's trick); where that step is not valid (see
     _crossing), the flow step is retried at half the length.  The first
     crossing with x > sqrt(2) is the return; crossings inside the lobes are
-    counted and discarded, and stepping goes on.  TimeCap if the time budget or the
-    MAX_DISCARD budget runs out; EscapedRegion if the orbit leaves the
-    working box; StepFailure if the step size collapses.
+    counted and discarded, and stepping goes on.  TimeCap if the time
+    budget or the MAX_DISCARD budget runs out; EscapedRegion if the orbit
+    leaves the working box; StepFailure if the step size collapses.
     """
     cfg = cfg or IntegratorConfig()
     if h_in < H_FLOOR:
