@@ -40,10 +40,8 @@ from .series import (
     default_constants,
     fit_constants,
     limit_constants,
-    load_constants,
     measure_kappa,
     pf_residuals,
-    save_constants,
     series_eval,
 )
 from .melnikov import (
@@ -69,7 +67,6 @@ from .dynamics import (
     displacement,
     find_limit_cycles,
     integrate,
-    measure_displacement_scale,
     melnikov_convergence,
     return_map,
 )

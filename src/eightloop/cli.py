@@ -6,15 +6,15 @@ A run is described by a JSON scenario file:
 
 Commands: integrals, pf-check, series-fit, melnikov-zeros, simulate,
 convergence, cyclicity-sweep.  One table (COMMANDS) gives each command's
-handler, whether it needs the fitted constants, and a converter and default
-for each of its parameters.  Parsing is strict — unknown top-level or
-parameter keys, wrongly typed values and non-finite numbers are rejected
-(exit 2) rather than ignored, so a typo cannot silently change a run;
-arguments the library rejects as out of range exit 2 as well.  Numerical
-failures exit 3 with partial outputs retained.  Every run, a rejected
-scenario included, writes manifest.json recording the scenario hash, tool
-version, the fitted-constants provenance, the seed, and wall time; every
-numeric table starts with a seed-stamped comment and a header row.
+handler and a converter and default for each of its parameters.  Parsing
+is strict — unknown flags, unknown top-level or parameter keys, wrongly
+typed values and non-finite numbers are rejected (exit 2) rather than
+ignored, so a typo cannot silently change a run; arguments the library
+rejects as out of range exit 2 as well.  Numerical failures exit 3 with
+partial outputs retained.  Every run, a rejected scenario or command line
+included, writes manifest.json recording the scenario hash, tool version,
+the seed, and wall time; every numeric table starts with a seed-stamped
+comment and a header row.
 """
 
 from __future__ import annotations
@@ -47,15 +47,7 @@ from .dynamics import (
 from .geometry import energy, x_plus
 from .integrals import QuadratureConfig, ToleranceNotMet, integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
-from .series import (
-    FittedConstants,
-    IllConditionedFit,
-    default_constants,
-    fit_quadrature,
-    load_constants,
-    pf_residuals,
-    save_constants,
-)
+from .series import IllConditionedFit, fit_quadrature, pf_residuals
 
 _NUMERICAL = (ToleranceNotMet, IllConditionedFit, TimeCap, EscapedRegion, StepFailure)
 
@@ -83,7 +75,6 @@ class Scenario:
 class RunManifest:
     scenario_sha256: str | None  # None when the config file could not be read
     tool_version: str
-    constants: dict | None  # kappa/a1/a2/b2 + source file hash, or None if unused
     wall_time_s: float
     seed: int  # as written (possibly not an int, or None) when the scenario was rejected
     command: str
@@ -215,7 +206,7 @@ def _h_grid(p: dict):
     return list(np.geomspace(p["h_min"], p["h_max"], p["n"]))
 
 
-def _run_integrals(s: Scenario, ctx: dict) -> None:
+def _run_integrals(s: Scenario, threads: int) -> None:
     cfg = QuadratureConfig()
     samples = [integral_triple(h, cfg) for h in _h_grid(s.args)]
     _write_csv(
@@ -231,7 +222,7 @@ def _run_integrals(s: Scenario, ctx: dict) -> None:
     _write_rows(s.output_dir / "plot_integrals.txt", [(t.h, t.I0, t.I2, t.I4p) for t in samples])
 
 
-def _run_pf_check(s: Scenario, ctx: dict) -> None:
+def _run_pf_check(s: Scenario, threads: int) -> None:
     cfg = QuadratureConfig()
     threshold = s.args["threshold"]
     rows = []
@@ -245,10 +236,9 @@ def _run_pf_check(s: Scenario, ctx: dict) -> None:
         raise NumericalFailure(f"max relative residual {worst:.3e} >= {threshold:g}")
 
 
-def _run_series_fit(s: Scenario, ctx: dict) -> None:
+def _run_series_fit(s: Scenario, threads: int) -> None:
     hs = _h_grid(s.args)
     consts = fit_quadrature(hs, s.args["degree"])
-    save_constants(consts, s.output_dir / "constants.json")
     _write_json(
         s.output_dir / "fit_report.json",
         {
@@ -264,7 +254,7 @@ def _run_series_fit(s: Scenario, ctx: dict) -> None:
     )
 
 
-def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
+def _run_melnikov_zeros(s: Scenario, threads: int) -> None:
     p = s.args
     spec = MelnikovSpec(
         k=p["k"],
@@ -276,8 +266,7 @@ def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
     interval = p["interval"]
     grid_n = p["grid_n"]
     backend = p["backend"]
-    consts = ctx["consts"]()
-    f = lambda h: mk(h, spec, backend=backend, consts=consts)  # noqa: E731
+    f = lambda h: mk(h, spec, backend=backend)  # noqa: E731
     zc = count_zeros(f, interval, grid_n=grid_n)
     doc = zc.to_json_dict()
     doc.update(
@@ -298,7 +287,7 @@ def _run_melnikov_zeros(s: Scenario, ctx: dict) -> None:
     _write_rows(s.output_dir / "plot_melnikov.txt", [(h, f(h)) for h in hs])
 
 
-def _run_simulate(s: Scenario, ctx: dict) -> None:
+def _run_simulate(s: Scenario, threads: int) -> None:
     p = s.args
     if p["h0"] is not None:
         p0 = (x_plus(p["h0"]), 0.0)
@@ -316,7 +305,7 @@ def _run_simulate(s: Scenario, ctx: dict) -> None:
     _write_csv(s.output_dir / "trajectory.csv", ("t", "x", "y", "H"), rows, s.seed, s.command)
 
 
-def _run_convergence(s: Scenario, ctx: dict) -> None:
+def _run_convergence(s: Scenario, threads: int) -> None:
     p = s.args
     arc = ArcSpec(
         coeff_table=dict(p["coeff_table"]),
@@ -345,7 +334,7 @@ def _run_convergence(s: Scenario, ctx: dict) -> None:
 _FAMILIES = {"general": arc_sampler_general, "no-first-order": arc_sampler_no_first_order}
 
 
-def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
+def _run_cyclicity_sweep(s: Scenario, threads: int) -> None:
     p = s.args
     family = p["family"]
     if family not in _FAMILIES:
@@ -359,7 +348,7 @@ def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
         seed=s.seed,
         grid_n=p["grid_n"],
         refine_tol=p["refine_tol"],
-        threads=ctx["threads"],
+        threads=threads,
     )
     with open(s.output_dir / "sweep.jsonl", "w") as f:
         for sample in result.samples:
@@ -402,7 +391,7 @@ def _run_cyclicity_sweep(s: Scenario, ctx: dict) -> None:
 
 @dataclass(frozen=True)
 class Command:
-    """A command's handler, whether it needs the fitted constants, and its parameters.
+    """A command's handler, called as handler(scenario, threads), and its parameters.
 
     params maps each parameter name to (converter, default).  A converter
     raises TypeError or ValueError on a value it cannot accept; a default of
@@ -411,7 +400,6 @@ class Command:
 
     handler: Callable
     params: dict
-    needs_constants: bool = False
 
 
 def _grid_params(h_min: float, h_max: float, n: int) -> dict:
@@ -434,7 +422,6 @@ COMMANDS = {
             "grid_n": (_integer, 160),
             "backend": (_text, "quadrature"),
         },
-        needs_constants=True,
     ),
     "simulate": Command(
         _run_simulate,
@@ -475,39 +462,18 @@ COMMANDS = {
 # --------------------------------------------------------------------------
 
 
-def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
+def run(scenario: Scenario, threads: int = 1) -> int:
     """Execute a scenario; returns the process exit status (0, 2, or 3)."""
     t_start = time.monotonic()
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
-
-    consts_holder: dict = {}
-
-    def resolve_consts() -> FittedConstants:
-        if "value" not in consts_holder:
-            if constants_path is not None:
-                path = Path(constants_path)
-                if not path.exists():
-                    raise ConfigError(f"constants file not found: {path}")
-                consts_holder["value"] = load_constants(path)
-                consts_holder["hash"] = hashlib.sha256(path.read_bytes()).hexdigest()
-            else:
-                consts_holder["value"] = default_constants()
-                consts_holder["hash"] = None
-        return consts_holder["value"]
-
     status = 0
     error = None
-    command = COMMANDS[scenario.command]
     try:
-        if command.needs_constants:
-            resolve_consts()  # fail early if the file is missing
-        command.handler(scenario, {"consts": resolve_consts, "threads": threads})
+        COMMANDS[scenario.command].handler(scenario, threads)
     except ValueError as exc:  # ConfigError, OutOfTrustRegion, or an argument the library rejects
         status, error = 2, str(exc)
     except (NumericalFailure, *_NUMERICAL) as exc:
         status, error = 3, str(exc)
-
-    consts = consts_holder.get("value")
     _write_manifest(
         scenario.output_dir,
         t_start,
@@ -515,15 +481,6 @@ def run(scenario: Scenario, threads: int = 1, constants_path=None) -> int:
         scenario_sha256=_scenario_hash(scenario),
         command=scenario.command,
         seed=scenario.seed,
-        constants=None
-        if consts is None
-        else {
-            "kappa": consts.kappa,
-            "a1": consts.a1,
-            "a2": consts.a2,
-            "b2": consts.b2,
-            "file_sha256": consts_holder.get("hash"),
-        },
     )
     if error is not None:
         print(f"{scenario.command}: {error}", file=sys.stderr)
@@ -542,8 +499,15 @@ def _write_manifest(out_dir: Path, t_start: float, error, **fields) -> None:
     _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that a bad command line gets a manifest."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eightloop",
         description="Limit-cycle laboratory for the perturbed figure-eight oscillator.",
     )
@@ -551,9 +515,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out", default=None, help="override the scenario output directory")
     parser.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
-    parser.add_argument("--constants", default=None, help="fitted-constants JSON to use")
-    args = parser.parse_args(argv)
     t_start = time.monotonic()
+    args = argparse.Namespace()  # filled as parsing goes: a rejection sees the flags read before the error
+    try:
+        parser.parse_args(argv, args)
+    except ConfigError as exc:
+        return _reject(args, t_start, str(exc), None)
     try:
         raw = Path(args.config).read_bytes()
     except OSError as exc:
@@ -566,15 +533,17 @@ def main(argv=None) -> int:
         scenario = parse_scenario(doc, seed_override=args.seed, out_override=args.out)
     except ConfigError as exc:
         return _reject(args, t_start, str(exc), _document_hash(doc), doc)
-    return run(scenario, threads=args.threads, constants_path=args.constants)
+    return run(scenario, threads=args.threads)
 
 
 def _reject(args, t_start: float, error: str, sha256, doc=None) -> int:
-    """Exit status 2 for a config that is unreadable, not JSON or rejected, with a manifest.
+    """Exit status 2 with a manifest, for a bad command line or a config that is unreadable, not JSON or rejected.
 
     The manifest carries what is known of the document as written: its
     hash, command and seed, and it goes to --out, else the document's
-    output_dir when that is a string, else out.
+    output_dir when that is a string, else out.  A command line rejected
+    while parsing has no document; its manifest goes to --out when that
+    flag was read before the error, else to out.
     """
     print(f"config error: {error}", file=sys.stderr)
     fields = doc if isinstance(doc, dict) else {}
@@ -586,7 +555,6 @@ def _reject(args, t_start: float, error: str, sha256, doc=None) -> int:
         scenario_sha256=sha256,
         command=fields.get("command"),
         seed=args.seed if args.seed is not None else fields.get("seed"),
-        constants=None,
     )
     return 2
 

@@ -26,7 +26,6 @@ across worker processes without coordinating generator state.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -38,6 +37,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, mk
+from .series import KAPPA
 
 logger = logging.getLogger(__name__)
 
@@ -155,12 +155,12 @@ class Trajectory(NamedTuple):
 def integrate(p0, lam, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Flow from p0 for time t_end with dense output (solve_ivp's DOP853).
 
-    t_end beyond cfg.max_time raises TimeCap up front; a solver breakdown
-    raises StepFailure.
+    t_end beyond cfg.max_time is an out-of-range argument and raises
+    ValueError up front; a solver breakdown raises StepFailure.
     """
     cfg = cfg or IntegratorConfig()
     if t_end > cfg.max_time:
-        raise TimeCap(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
+        raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
     sol = solve_ivp(
         vector_field,
         (0.0, t_end),
@@ -428,30 +428,11 @@ def find_limit_cycles(
 # Displacement-vs-bifurcation-function comparisons
 # --------------------------------------------------------------------------
 
-def measure_displacement_scale(cfg: IntegratorConfig | None = None) -> float:
-    """Global scale s with displacement ~ eps^k * s * M_k, measured once per config.
-
-    The per-lobe normalization of the integrals differs from the
-    full-contour displacement by the contour constant, so s is expected to
-    land on kappa; it is measured from the arc eps*(1,0,0,0) at h = 0.2,
-    eps = 1e-4, and cached for the process, one value per IntegratorConfig.
-    """
-    return _displacement_scale(cfg or IntegratorConfig())
-
-
-@functools.cache
-def _displacement_scale(cfg: IntegratorConfig) -> float:
-    eps = 1e-4
-    d = displacement(0.2, (eps, 0.0, 0.0, 0.0), cfg)
-    m = mk(0.2, MelnikovSpec(k=1, lam1k=1.0, lam4k=0.0), backend="quadrature")
-    return d / (eps * m)
-
-
 class ConvergenceRow(NamedTuple):
     eps: float
     h: float
     scaled_displacement: float  # displacement / eps^k
-    m_k: float  # s * M_k(h), the predicted limit
+    m_k: float  # KAPPA * M_k(h), the predicted limit
     ratio: float
 
 
@@ -461,8 +442,10 @@ def melnikov_convergence(
     eps_seq,
     cfg: IntegratorConfig | None = None,
 ) -> list:
-    """Table of displacement/eps^k against s*M_k(h) over an eps ladder.
+    """Table of displacement/eps^k against KAPPA * M_k(h) over an eps ladder.
 
+    The displacement is taken over the full contour and M_k per lobe, so
+    displacement = eps^k KAPPA M_k + O(eps^(k+1)) with the exact KAPPA = 2.
     k is the lowest order with a nonzero bifurcation function along the
     arc; for arcs with none (center variety) k = 1 is used and the ratio
     column is NaN — the scaled-displacement column is the story there.
@@ -472,13 +455,12 @@ def melnikov_convergence(
     cfg = cfg or IntegratorConfig()
     k = arc.leading_order() or 1
     spec = arc.melnikov_spec(k)
-    s = measure_displacement_scale(cfg)
     rows = []
     for eps in eps_seq:
         lam = arc.params_at(eps)
         for h in h_probe:
             d = displacement(h, lam, cfg)
-            m = s * mk(h, spec, backend="quadrature")
+            m = KAPPA * mk(h, spec, backend="quadrature")
             scaled = d / eps**k
             ratio = scaled / m if abs(m) > 1e-12 else float("nan")
             rows.append(ConvergenceRow(eps=eps, h=h, scaled_displacement=scaled, m_k=m, ratio=ratio))

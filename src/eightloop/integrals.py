@@ -33,8 +33,8 @@ values are only guaranteed for h >= 1e-4 — below that the series module is
 the intended tool.
 
 Values here are full-contour.  Consumers that want the per-lobe convention
-(in which I_0(0+) = 4/3) divide by the measured contour-normalization
-constant kappa; see the series module.
+(in which I_0(0+) = 4/3) divide by the contour constant KAPPA = 2 of the
+series module.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Leading behavior at the loop (h -> 0+), per-lobe convention:
     M_k(h) = c0 + c1 h ln h + c2 h + O(h^2 ln h)
     c0 = (4/3) lam1_k + (16/15) lam4_k + (16/3) c_k
     c1 = -lam1_k
-    c2 = a1 lam1_k + 4 lam4_k + 4 c_k
+    c2 = a1 lam1_k + 4 lam4_k + 4 c_k,    a1 = 1 + 4 ln 2
 
 Zeros of M_k in h correspond (for small eps) to limit cycles from the
 exterior ovals; their number is what the direct simulations probe.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import moment
-from .series import FittedConstants, default_constants, series_eval
+from .series import A1, KAPPA, series_eval
 
 SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
 
@@ -103,49 +103,38 @@ class ZeroCount:
         }
 
 
-def m1(
-    h: float,
-    lam1: float,
-    lam4: float,
-    backend: str = "series",
-    consts: FittedConstants | None = None,
-) -> float:
+def m1(h: float, lam1: float, lam4: float, backend: str = "series") -> float:
     """First-order bifurcation function lam1 I0(h) + lam4 I2(h)."""
-    return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend, consts)
+    return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend)
 
 
-def mk(
-    h: float,
-    spec: MelnikovSpec,
-    backend: str = "series",
-    consts: FittedConstants | None = None,
-) -> float:
+def mk(h: float, spec: MelnikovSpec, backend: str = "series") -> float:
     """Order-k bifurcation function for an arbitrary arc order.
 
-    The quadrature backend computes I4' only when c_k != 0; I0 and I2 are
-    always computed, so h is always checked.  Since I4' > 0, c_k * 0.0 is
-    the same signed zero as c_k * I4' when c_k = 0, so no bit changes.
+    The quadrature backend divides the full-contour moments by KAPPA and
+    computes I4' only when c_k != 0; I0 and I2 are always computed, so h is
+    always checked.  Since I4' > 0, c_k * 0.0 is the same signed zero as
+    c_k * I4' when c_k = 0, so no bit changes.
     """
     if backend not in ("series", "quadrature"):
         raise ValueError(f"unknown backend {backend!r}")
-    c = consts if consts is not None else default_constants()
     ck = spec.cross_coefficient
     if backend == "series":
-        i0, i2, i4p = series_eval(h, c)
+        i0, i2, i4p = series_eval(h)
     else:
-        i0 = moment("I0", h, None)[0] / c.kappa
-        i2 = moment("I2", h, None)[0] / c.kappa
-        i4p = moment("I4p", h, None)[0] / c.kappa if ck != 0.0 else 0.0
+        i0 = moment("I0", h, None)[0] / KAPPA
+        i2 = moment("I2", h, None)[0] / KAPPA
+        i4p = moment("I4p", h, None)[0] / KAPPA if ck != 0.0 else 0.0
     return spec.lam1k * i0 + spec.lam4k * i2 + ck * i4p
 
 
 def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
-    """Exact-structure leading coefficients of M_k at h -> 0+ (a1 from default_constants)."""
+    """Exact leading coefficients of M_k at h -> 0+ (c2 through the closed form A1 = 1 + 4 ln 2)."""
     ck = spec.cross_coefficient
     return LeadingCoeffs(
         c0=(4.0 / 3.0) * spec.lam1k + (16.0 / 15.0) * spec.lam4k + (16.0 / 3.0) * ck,
         c1=-spec.lam1k,
-        c2=default_constants().a1 * spec.lam1k + 4.0 * spec.lam4k + 4.0 * ck,
+        c2=A1 * spec.lam1k + 4.0 * spec.lam4k + 4.0 * ck,
     )
 
 

@@ -37,26 +37,25 @@ them so that its disagreements can be reported by the test suite rather
 than silently hidden: its I2 h^4 ln h and I4' h^4 ln h entries do not match
 the recurrence.
 
-The free analytic constants a1, a2, b2 carry real information not fixed by
-the system; they are recovered by least squares against quadrature samples,
-together with the measured contour normalization kappa (full-contour
-quadrature divided by kappa reproduces the per-lobe convention; kappa is
-measured, not assumed, by extrapolating I0 to h = 0+ with the known
-h ln h structure).  a1 is nevertheless known in closed form, a1 = 1 + 4 ln 2:
-the per-lobe period I0' = -ln h + 4 ln 2 + O(h ln h) follows from
-K(k) ~ ln(4/k') with k'^2 ~ h.  Acceptance criterion 4 relies on this value
-(through the h^2 coefficient 16 - 4 a1 = 12 - 16 ln 2 of 5 I2 - I4') and
-checks the fitted a1 against it; evaluation still uses the fitted value.
+The analytic constants a1, a2, b2 are not fixed by the system, but they are
+known in closed form: a1 = 1 + 4 ln 2 (the per-lobe period
+I0' = -ln h + 4 ln 2 + O(h ln h) follows from K(k) ~ ln(4/k') with
+k'^2 ~ h), a2 = 17/16 - (3/2) ln 2 and b2 = 5/4 - 2 ln 2, and the contour
+normalization (full-contour quadrature divided by kappa gives the per-lobe
+convention) is kappa = 2.  Evaluation uses these exact values.  The
+least-squares fit against quadrature samples, with kappa measured by
+extrapolating I0 to h = 0+ with the known h ln h structure, stays as a
+measurement of them: the test suite checks the fit against the closed
+forms, and acceptance criterion 4 checks the fitted a1 (through the h^2
+coefficient 16 - 4 a1 = 12 - 16 ln 2 of 5 I2 - I4').
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -71,6 +70,11 @@ I0_CONST = Fraction(4, 3)
 I2_CONST = Fraction(16, 15)
 I4P_CONST = Fraction(16, 3)
 LINEAR_COEFF = Fraction(4)  # h-coefficient of both I2 and I4' analytic parts
+# The exact analytic coefficients and contour constant that evaluation uses.
+A1 = 1.0 + 4.0 * math.log(2.0)  # h-coefficient of the I0 analytic part
+A2 = 17.0 / 16.0 - 1.5 * math.log(2.0)  # h^2-coefficient of the I0 analytic part
+B2 = 1.25 - 2.0 * math.log(2.0)  # h^2-coefficient of the I2 analytic part
+KAPPA = 2.0  # full contour / per lobe: the oval encloses two lobes, each of area integral 4/3
 MOMENTS = ("I0", "I2", "I4p")  # the per-lobe moments M_k combines
 LIMIT_H_PAIR = (1e-3, 1e-4)  # energies of the extrapolation to h = 0+
 
@@ -154,10 +158,11 @@ TABULATED_I4P_H2 = lambda a1, b2: 4.0 * a1 + 5.0 * b2 - 304.0 / 3.0  # noqa: E73
 
 @dataclass(frozen=True)
 class FittedConstants:
-    """Free analytic constants plus the measured contour normalization.
+    """Fitted analytic constants plus the measured contour normalization.
 
-    window is the (h_min, h_max) of the fit; residual is the RMS of the
-    least-squares residuals over the fit samples (never dropped).
+    A measurement of the exact A1, A2, B2 and KAPPA.  window is the
+    (h_min, h_max) of the fit; residual is the RMS of the least-squares
+    residuals over the fit samples (never dropped).
     """
 
     a1: float
@@ -189,7 +194,7 @@ def _poly_eval(coeffs, h: float) -> float:
 _LOG_FLOATS = {which: tuple(float(c) for c in log_coefficients(which, SERIES_ORDER)) for which in MOMENTS}
 
 
-def series_eval(h: float, consts: FittedConstants) -> tuple:
+def series_eval(h: float) -> tuple:
     """Truncated-series per-lobe (I0, I2, I4') at 0 <= h <= 0.2.
 
     I0 and I2 are evaluated directly at order 10; I4' goes through the exact
@@ -204,8 +209,8 @@ def series_eval(h: float, consts: FittedConstants) -> tuple:
         i0, i2 = float(I0_CONST), float(I2_CONST)
     else:
         ln = math.log(h)
-        analytic0 = (float(I0_CONST), consts.a1, consts.a2)
-        analytic2 = (float(I2_CONST), float(LINEAR_COEFF), consts.b2)
+        analytic0 = (float(I0_CONST), A1, A2)
+        analytic2 = (float(I2_CONST), float(LINEAR_COEFF), B2)
         i0 = _poly_eval(_LOG_FLOATS["I0"], h) * ln + _poly_eval(analytic0, h)
         i2 = _poly_eval(_LOG_FLOATS["I2"], h) * ln + _poly_eval(analytic2, h)
     return i0, i2, (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0)
@@ -264,9 +269,8 @@ def limit_constants(cfg: QuadratureConfig | None = None, h_pair=LIMIT_H_PAIR) ->
 def measure_kappa(cfg: QuadratureConfig | None = None) -> float:
     """Measured contour normalization: lim I0(h)/(4/3) as h -> 0+.
 
-    Expected to be 2 (the oval encloses both lobes of the loop, each of
-    area-integral 4/3 in the limit), but measured rather than assumed: the
-    I0 entry of limit_constants at its default energies.
+    A measurement of KAPPA = 2: the I0 entry of limit_constants at its
+    default energies.
     """
     return _extrapolate_limit("I0", LIMIT_H_PAIR, cfg) / float(I0_CONST)
 
@@ -338,30 +342,6 @@ def fit_constants(hs, i0, i2, kappa: float, degree: int = 8) -> FittedConstants:
     )
 
 
-def save_constants(consts: FittedConstants, path) -> None:
-    doc = {
-        "a1": consts.a1,
-        "a2": consts.a2,
-        "b2": consts.b2,
-        "residual": consts.residual,
-        "window": list(consts.window),
-        "kappa": consts.kappa,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_constants(path) -> FittedConstants:
-    doc = json.loads(Path(path).read_text())
-    return FittedConstants(
-        a1=doc["a1"],
-        a2=doc["a2"],
-        b2=doc["b2"],
-        residual=doc["residual"],
-        window=tuple(doc["window"]),
-        kappa=doc["kappa"],
-    )
-
-
 def fit_quadrature(hs, degree: int) -> FittedConstants:
     """fit_constants on default-quadrature I0, I2 at hs and kappa: 2 QUADPACK calls per energy, plus 2."""
     i0 = [moment("I0", h, None)[0] for h in hs]
@@ -371,5 +351,8 @@ def fit_quadrature(hs, degree: int) -> FittedConstants:
 
 @functools.cache
 def default_constants() -> FittedConstants:
-    """Fit once on a standard window with the default quadrature; cached for the process."""
+    """The fit that measures A1, A2, B2 and KAPPA, on a standard window with the default quadrature.
+
+    Cached for the process.
+    """
     return fit_quadrature(np.geomspace(0.01, 0.15, 24), 8)

@@ -191,27 +191,20 @@ def test_simulate_rejects_malformed_lam(tmp_path):
     assert cli.run(s) == 2
 
 
-def test_missing_constants_file_is_config_error(tmp_path):
-    s = _scenario("melnikov-zeros", {"k": 1, "lam1k": 1.0}, out=tmp_path)
-    assert cli.run(s, constants_path=tmp_path / "nope.json") == 2
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert "not found" in manifest["status"]
+def test_simulate_beyond_the_time_budget_is_config_error(tmp_path):
+    s = _scenario("simulate", {"t_end": 250.0}, out=tmp_path)
+    assert cli.run(s) == 2
+    assert "max_time" in json.loads((tmp_path / "manifest.json").read_text())["status"]
 
 
 def test_series_fit_then_reuse_constants(tmp_path):
-    fit_dir = tmp_path / "fit"
-    s = _scenario("series-fit", {"h_min": 0.01, "h_max": 0.15, "n": 12}, out=fit_dir)
+    s = _scenario("series-fit", {"h_min": 0.01, "h_max": 0.15, "n": 12}, out=tmp_path)
     assert cli.run(s) == 0
-    report = json.loads((fit_dir / "fit_report.json").read_text())
+    report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["n_samples"] == 12
     assert abs(report["kappa"] - 2.0) < 1e-6
-    # feed the fitted constants back into an evaluation command
-    zx = tmp_path / "zeros"
-    s2 = _scenario("melnikov-zeros", {"k": 1, "lam1k": 1.0, "grid_n": 32}, out=zx)
-    assert cli.run(s2, constants_path=fit_dir / "constants.json") == 0
-    manifest = json.loads((zx / "manifest.json").read_text())
-    assert manifest["constants"]["file_sha256"] is not None
-    assert abs(manifest["constants"]["kappa"] - 2.0) < 1e-6
+    # the report is the fit's only output: evaluation uses the exact constants
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit_report.json", "manifest.json"]
 
 
 def test_convergence_outputs(tmp_path):
@@ -226,8 +219,6 @@ def test_convergence_outputs(tmp_path):
     assert header == ["eps", "h", "scaled_displacement", "m_k", "ratio"]
     assert len(rows) == 2
     assert rows[0][4] > rows[1][4] > 1.0
-    # kappa cancels in s * M_k, so the run uses no fitted constants and its manifest names none
-    assert json.loads((tmp_path / "manifest.json").read_text())["constants"] is None
     # the plot file carries the smallest-eps slice
     assert len((tmp_path / "plot_displacement.txt").read_text().splitlines()) == 1
 
@@ -314,7 +305,7 @@ def test_main_missing_or_invalid_config(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"].startswith("error: config not readable")
     assert manifest["scenario_sha256"] is None
-    assert manifest["command"] is None and manifest["seed"] is None and manifest["constants"] is None
+    assert manifest["command"] is None and manifest["seed"] is None
     # a file that is not JSON: the manifest goes to --out and hashes the bytes
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -331,3 +322,22 @@ def test_output_dir_must_be_a_string(tmp_path, monkeypatch):
     config.write_text(json.dumps({"command": "pf-check", "output_dir": 5}))
     assert cli.main(["--config", str(config)]) == 2
     assert "output_dir" in json.loads((tmp_path / "out" / "manifest.json").read_text())["status"]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--constants", "x.json"], "unrecognized arguments: --constants x.json"),
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ],
+    ids=["unknown-flag", "bad-seed"],
+)
+def test_bad_flags_exit_2_with_a_manifest(flags, message, tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "pf-check"}))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--out", str(out), *flags]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == f"error: {message}"
+    assert manifest["scenario_sha256"] is None and manifest["command"] is None
+    assert not (out / "pf_residuals.csv").exists()

@@ -12,6 +12,7 @@ import eightloop as el
 from eightloop import dynamics
 from eightloop.dynamics import H_FLOOR
 from eightloop.geometry import x_plus
+from eightloop.series import KAPPA
 
 
 LAM0 = (0.0, 0.0, 0.0, 0.0)
@@ -45,7 +46,7 @@ def test_dense_output_matches_nodes(integ_cfg):
 
 
 def test_integrate_rejects_budget_overrun(integ_cfg):
-    with pytest.raises(el.TimeCap):
+    with pytest.raises(ValueError, match="max_time"):
         el.integrate(_section_point(0.5), LAM0, integ_cfg.max_time + 1.0, integ_cfg)
 
 
@@ -364,40 +365,12 @@ def test_convergence_table_tracks_the_first_order_function(integ_cfg):
     assert [r.eps for r in rows] == [1e-2, 1e-3]
     for r in rows:
         assert r.h == 0.2
-        # the comparison column is the bifurcation function times the
-        # measured displacement scale of the section coordinate
-        npt.assert_allclose(
-            r.m_k,
-            el.measure_displacement_scale() * el.m1(0.2, 1.0, 0.0, backend="quadrature"),
-            rtol=1e-8,
-        )
+        # the comparison column is the per-lobe bifurcation function times
+        # the contour constant: the displacement is taken over the full oval
+        assert r.m_k == KAPPA * el.m1(0.2, 1.0, 0.0, backend="quadrature")
     # the scaled displacement approaches the bifurcation function from above
     assert rows[0].ratio > rows[1].ratio > 1.0
     assert rows[1].ratio < 1.01
-
-
-def test_displacement_scale_is_cached_and_order_two():
-    s1 = el.measure_displacement_scale()
-    s2 = el.measure_displacement_scale()
-    assert s1 == s2
-    npt.assert_allclose(s1, 2.0, rtol=1e-3)
-
-
-def test_displacement_scale_is_measured_once_per_config(monkeypatch):
-    calls = []
-    real = dynamics.displacement
-
-    def counting(h_in, lam, cfg=None):
-        calls.append(cfg)
-        return real(h_in, lam, cfg)
-
-    monkeypatch.setattr(dynamics, "displacement", counting)
-    a = el.IntegratorConfig(max_time=150.0)
-    b = el.IntegratorConfig(max_time=160.0)
-    s_a = el.measure_displacement_scale(a)
-    el.measure_displacement_scale(b)
-    assert el.measure_displacement_scale(a) == s_a
-    assert calls == [a, b]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from eightloop.series import A1, KAPPA
 
 
 SPEC_51 = el.MelnikovSpec(k=2, lam1k=0.0, lam4k=5.0, lam2=(0.0, 1.0), lam3=(0.0, -3.0))
@@ -49,13 +50,13 @@ def test_cross_coefficient_is_the_order_k_convolution():
 # ---------------------------------------------------------------------------
 
 
-def test_m1_basis_directions(consts):
+def test_m1_basis_directions():
     for backend in ("series", "quadrature"):
         for h in (0.05, 0.1):
             npt.assert_allclose(
                 el.m1(h, 1.0, 0.0, backend=backend),
-                el.series_eval(h, consts)[0] if backend == "series"
-                else el.integral_xiy(h, 0, None)[0] / consts.kappa,
+                el.series_eval(h)[0] if backend == "series"
+                else el.integral_xiy(h, 0, None)[0] / KAPPA,
                 rtol=1e-12,
             )
     assert el.m1(0.1, 0.0, 0.0) == 0.0
@@ -67,13 +68,13 @@ def test_m1_small_h_limit():
     npt.assert_allclose(val, 2.0 * 4.0 / 3.0 - 3.0 * 16.0 / 15.0, rtol=1e-12)
 
 
-def test_mk_zero_spec_and_combination(consts):
+def test_mk_zero_spec_and_combination():
     zero = el.MelnikovSpec(k=2, lam1k=0.0, lam4k=0.0)
     assert el.mk(0.1, zero) == 0.0
     # general spec equals the stated linear combination of the integrals
     spec = el.MelnikovSpec(k=2, lam1k=0.7, lam4k=-0.4, lam2=(0.0, 1.5), lam3=(0.0, 2.0))
     h = 0.08
-    i0, i2, i4p = el.series_eval(h, consts)
+    i0, i2, i4p = el.series_eval(h)
     expect = 0.7 * i0 - 0.4 * i2 + spec.cross_coefficient * i4p
     npt.assert_allclose(el.mk(h, spec), expect, rtol=1e-12)
 
@@ -109,12 +110,11 @@ def test_backend_consistency_on_the_overlap_window():
             assert abs(q - s) / abs(q) < 2e-3
 
 
-def test_quadrature_mk_computes_I4p_only_when_the_cross_term_needs_it(consts, quadpack_calls):
-    quadpack_calls.clear()
-    el.m1(0.1, 1.0, 0.5, backend="quadrature", consts=consts)
+def test_quadrature_mk_computes_I4p_only_when_the_cross_term_needs_it(quadpack_calls):
+    el.m1(0.1, 1.0, 0.5, backend="quadrature")
     assert len(quadpack_calls) == 2  # I0, I2
     quadpack_calls.clear()
-    el.mk(0.1, SPEC_51, backend="quadrature", consts=consts)
+    el.mk(0.1, SPEC_51, backend="quadrature")
     assert len(quadpack_calls) == 3  # I0, I2, I4'
 
 
@@ -123,11 +123,11 @@ def test_quadrature_mk_computes_I4p_only_when_the_cross_term_needs_it(consts, qu
 # ---------------------------------------------------------------------------
 
 
-def test_leading_coeffs_basis_and_combination(consts):
+def test_leading_coeffs_basis_and_combination():
     lc = el.leading_coeffs(el.MelnikovSpec(k=1, lam1k=1.0, lam4k=0.0))
     npt.assert_allclose(lc.c0, 4.0 / 3.0)
     npt.assert_allclose(lc.c1, -1.0)
-    npt.assert_allclose(lc.c2, consts.a1)
+    assert lc.c2 == A1
     lc51 = el.leading_coeffs(SPEC_51)
     npt.assert_allclose(lc51.c0, 0.0, atol=1e-14)
     npt.assert_allclose(lc51.c1, 0.0, atol=1e-14)

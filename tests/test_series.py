@@ -7,7 +7,6 @@ the misprint report test below).
 """
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -17,6 +16,10 @@ import pytest
 
 import eightloop as el
 from eightloop.series import (
+    A1,
+    A2,
+    B2,
+    KAPPA,
     MOMENTS,
     TABULATED_I4P_H2,
     TABULATED_LOG_COEFFS,
@@ -99,31 +102,31 @@ def test_quadrature_arbitrates_the_h4_coefficients():
     assert abs(report["I4p"][4] - (-471 / 256)) > 8.0
 
 
-def test_series_eval_limits(consts):
-    i0, _, i4p = el.series_eval(0.0, consts)
+def test_series_eval_limits():
+    i0, _, i4p = el.series_eval(0.0)
     assert i0 == 4.0 / 3.0
     assert i4p == 16.0 / 3.0
-    npt.assert_allclose(el.series_eval(1e-12, consts)[1], 16.0 / 15.0, rtol=1e-9)
+    npt.assert_allclose(el.series_eval(1e-12)[1], 16.0 / 15.0, rtol=1e-9)
 
 
-def test_series_eval_trust_region(consts):
+def test_series_eval_trust_region():
     for h in (0.21, -0.05, math.nan):
         with pytest.raises(el.OutOfTrustRegion):
-            el.series_eval(h, consts)
+            el.series_eval(h)
 
 
 @pytest.mark.parametrize("which,i,kind", [("I0", 0, "xiy"), ("I2", 2, "xiy"), ("I4p", 4, "xi_over_y")])
-def test_series_matches_quadrature(which, i, kind, quad_cfg, consts):
+def test_series_matches_quadrature(which, i, kind, quad_cfg):
     fetch = el.integral_xiy if kind == "xiy" else el.integral_xi_over_y
     for h in (0.01, 0.03, 0.1):
-        q = fetch(h, i, quad_cfg)[0] / consts.kappa
-        s = el.series_eval(h, consts)[MOMENTS.index(which)]
+        q = fetch(h, i, quad_cfg)[0] / KAPPA
+        s = el.series_eval(h)[MOMENTS.index(which)]
         assert abs(s - q) / abs(q) < 1e-3
 
 
-def test_I4p_series_close_at_h01(quad_cfg, consts):
-    q = el.integral_xi_over_y(0.1, 4, quad_cfg)[0] / consts.kappa
-    s = el.series_eval(0.1, consts)[2]
+def test_I4p_series_close_at_h01(quad_cfg):
+    q = el.integral_xi_over_y(0.1, 4, quad_cfg)[0] / KAPPA
+    s = el.series_eval(0.1)[2]
     assert abs(s - q) / q < 5e-4
 
 
@@ -203,22 +206,27 @@ def test_fit_recovers_synthetic_constants():
 def test_fit_on_real_samples(consts):
     assert consts.residual < 1e-6
     assert consts.window == (0.01, 0.15)
-    # a1 lands on 1 + 4 ln 2, which the analytic part of the area moment
-    # takes at this order
-    npt.assert_allclose(consts.a1, 1.0 + 4.0 * math.log(2.0), atol=1e-5)
-    npt.assert_allclose(consts.kappa, 2.0, atol=1e-6)
 
 
-def test_fit_requires_enough_samples(quad_cfg, consts):
+def test_fit_measures_the_exact_constants(consts):
+    # the closed forms the series evaluates with, against their fitted
+    # measurement: a typo in any of them fails here
+    npt.assert_allclose(consts.a1, A1, rtol=1e-6)
+    npt.assert_allclose(consts.a2, A2, rtol=5e-3)
+    npt.assert_allclose(consts.b2, B2, rtol=1e-3)
+    npt.assert_allclose(consts.kappa, KAPPA, rtol=1e-8)
+
+
+def test_fit_requires_enough_samples(quad_cfg):
     samples = _quadrature_samples(np.geomspace(0.02, 0.1, 5), quad_cfg)
     with pytest.raises(ValueError):
-        el.fit_constants(*samples, consts.kappa)
+        el.fit_constants(*samples, KAPPA)
 
 
-def test_overparameterized_fit_is_rejected(quad_cfg, consts):
+def test_overparameterized_fit_is_rejected(quad_cfg):
     samples = _quadrature_samples(np.geomspace(0.01, 0.15, 24), quad_cfg)
     with pytest.raises(el.IllConditionedFit):
-        el.fit_constants(*samples, consts.kappa, degree=20)
+        el.fit_constants(*samples, KAPPA, degree=20)
 
 
 def test_default_fit_costs_two_quadpack_calls_per_energy(quadpack_calls):
@@ -242,15 +250,6 @@ def test_I4p_quadratic_coefficient_consistency(quad_cfg, consts):
     printed_form = TABULATED_I4P_H2(consts.a1, consts.b2)
     assert abs(coeffs[1] - derived_form) < 1e-4
     assert abs(coeffs[1] - printed_form) > 80.0
-
-
-def test_constants_json_round_trip(tmp_path, consts):
-    path = tmp_path / "constants.json"
-    el.save_constants(consts, path)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"a1", "a2", "b2", "residual", "window", "kappa"}
-    again = el.load_constants(path)
-    assert again == consts
 
 
 def test_limit_constants_extrapolation(quad_cfg):
