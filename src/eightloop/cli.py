@@ -295,13 +295,9 @@ def _run_simulate(s: Scenario, threads: int) -> None:
         p0 = (p["x0"], p["y0"])
     if len(p["lam"]) != 4:
         raise ConfigError("lam must have four entries")
-    traj = integrate(p0, p["lam"], p["t_end"], IntegratorConfig())
     ts = np.linspace(0.0, p["t_end"], p["n_points"])
-    states = traj.interpolant(ts)
-    rows = [
-        (float(t), float(x), float(y), energy((x, y)))
-        for t, x, y in zip(ts, states[0], states[1])
-    ]
+    states = integrate(p0, p["lam"], ts, IntegratorConfig())
+    rows = [(t, x, y, energy((x, y))) for t, (x, y) in zip(ts.tolist(), states.tolist())]
     _write_csv(s.output_dir / "trajectory.csv", ("t", "x", "y", "H"), rows, s.seed, s.command)
 
 

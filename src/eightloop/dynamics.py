@@ -15,9 +15,12 @@ the integration carries on from where it is, without a restart, and a run
 that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
 
-The return map steps DOP853 on Python floats (solve_ivp's tableau and step
-control, without its per-step array overhead on a two-dimensional state);
-integrate keeps solve_ivp for its dense output.
+One ODE driver serves both integrate and the return map: DOP853 stepped
+on Python floats, with scipy's tableau and step control but without the
+per-step array overhead of scipy's solvers on a two-dimensional state.
+integrate ends a step exactly at each output time, so no interpolant is
+needed.  find_limit_cycles refines its brackets with the bisection that
+count_zeros uses (melnikov._bisect).
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -30,13 +33,13 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
-from .melnikov import MelnikovSpec, mk
+from .melnikov import MelnikovSpec, _bisect, mk
 from .series import KAPPA
 
 logger = logging.getLogger(__name__)
@@ -143,40 +146,7 @@ class ArcSpec:
 # Flow
 # --------------------------------------------------------------------------
 
-
-class Trajectory(NamedTuple):
-    """Dense-output trajectory: t, states, and a queryable interpolant."""
-
-    t: np.ndarray
-    states: np.ndarray  # shape (n, 2)
-    interpolant: Callable  # t -> (x, y), vectorized in t
-
-
-def integrate(p0, lam, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Flow from p0 for time t_end with dense output (solve_ivp's DOP853).
-
-    t_end beyond cfg.max_time is an out-of-range argument and raises
-    ValueError up front; a solver breakdown raises StepFailure.
-    """
-    cfg = cfg or IntegratorConfig()
-    if t_end > cfg.max_time:
-        raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    sol = solve_ivp(
-        vector_field,
-        (0.0, t_end),
-        (float(p0[0]), float(p0[1])),
-        args=(tuple(lam),),
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        dense_output=True,
-    )
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-    return Trajectory(t=sol.t, states=sol.y.T, interpolant=sol.sol)
-
-
-# solve_ivp's step-control constants
+# scipy's step-control constants for DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the embedded error estimators are of order 7
 
@@ -185,7 +155,7 @@ def _sparse(weights) -> tuple:
     return tuple((j, float(w)) for j, w in enumerate(weights) if w)
 
 
-# solve_ivp's DOP853 tableau with its zero entries dropped: per stage after
+# scipy's DOP853 tableau with its zero entries dropped: per stage after
 # the first, its node and the (j, a_ij) it sums; then the weights of the
 # solution and of the two error estimators, whose last (FSAL) entries are 0
 _STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1, DOP853.n_stages))
@@ -229,21 +199,23 @@ def _unrolled_dop853_step():
 _dop853_step = _unrolled_dop853_step()
 
 
-def _initial_step(x, y, fx, fy, lam, cfg: IntegratorConfig) -> float:
-    """solve_ivp's select_initial_step for the return map's flow, from (x, y) at t = 0."""
+def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> float:
+    """scipy's select_initial_step for the flow from (x, y) at t = 0 to t_bound > 0."""
     sx = cfg.abs_tol + abs(x) * cfg.rel_tol
     sy = cfg.abs_tol + abs(y) * cfg.rel_tol
     d0 = math.hypot(x / sx, y / sy) / SQRT2
     d1 = math.hypot(fx / sx, fy / sy) / SQRT2
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, cfg.max_time)
+    h0 = min(h0, t_bound)
+    if not h0 > 0.0:  # the slope is infinite or NaN
+        raise StepFailure(f"no initial step for the slope ({fx:.3g}, {fy:.3g}) at t=0")
     gx, gy = vector_field(h0, (x + h0 * fx, y + h0 * fy), lam)
     d2 = math.hypot((gx - fx) / sx, (gy - fy) / sy) / SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, cfg.max_time)
+    return min(100.0 * h0, h1, t_bound)
 
 
 def _min_step(t: float) -> float:
@@ -251,7 +223,7 @@ def _min_step(t: float) -> float:
 
 
 def _error(h, u, v, u_new, v_new, e5u, e5v, e3u, e3v, cfg: IntegratorConfig) -> float:
-    """solve_ivp's DOP853 error norm of a step of length h on (u, v); below 1 the step is accepted."""
+    """scipy's DOP853 error norm of a step of length h on (u, v); below 1 the step is accepted."""
     su = cfg.abs_tol + max(abs(u), abs(u_new)) * cfg.rel_tol
     sv = cfg.abs_tol + max(abs(v), abs(v_new)) * cfg.rel_tol
     e5 = (e5u / su) ** 2 + (e5v / sv) ** 2
@@ -259,18 +231,19 @@ def _error(h, u, v, u_new, v_new, e5u, e5v, e3u, e3v, cfg: IntegratorConfig) -> 
     return 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
 
 
-def _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg: IntegratorConfig):
-    """One step of the flow from (x, y) at t under solve_ivp's step control, retried until accepted.
+def _accepted_step(t, x, y, fx, fy, h_abs, lam, t_bound: float, cfg: IntegratorConfig):
+    """One step of the flow from (x, y) at t under scipy's step control, retried until accepted.
 
-    (fx, fy) is the slope at t and h_abs the step size to try.  Returns
-    t_new, x_new, y_new and the step size to try next; StepFailure once the
-    step falls below 10 ulp of t.
+    (fx, fy) is the slope at t and h_abs the step size to try; the step
+    ends at t_bound if it would pass it.  Returns t_new, x_new, y_new and
+    the step size to try next; StepFailure once the step falls below 10 ulp
+    of t.
     """
     min_step = _min_step(t)
     h_abs = max(h_abs, min_step)
     rejected = False
     while h_abs >= min_step:
-        t_new = min(t + h_abs, cfg.max_time)
+        t_new = min(t + h_abs, t_bound)
         h = t_new - t
         x_new, y_new, *estimates = _dop853_step(vector_field, t, x, y, fx, fy, h, lam)
         err = _error(h, x, y, x_new, y_new, *estimates, cfg)
@@ -280,6 +253,35 @@ def _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg: IntegratorConfig):
         h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
         rejected = True
     raise StepFailure(f"step size {h_abs:.3g} below {min_step:.3g} at t={t:.6g}")
+
+
+def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
+    """States (x, y) of the flow from p0 at the times ts, as an array of shape (len(ts), 2).
+
+    ts must be non-decreasing and start at or after t = 0: the flow is
+    stepped forward only, and a step ends exactly at each output time.
+    Negative, decreasing or NaN times and a last time beyond cfg.max_time
+    are out-of-range arguments and raise ValueError up front; StepFailure
+    if the step size collapses.
+    """
+    cfg = cfg or IntegratorConfig()
+    ts = np.asarray(ts, dtype=float)
+    if not (np.all(ts >= 0.0) and np.all(np.diff(ts) >= 0.0)):
+        raise ValueError("output times must be non-negative and non-decreasing")
+    t_end = float(ts[-1]) if len(ts) else 0.0
+    if t_end > cfg.max_time:
+        raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
+    lam = tuple(lam)
+    t, x, y = 0.0, float(p0[0]), float(p0[1])
+    fx, fy = vector_field(t, (x, y), lam)
+    h_abs = _initial_step(x, y, fx, fy, lam, t_end, cfg) if t_end > 0.0 else 0.0
+    states = np.empty((len(ts), 2))
+    for i, t_out in enumerate(ts.tolist()):  # Python floats keep the step arithmetic off numpy scalars
+        while t < t_out:
+            t, x, y, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, t_out, cfg)
+            fx, fy = vector_field(t, (x, y), lam)
+        states[i] = x, y
+    return states
 
 
 def _in_y(y, state, lam):
@@ -312,7 +314,7 @@ def _crossing(t, x, y, fy, t_new, lam, cfg: IntegratorConfig):
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
     """First return to Sigma = {y = 0, x >= sqrt(2)} in the energy chart.
 
-    Launches from (x_plus(h_in), 0) and steps with DOP853 under solve_ivp's
+    Launches from (x_plus(h_in), 0) and steps with DOP853 under scipy's
     step control.  A step that takes y from positive to non-positive holds
     a downward crossing, located by one DOP853 step in y from the step's
     start to y = 0 (Henon's trick); where that step is not valid (see
@@ -328,10 +330,10 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     lam = tuple(lam)
     t, x, y = 0.0, x_plus(h_in), 0.0
     fx, fy = vector_field(t, (x, y), lam)
-    h_abs = _initial_step(x, y, fx, fy, lam, cfg)
+    h_abs = _initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
     discarded = 0
     while t < cfg.max_time:
-        t_new, x_new, y_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg)
+        t_new, x_new, y_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg.max_time, cfg)
         if y > 0.0 >= y_new:
             crossing = _crossing(t, x, y, fy, t_new, lam, cfg)
             if crossing is None:
@@ -378,40 +380,30 @@ def find_limit_cycles(
 ) -> list:
     """Sign-change fixed points of the return map on a geometric h-grid.
 
-    Per-sample failures (TimeCap and friends) are logged and skipped; each
-    bracket is refined by bisection until its width is below refine_tol and
-    carries the secant-slope stability sign.  epsilon is carried through to
-    the records for bookkeeping only.
+    A return map that fails (TimeCap and friends) is logged and skipped: a
+    grid point drops out, and a bracket's bisection stops at the bracket
+    reached.  Each bracket is refined by bisection until its width is below
+    refine_tol and carries the secant-slope stability sign.  epsilon is
+    carried through to the records for bookkeeping only.
     """
     cfg = cfg or IntegratorConfig()
     h_lo, h_hi = float(h_range[0]), float(h_range[1])
     if h_lo < H_FLOOR:
         raise ValueError(f"h_range must start at or above h_floor={H_FLOOR}")
-    grid = np.geomspace(h_lo, h_hi, grid_n)
-    disp = {}
-    for h in grid:
+
+    def disp(h):
         try:
-            disp[h] = displacement(h, lam, cfg)
+            return displacement(h, lam, cfg)
         except (TimeCap, EscapedRegion, StepFailure) as exc:
-            logger.info("sample h=%.6g skipped: %s", h, exc)
+            logger.info("return map at h=%.6g skipped: %s", h, exc)
+            return None
+
+    samples = [(h, d) for h in np.geomspace(h_lo, h_hi, grid_n) if (d := disp(h)) is not None]
     records = []
-    hs = [h for h in grid if h in disp]
-    for h0, h1 in zip(hs[:-1], hs[1:]):
-        d0, d1 = disp[h0], disp[h1]
+    for (h0, d0), (h1, d1) in zip(samples[:-1], samples[1:]):
         if d0 == 0.0 or d0 * d1 >= 0.0:
             continue
-        lo, hi, dlo, dhi = h0, h1, d0, d1
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            try:
-                dm = displacement(mid, lam, cfg)
-            except (TimeCap, EscapedRegion, StepFailure) as exc:
-                logger.info("refinement at h=%.6g abandoned: %s", mid, exc)
-                break
-            if dlo * dm <= 0.0:
-                hi, dhi = mid, dm
-            else:
-                lo, dlo = mid, dm
+        lo, hi, dlo, dhi = _bisect(disp, h0, h1, d0, d1, refine_tol)
         slope = (dhi - dlo) / (hi - lo)
         records.append(
             LimitCycleRecord(

@@ -52,9 +52,8 @@ def energy(p) -> float:
 def vector_field(t, state, lam):
     """Right-hand side (x', y') of the perturbed system at state.
 
-    The signature is the one scipy's solve_ivp calls (t is unused; lam is
-    passed through args): integrate hands this function to the solver, and
-    the return map's own DOP853 stepper calls it the same way.
+    The signature is that of scipy's ODE solvers, fun(t, y, *args), with t
+    unused; the DOP853 stepper of the dynamics module calls it this way.
     """
     x, y = state
     l1, l2, l3, l4 = lam
@@ -62,7 +61,12 @@ def vector_field(t, state, lam):
 
 
 def x_plus(h: float) -> float:
-    """Outer turning point: the positive root of x^4 - 2x^2 - 4h = 0."""
+    """Outer turning point: the positive root of x^4 - 2x^2 - 4h = 0.
+
+    ValueError for a non-finite h, NonPositiveEnergy for h <= 0.
+    """
+    if not math.isfinite(h):
+        raise ValueError(f"exterior oval needs a finite h, got h={h}")
     if h <= 0.0:
         raise NonPositiveEnergy(f"exterior oval needs h > 0, got h={h}")
     return math.sqrt(1.0 + math.sqrt(1.0 + 4.0 * h))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import NonPositiveEnergy, x_plus
+from .geometry import x_plus
 
 _HALF_PI = 0.5 * math.pi
 
@@ -121,13 +121,10 @@ def _theta_quad(f, h: float, cfg: QuadratureConfig, label: str):
 
 
 def _oval(h: float):
-    """(x_plus, s, sqrt(1+4h)) of the exterior oval at a finite energy h > 0."""
-    if not math.isfinite(h):
-        raise ValueError(f"quadrature needs a finite h, got h={h}")
-    if h <= 0.0:
-        raise NonPositiveEnergy(f"quadrature needs h > 0, got h={h}")
+    """(x_plus, s, sqrt(1+4h)) of the exterior oval at h; x_plus rejects a non-finite or non-positive h."""
+    a = x_plus(h)
     r = math.sqrt(1.0 + 4.0 * h)
-    return x_plus(h), r - 1.0, r
+    return a, r - 1.0, r
 
 
 def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):

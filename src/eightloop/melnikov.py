@@ -138,17 +138,23 @@ def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
     )
 
 
-def _bisect(f, lo: float, hi: float, flo: float, tol: float):
+def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
+    """Halve a sign-change bracket [lo, hi] of f, with f(lo) = flo and f(hi) = fhi, to width tol.
+
+    The half with flo * f(mid) <= 0 is kept, so a zero hit at mid stays
+    in the bracket as hi.  Where f returns None (undefined there), halving
+    stops.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if flo * fm < 0.0:
-            hi = mid
+        if fm is None:
+            break
+        if flo * fm <= 0.0:
+            hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi), hi - lo
+    return lo, hi, flo, fhi
 
 
 def count_zeros(
@@ -182,7 +188,8 @@ def count_zeros(
                 zeros.append((float(hs[i]), 0.0))
             continue
         if v0 * v1 < 0.0:
-            zeros.append(_bisect(f, float(hs[i]), float(hs[i + 1]), float(v0), refine_tol))
+            lo, hi, _, _ = _bisect(f, float(hs[i]), float(hs[i + 1]), float(v0), float(v1), refine_tol)
+            zeros.append((0.5 * (lo + hi), hi - lo))
     if vals[-1] == 0.0:
         zeros.append((float(hs[-1]), 0.0))
     suspects = []

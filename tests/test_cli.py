@@ -197,6 +197,21 @@ def test_simulate_beyond_the_time_budget_is_config_error(tmp_path):
     assert "max_time" in json.loads((tmp_path / "manifest.json").read_text())["status"]
 
 
+def test_simulate_without_points_writes_only_the_header(tmp_path):
+    assert cli.run(_scenario("simulate", {"h0": 1.0, "n_points": 0}, out=tmp_path)) == 0
+    header, rows = _read_csv(tmp_path / "trajectory.csv")
+    assert header == ["t", "x", "y", "H"] and rows == []
+
+
+def test_simulate_backward_in_time_is_config_error(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "simulate", "parameters": {"h0": 1.0, "t_end": -5.0}}))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert "non-decreasing" in json.loads((out / "manifest.json").read_text())["status"]
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_series_fit_then_reuse_constants(tmp_path):
     s = _scenario("series-fit", {"h_min": 0.01, "h_max": 0.15, "n": 12}, out=tmp_path)
     assert cli.run(s) == 0

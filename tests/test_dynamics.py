@@ -28,39 +28,68 @@ def _section_point(h):
 
 
 def test_unperturbed_flow_conserves_energy(integ_cfg):
-    traj = el.integrate(_section_point(1.0), LAM0, 20.0, integ_cfg)
-    h_vals = [el.energy(s) for s in traj.states]
-    assert max(abs(h - 1.0) for h in h_vals) < 1e-9
+    states = el.integrate(_section_point(1.0), LAM0, np.linspace(0.0, 20.0, 201), integ_cfg)
+    assert states.shape == (201, 2)
+    assert max(abs(el.energy(s) - 1.0) for s in states) < 1e-9
 
 
 def test_centers_are_fixed_points(integ_cfg):
     for x0 in (1.0, -1.0):
-        traj = el.integrate((x0, 0.0), LAM0, 10.0, integ_cfg)
-        npt.assert_allclose(traj.states[-1], (x0, 0.0), atol=1e-10)
+        states = el.integrate((x0, 0.0), LAM0, [10.0], integ_cfg)
+        npt.assert_allclose(states[-1], (x0, 0.0), atol=1e-10)
 
 
-def test_dense_output_matches_nodes(integ_cfg):
-    traj = el.integrate(_section_point(0.5), LAM0, 5.0, integ_cfg)
-    for i in (0, len(traj.t) // 2, -1):
-        npt.assert_allclose(traj.interpolant(traj.t[i]), traj.states[i], atol=1e-12)
+def test_integrate_matches_solve_ivp(integ_cfg):
+    """The states at the output times agree with solve_ivp's dense output, an independent reference."""
+    lam = (0.02, 0.01, -0.03, 0.015)
+    p0 = _section_point(0.5)
+    ts = np.linspace(0.0, 5.0, 11)
+    states = el.integrate(p0, lam, ts, integ_cfg)
+    npt.assert_array_equal(states[0], p0)
+    sol = solve_ivp(el.vector_field, (0.0, 5.0), p0, args=(lam,), method="DOP853", t_eval=ts,
+                    rtol=integ_cfg.rel_tol, atol=integ_cfg.abs_tol)
+    npt.assert_allclose(states, sol.y.T, atol=1e-8)
+
+
+def test_integrate_takes_repeated_and_no_output_times(integ_cfg):
+    assert el.integrate(_section_point(0.5), LAM0, [], integ_cfg).shape == (0, 2)
+    states = el.integrate(_section_point(0.5), LAM0, [0.0, 0.0, 1.0, 1.0], integ_cfg)
+    npt.assert_array_equal(states[0], states[1])
+    npt.assert_array_equal(states[2], states[3])
 
 
 def test_integrate_rejects_budget_overrun(integ_cfg):
     with pytest.raises(ValueError, match="max_time"):
-        el.integrate(_section_point(0.5), LAM0, integ_cfg.max_time + 1.0, integ_cfg)
+        el.integrate(_section_point(0.5), LAM0, [integ_cfg.max_time + 1.0], integ_cfg)
+
+
+@pytest.mark.parametrize("ts", [[-1.0], [0.0, -1.0], [0.0, 2.0, 1.0], [0.0, math.nan]])
+def test_integrate_rejects_negative_or_decreasing_times(ts, integ_cfg):
+    with pytest.raises(ValueError, match="non-decreasing"):
+        el.integrate(_section_point(0.5), LAM0, ts, integ_cfg)
+
+
+def test_integrate_fails_numerically_from_an_overflowing_slope(integ_cfg):
+    with pytest.raises(el.StepFailure, match="initial step"):
+        el.integrate((1e155, 0.0), LAM0, [1.0], integ_cfg)
 
 
 def test_energy_balance_along_perturbed_orbit(integ_cfg):
     """dH/dt = y*(l1 y + l2 x^2 + l3 xy + l4 x^2 y) integrates to the
     observed energy change."""
     lam = (0.02, 0.01, -0.03, 0.015)
-    traj = el.integrate(_section_point(0.3), lam, 10.0, integ_cfg)
-    ts = np.linspace(traj.t[0], traj.t[-1], 20001)
-    xs, ys = np.array([traj.interpolant(t) for t in ts]).T
+    ts = np.linspace(0.0, 10.0, 20001)
+    xs, ys = el.integrate(_section_point(0.3), lam, ts, integ_cfg).T
     power = ys * (lam[0] * ys + lam[1] * xs**2 + lam[2] * xs * ys + lam[3] * xs**2 * ys)
     gained = np.trapezoid(power, ts)
-    observed = el.energy(traj.states[-1]) - el.energy(traj.states[0])
+    observed = el.energy((xs[-1], ys[-1])) - el.energy((xs[0], ys[0]))
     npt.assert_allclose(gained, observed, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_return_map_rejects_a_non_finite_energy(h, integ_cfg):
+    with pytest.raises(ValueError, match="finite"):
+        el.return_map(h, LAM0, integ_cfg)
 
 
 def test_strong_damping_escapes_the_window(integ_cfg):
@@ -332,6 +361,24 @@ def test_planted_cycle_has_a_structural_companion(integ_cfg):
     assert abs(recs[0].h_star - 0.025) < 0.01
     assert abs(recs[1].h_star - 0.2) < 0.01
     assert recs[0].stability == 1 and recs[1].stability == -1
+
+
+def test_failed_return_maps_are_logged_and_skipped(monkeypatch, caplog):
+    """A failing grid point drops out; a failure inside a bracket stops its bisection at the bracket reached."""
+
+    def displacement(h, lam, cfg=None):
+        if h > 0.3 or 0.13 < h < 0.14:
+            raise el.TimeCap("capped")
+        return h - 0.15
+
+    monkeypatch.setattr(dynamics, "displacement", displacement)
+    with caplog.at_level("INFO", logger="eightloop.dynamics"):
+        recs = el.find_limit_cycles(LAM0, (0.1, 0.4), grid_n=3, refine_tol=1e-6)
+    assert len(recs) == 1
+    npt.assert_allclose(recs[0].bracket, (0.125, 0.15), atol=1e-15)
+    assert recs[0].stability == 1
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert len(skipped) == 2 and "h=0.4 " in skipped[0] and "h=0.1375 " in skipped[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from eightloop.melnikov import _bisect
 from eightloop.series import A1, KAPPA
 
 
@@ -177,6 +178,15 @@ def test_count_zeros_linear_function():
     assert width < 1e-9
     assert zc.interval == (1e-3, 1.0)
     assert zc.suspects == ()
+
+
+def test_bisect_keeps_a_zero_hit_at_the_midpoint():
+    assert _bisect(lambda h: h - 0.5, 0.0, 1.0, -0.5, 0.5, 0.1) == (0.4375, 0.5, -0.0625, 0.0)
+
+
+def test_bisect_stops_where_f_is_undefined():
+    f = lambda h: None if h < 0.3 else h - 0.5  # noqa: E731
+    assert _bisect(f, 0.0, 1.0, -0.5, 0.5, 1e-6) == (0.0, 0.5, -0.5, 0.0)
 
 
 def test_count_zeros_requires_reasonable_grid():
