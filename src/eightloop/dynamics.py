@@ -15,7 +15,7 @@ the integration carries on from where it is, without a restart, and a run
 that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
 
-One ODE driver serves both integrate and the return map: DOP853 stepped
+One ODE integrator serves both integrate and the return map: DOP853 stepped
 on Python floats, with scipy's tableau and step control but without the
 per-step array overhead of scipy's solvers on a two-dimensional state.
 integrate ends a step exactly at each output time, so no interpolant is

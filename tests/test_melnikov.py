@@ -184,11 +184,6 @@ def test_bisect_keeps_a_zero_hit_at_the_midpoint():
     assert _bisect(lambda h: h - 0.5, 0.0, 1.0, -0.5, 0.5, 0.1) == (0.4375, 0.5, -0.0625, 0.0)
 
 
-def test_bisect_stops_where_f_is_undefined():
-    f = lambda h: None if h < 0.3 else h - 0.5  # noqa: E731
-    assert _bisect(f, 0.0, 1.0, -0.5, 0.5, 1e-6) == (0.0, 0.5, -0.5, 0.0)
-
-
 def test_count_zeros_requires_reasonable_grid():
     with pytest.raises(ValueError):
         el.count_zeros(lambda h: h, (0.1, 0.2), grid_n=8)
