@@ -239,19 +239,7 @@ def _run_pf_check(s: Scenario, threads: int) -> None:
 def _run_series_fit(s: Scenario, threads: int) -> None:
     hs = _h_grid(s.args)
     consts = fit_quadrature(hs, s.args["degree"])
-    _write_json(
-        s.output_dir / "fit_report.json",
-        {
-            "a1": consts.a1,
-            "a2": consts.a2,
-            "b2": consts.b2,
-            "kappa": consts.kappa,
-            "residual": consts.residual,
-            "window": list(consts.window),
-            "n_samples": len(hs),
-            "seed": s.seed,
-        },
-    )
+    _write_json(s.output_dir / "fit_report.json", {**asdict(consts), "n_samples": len(hs), "seed": s.seed})
 
 
 def _run_melnikov_zeros(s: Scenario, threads: int) -> None:
@@ -263,28 +251,11 @@ def _run_melnikov_zeros(s: Scenario, threads: int) -> None:
         lam2=p["lam2"],
         lam3=p["lam3"],
     )
-    interval = p["interval"]
-    grid_n = p["grid_n"]
     backend = p["backend"]
-    f = lambda h: mk(h, spec, backend=backend)  # noqa: E731
-    zc = count_zeros(f, interval, grid_n=grid_n)
-    doc = zc.to_json_dict()
-    doc.update(
-        {
-            "seed": s.seed,
-            "spec": {
-                "k": spec.k,
-                "lam1k": spec.lam1k,
-                "lam4k": spec.lam4k,
-                "lam2": list(spec.lam2),
-                "lam3": list(spec.lam3),
-            },
-            "backend": backend,
-        }
-    )
+    zc = count_zeros(lambda h: mk(h, spec, backend=backend), p["interval"], grid_n=p["grid_n"])
+    doc = {**zc.to_json_dict(), "seed": s.seed, "spec": asdict(spec), "backend": backend}
     _write_json(s.output_dir / "zero_count.json", doc)
-    hs = np.geomspace(interval[0], interval[1], grid_n)
-    _write_rows(s.output_dir / "plot_melnikov.txt", [(h, f(h)) for h in hs])
+    _write_rows(s.output_dir / "plot_melnikov.txt", zc.samples)
 
 
 def _run_simulate(s: Scenario, threads: int) -> None:
@@ -295,6 +266,8 @@ def _run_simulate(s: Scenario, threads: int) -> None:
         p0 = (p["x0"], p["y0"])
     if len(p["lam"]) != 4:
         raise ConfigError("lam must have four entries")
+    if p["t_end"] < 0.0:  # a grid of one point or none holds no negative time for integrate to reject
+        raise ConfigError(f"output times must be non-negative and non-decreasing, got t_end={p['t_end']:g}")
     ts = np.linspace(0.0, p["t_end"], p["n_points"])
     states = integrate(p0, p["lam"], ts, IntegratorConfig())
     rows = [(t, x, y, energy((x, y))) for t, (x, y) in zip(ts.tolist(), states.tolist())]

@@ -261,7 +261,8 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     ts must be non-decreasing and start at or after t = 0: the flow is
     stepped forward only, and a step ends exactly at each output time.
     Negative, decreasing or NaN times and a last time beyond cfg.max_time
-    are out-of-range arguments and raise ValueError up front; StepFailure
+    are out-of-range arguments and raise ValueError up front; EscapedRegion
+    if a step ends outside the working box, as in return_map; StepFailure
     if the step size collapses.
     """
     cfg = cfg or IntegratorConfig()
@@ -279,9 +280,15 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     for i, t_out in enumerate(ts.tolist()):  # Python floats keep the step arithmetic off numpy scalars
         while t < t_out:
             t, x, y, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, t_out, cfg)
+            if max(abs(x), abs(y)) >= ESCAPE_BOUND:
+                raise _escaped(t)
             fx, fy = vector_field(t, (x, y), lam)
         states[i] = x, y
     return states
+
+
+def _escaped(t: float) -> EscapedRegion:
+    return EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
 
 
 def _in_y(y, state, lam):
@@ -355,7 +362,7 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
                 )
         t, x, y, h_abs = t_new, x_new, y_new, h_next
         if max(abs(x), abs(y)) >= ESCAPE_BOUND:
-            raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
+            raise _escaped(t)
         fx, fy = vector_field(t, (x, y), lam)
     raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
 
@@ -442,17 +449,17 @@ def melnikov_convergence(
     arc; for arcs with none (center variety) k = 1 is used and the ratio
     column is NaN — the scaled-displacement column is the story there.
     The quadrature backend is used for M_k so probes beyond the series
-    trust region are fine.
+    trust region are fine; it is evaluated once per probe energy.
     """
     cfg = cfg or IntegratorConfig()
     k = arc.leading_order() or 1
     spec = arc.melnikov_spec(k)
+    m_probe = [KAPPA * mk(h, spec, backend="quadrature") for h in h_probe]
     rows = []
     for eps in eps_seq:
         lam = arc.params_at(eps)
-        for h in h_probe:
+        for h, m in zip(h_probe, m_probe):
             d = displacement(h, lam, cfg)
-            m = KAPPA * mk(h, spec, backend="quadrature")
             scaled = d / eps**k
             ratio = scaled / m if abs(m) > 1e-12 else float("nan")
             rows.append(ConvergenceRow(eps=eps, h=h, scaled_displacement=scaled, m_k=m, ratio=ratio))

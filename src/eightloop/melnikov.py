@@ -87,12 +87,15 @@ class ZeroCount:
     zeros are (h_star, bracket_width) pairs from bisection-refined sign
     changes; suspects are interior near-zero minima of |f| without a sign
     change (candidate even-order zeros sign counting cannot certify).
+    samples are the grid's (h, f(h)) pairs as Python floats, the values
+    the count was read from; to_json_dict leaves them out.
     """
 
     interval: tuple
     zeros: tuple
     count: int
     suspects: tuple = ()
+    samples: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,4 +217,5 @@ def count_zeros(
         zeros=tuple(zeros),
         count=len(zeros),
         suspects=tuple(suspects),
+        samples=tuple(zip(hs.tolist(), vals.tolist())),
     )

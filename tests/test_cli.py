@@ -169,6 +169,24 @@ def test_melnikov_zeros_positive_combination(tmp_path):
     assert len((tmp_path / "plot_melnikov.txt").read_text().splitlines()) == 48
 
 
+def test_quadrature_melnikov_zeros_evaluates_each_sample_once(quadpack_calls, tmp_path):
+    # M_1 = I0 > 0 has no zeros, so the count evaluates M_1 at its 160 grid points and nowhere else
+    s = _scenario("melnikov-zeros", {"k": 1, "lam1k": 1.0}, out=tmp_path)
+    assert cli.run(s) == 0
+    assert json.loads((tmp_path / "zero_count.json").read_text())["count"] == 0
+    assert len(quadpack_calls) == 2 * 160  # I0 and I2 per sample
+
+
+def test_plot_melnikov_holds_the_samples_of_the_count(tmp_path):
+    params = {"k": 1, "lam1k": 1.0, "lam4k": -1.3, "interval": [1e-3, 0.2], "grid_n": 64, "backend": "series"}
+    assert cli.run(_scenario("melnikov-zeros", params, out=tmp_path)) == 0
+    lines = (tmp_path / "plot_melnikov.txt").read_text().splitlines()
+    assert [ln.split()[0] for ln in lines] == [f"{h:.17g}" for h in np.linspace(1e-3, 0.2, 64)]
+    zc = cli.count_zeros(lambda h: cli.mk(h, cli.MelnikovSpec(1, 1.0, -1.3), "series"), (1e-3, 0.2), grid_n=64)
+    assert zc.count == json.loads((tmp_path / "zero_count.json").read_text())["count"] == 1
+    assert lines == [f"{h:.17g} {v:.17g}" for h, v in zc.samples]
+
+
 def test_melnikov_zeros_series_beyond_trust_region_is_config_error(tmp_path):
     params = {"k": 1, "lam1k": 1.0, "interval": [0.01, 0.3], "backend": "series", "grid_n": 32}
     s = _scenario("melnikov-zeros", params, out=tmp_path)
@@ -210,6 +228,29 @@ def test_simulate_backward_in_time_is_config_error(tmp_path):
     assert cli.main(["--config", str(config), "--out", str(out)]) == 2
     assert "non-decreasing" in json.loads((out / "manifest.json").read_text())["status"]
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("n_points", [1, 0])
+def test_simulate_backward_in_time_is_config_error_at_any_point_count(n_points, tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps({"command": "simulate", "parameters": {"h0": 1.0, "t_end": -5.0, "n_points": n_points}})
+    )
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert "t_end=-5" in json.loads((out / "manifest.json").read_text())["status"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_simulate_leaving_the_working_box_is_a_numerical_failure(tmp_path):
+    # the orbit from x0 = 1e10 has a period of ~7e-10, so without the box it would take ~3e10 turns
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "simulate", "parameters": {"x0": 1e10}}))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: orbit left |x|,|y| < 10")
+    assert manifest["wall_time_s"] < 30.0
 
 
 def test_series_fit_then_reuse_constants(tmp_path):

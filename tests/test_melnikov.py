@@ -242,6 +242,8 @@ def test_m1_with_vanishing_constant_term_has_at_most_one_zero():
 def test_zero_count_json_shape():
     zc = el.count_zeros(lambda h: h - 0.5, (0.1, 1.0))
     doc = zc.to_json_dict()
+    assert set(doc) == {"interval", "zeros", "count", "suspects"}  # the samples stay out
+    assert len(zc.samples) == 400 and all(type(v) is float for pair in zc.samples for v in pair)
     assert doc["count"] == 1
     assert doc["interval"] == [0.1, 1.0]
     assert isinstance(doc["zeros"][0], list) and len(doc["zeros"][0]) == 2
