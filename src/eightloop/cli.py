@@ -251,6 +251,9 @@ def _run_melnikov_zeros(s: Scenario, threads: int) -> None:
         lam2=p["lam2"],
         lam3=p["lam3"],
     )
+    if spec.lam1k == 0.0 and spec.lam4k == 0.0 and spec.cross_coefficient == 0.0:
+        # I0, I2 and I4' are independent, so M_k vanishes identically exactly when all three do
+        raise ConfigError("M_k is identically zero: lam1k, lam4k and the cross coefficient c_k all vanish")
     backend = p["backend"]
     zc = count_zeros(lambda h: mk(h, spec, backend=backend), p["interval"], grid_n=p["grid_n"])
     doc = {**zc.to_json_dict(), "seed": s.seed, "spec": asdict(spec), "backend": backend}
@@ -276,12 +279,8 @@ def _run_simulate(s: Scenario, threads: int) -> None:
 
 def _run_convergence(s: Scenario, threads: int) -> None:
     p = s.args
-    arc = ArcSpec(
-        coeff_table=dict(p["coeff_table"]),
-        order=p["order"],
-    )
     rows = melnikov_convergence(
-        arc,
+        ArcSpec(coeff_table=dict(p["coeff_table"])),
         list(p["h_probe"]),
         list(p["eps_seq"]),
         IntegratorConfig(),
@@ -407,7 +406,6 @@ COMMANDS = {
         _run_convergence,
         {
             "coeff_table": (_coeff_table, {"lam1": (0.0, 1.0)}),
-            "order": (_integer, 2),
             "h_probe": (_numbers, (0.1, 0.2, 0.4)),
             "eps_seq": (_numbers, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)),
         },

@@ -19,8 +19,8 @@ One ODE integrator serves both integrate and the return map: DOP853 stepped
 on Python floats, with scipy's tableau and step control but without the
 per-step array overhead of scipy's solvers on a two-dimensional state.
 integrate ends a step exactly at each output time, so no interpolant is
-needed.  find_limit_cycles refines its brackets with the bisection that
-count_zeros uses (melnikov._bisect).
+needed.  find_limit_cycles reads its cycles off the grid by the scan that
+count_zeros uses (melnikov._sign_changes).
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
-from .melnikov import MelnikovSpec, _bisect, mk
+from .melnikov import MelnikovSpec, _sign_changes, mk
 from .series import KAPPA
 
 logger = logging.getLogger(__name__)
@@ -47,7 +47,6 @@ logger = logging.getLogger(__name__)
 H_FLOOR = 1e-3
 ESCAPE_BOUND = 10.0
 MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCap
-MAX_LEADING_ORDER = 4  # highest arc order ArcSpec.leading_order inspects
 
 
 class TimeCap(RuntimeError):
@@ -96,12 +95,11 @@ class ArcSpec:
     """Polynomial parameter arc lam(eps) with lam(0) = 0.
 
     coeff_table maps 'lam1'..'lam4' to coefficient tuples (c_0, c_1, ...);
-    missing parameters are identically zero.  order is the truncation
-    order in eps.
+    missing parameters are identically zero.  lam(eps) is the whole
+    polynomial: every coefficient the table holds enters it.
     """
 
     coeff_table: dict
-    order: int = 2
 
     def __post_init__(self):
         for name, seq in self.coeff_table.items():
@@ -118,8 +116,8 @@ class ArcSpec:
         vals = []
         for name in ("lam1", "lam2", "lam3", "lam4"):
             acc = 0.0
-            for k in range(self.order, 0, -1):
-                acc = (acc + self._coeff(name, k)) * eps
+            for c in reversed(self.coeff_table.get(name, ())[1:]):
+                acc = (acc + float(c)) * eps
             vals.append(acc)
         return PerturbationParams(*vals)
 
@@ -134,8 +132,8 @@ class ArcSpec:
         )
 
     def leading_order(self):
-        """Lowest k <= MAX_LEADING_ORDER with a nonzero bifurcation function, or None."""
-        for k in range(1, MAX_LEADING_ORDER + 1):
+        """Lowest k with a nonzero M_k, or None; M_k vanishes for k beyond the table's total length."""
+        for k in range(1, sum(map(len, self.coeff_table.values())) + 1):
             s = self.melnikov_spec(k)
             if s.lam1k != 0.0 or s.lam4k != 0.0 or s.cross_coefficient != 0.0:
                 return k
@@ -387,10 +385,11 @@ def find_limit_cycles(
 ) -> list:
     """Sign-change fixed points of the return map on a geometric h-grid.
 
-    A return map that fails (TimeCap and friends) is logged and skipped: a
-    grid point drops out, and a bracket's bisection stops at the bracket
-    reached.  Each bracket is refined by bisection until its width is below
-    refine_tol and carries the secant-slope stability sign.  epsilon is
+    The grid is read by count_zeros' rule (melnikov._sign_changes): a grid
+    point where the return map fails (TimeCap and friends, logged) or the
+    displacement is exactly 0.0 has no sign and drops out.  Each bracket is
+    bisected to a width below refine_tol, stopping where the return map
+    fails, and carries the secant-slope stability sign.  epsilon is
     carried through to the records for bookkeeping only.
     """
     cfg = cfg or IntegratorConfig()
@@ -405,22 +404,16 @@ def find_limit_cycles(
             logger.info("return map at h=%.6g skipped: %s", h, exc)
             return None
 
-    samples = [(h, d) for h in np.geomspace(h_lo, h_hi, grid_n) if (d := disp(h)) is not None]
-    records = []
-    for (h0, d0), (h1, d1) in zip(samples[:-1], samples[1:]):
-        if d0 == 0.0 or d0 * d1 >= 0.0:
-            continue
-        lo, hi, dlo, dhi = _bisect(disp, h0, h1, d0, d1, refine_tol)
-        slope = (dhi - dlo) / (hi - lo)
-        records.append(
-            LimitCycleRecord(
-                h_star=float(0.5 * (lo + hi)),
-                bracket=(float(lo), float(hi)),
-                stability=int(math.copysign(1.0, slope)),
-                epsilon=epsilon,
-            )
+    samples = [(h, disp(h)) for h in np.geomspace(h_lo, h_hi, grid_n)]
+    return [
+        LimitCycleRecord(
+            h_star=float(0.5 * (lo + hi)),
+            bracket=(float(lo), float(hi)),
+            stability=int(math.copysign(1.0, (dhi - dlo) / (hi - lo))),
+            epsilon=epsilon,
         )
-    return records
+        for lo, hi, dlo, dhi in _sign_changes(disp, samples, refine_tol)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -449,8 +442,12 @@ def melnikov_convergence(
     arc; for arcs with none (center variety) k = 1 is used and the ratio
     column is NaN — the scaled-displacement column is the story there.
     The quadrature backend is used for M_k so probes beyond the series
-    trust region are fine; it is evaluated once per probe energy.
+    trust region are fine; it is evaluated once per probe energy.  eps may
+    be negative (the expansion holds on both sides of the arc's origin);
+    eps = 0 is a ValueError, raised before anything is integrated.
     """
+    if 0.0 in eps_seq:
+        raise ValueError("eps = 0 is the unperturbed system, whose displacement/eps^k is undefined")
     cfg = cfg or IntegratorConfig()
     k = arc.leading_order() or 1
     spec = arc.melnikov_spec(k)
@@ -481,7 +478,6 @@ def arc_sampler_general(rng: np.random.Generator) -> ArcSpec:
             "lam3": (0.0, float(u[2])),
             "lam4": (0.0, float(u[3])),
         },
-        order=2,
     )
 
 
@@ -499,7 +495,6 @@ def arc_sampler_no_first_order(rng: np.random.Generator) -> ArcSpec:
             "lam3": (0.0, float(u[2])),
             "lam4": (0.0, 0.0, float(u[3])),
         },
-        order=2,
     )
 
 
@@ -542,8 +537,7 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 def _sweep_one(args) -> SweepSample:
     sampler, seed, index, eps, h_window, grid_n, cfg, refine_tol = args
     arc = sampler(_sample_rng(seed, index))
-    spec1 = arc.melnikov_spec(1)
-    bound = 2 if (spec1.lam1k != 0.0 or spec1.lam4k != 0.0) else 5
+    bound = 2 if arc.leading_order() == 1 else 5
     try:
         records = find_limit_cycles(
             arc.params_at(eps), h_window, grid_n=grid_n, cfg=cfg, refine_tol=refine_tol, epsilon=eps

@@ -160,6 +160,18 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     return lo, hi, flo, fhi
 
 
+def _sign_changes(f, samples, tol: float) -> list:
+    """Brackets (lo, hi, flo, fhi) of the sign changes of f among its (h, f(h)) samples.
+
+    A sample whose value is None (f undefined there) or 0.0 carries no
+    sign and drops out; each sign change between consecutive remaining
+    samples is one bracket, halved by _bisect to width tol.
+    """
+    signed = [(h, v) for h, v in samples if v is not None and v != 0.0]
+    pairs = zip(signed[:-1], signed[1:])
+    return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 * v1 < 0.0]
+
+
 def count_zeros(
     f,
     interval,
@@ -170,10 +182,12 @@ def count_zeros(
 
     A grid of grid_n points locates sign changes, each refined by plain
     bisection until the bracket is narrower than refine_tol; zeros are
-    (h_star, width) pairs.  Interior local minima of |f| whose
-    parabola-extrapolated minimum is below SUSPECT_REL * max|f| without a
-    sign change are reported as suspects (possible even-order zeros that
-    sign counting cannot see); they are not included in count.
+    (h_star, width) pairs.  A sample of exactly 0.0 carries no sign, as in
+    find_limit_cycles (both read the grid by _sign_changes), so f = 0 has
+    no zeros.  Interior local minima of |f| whose parabola-extrapolated
+    minimum is below SUSPECT_REL * max|f|, with no sign change among their
+    three samples, are reported as suspects (possible even-order zeros
+    that sign counting cannot see); they are not included in count.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
@@ -182,28 +196,18 @@ def count_zeros(
         raise ValueError("grid_n must be at least 32")
     hs = np.linspace(a, b, grid_n)
     vals = np.array([f(h) for h in hs], dtype=float)
+    samples = tuple(zip(hs.tolist(), vals.tolist()))
     scale = float(np.max(np.abs(vals)))
-    zeros = []
-    for i in range(grid_n - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            if not zeros or abs(hs[i] - zeros[-1][0]) > refine_tol:
-                zeros.append((float(hs[i]), 0.0))
-            continue
-        if v0 * v1 < 0.0:
-            lo, hi, _, _ = _bisect(f, float(hs[i]), float(hs[i + 1]), float(v0), float(v1), refine_tol)
-            zeros.append((0.5 * (lo + hi), hi - lo))
-    if vals[-1] == 0.0:
-        zeros.append((float(hs[-1]), 0.0))
+    zeros = tuple((0.5 * (lo + hi), hi - lo) for lo, hi, _, _ in _sign_changes(f, samples, refine_tol))
     suspects = []
     for i in range(1, grid_n - 1):
         v = abs(vals[i])
         if v < abs(vals[i - 1]) and v <= abs(vals[i + 1]):
-            if vals[i - 1] * vals[i] < 0.0 or vals[i] * vals[i + 1] < 0.0:
-                continue  # ordinary sign change, already counted
+            y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
+            if min(y0, y1, y2) < 0.0 < max(y0, y1, y2):
+                continue  # a sign change, counted as a zero
             # parabola through the three |f| samples; its minimum estimates
             # how close f comes to zero between grid points
-            y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
             denom = y0 - 2.0 * y1 + y2
             if denom != 0.0:
                 delta = 0.5 * (y0 - y2) / denom
@@ -214,8 +218,8 @@ def count_zeros(
                 suspects.append(float(hs[i]))
     return ZeroCount(
         interval=(a, b),
-        zeros=tuple(zeros),
+        zeros=zeros,
         count=len(zeros),
         suspects=tuple(suspects),
-        samples=tuple(zip(hs.tolist(), vals.tolist())),
+        samples=samples,
     )

@@ -279,6 +279,38 @@ def test_convergence_outputs(tmp_path):
     assert len((tmp_path / "plot_displacement.txt").read_text().splitlines()) == 1
 
 
+def test_convergence_of_a_third_order_arc(tmp_path):
+    # M_1 = M_2 = 0 and M_3 = I0 - 1.25 I2: the displacement is the eps^3 terms, which the arc must keep
+    params = {
+        "coeff_table": {"lam1": [0.0, 0.0, 0.0, 1.0], "lam4": [0.0, 0.0, 0.0, -1.25]},
+        "h_probe": [0.2],
+        "eps_seq": [0.1, 0.05],
+    }
+    assert cli.run(_scenario("convergence", params, out=tmp_path)) == 0
+    _, rows = _read_csv(tmp_path / "convergence.csv")
+    assert len(rows) == 2 and all(abs(r[4] - 1.0) < 1e-2 for r in rows)
+
+
+def _main_on(doc, tmp_path):
+    """cli.main on the scenario doc: the exit status and the manifest's status."""
+    config, out = tmp_path / "scenario.json", tmp_path / "run"
+    config.write_text(json.dumps(doc))
+    status = cli.main(["--config", str(config), "--out", str(out)])
+    return status, json.loads((out / "manifest.json").read_text())["status"]
+
+
+def test_convergence_at_eps_zero_is_config_error(tmp_path):
+    status, manifest = _main_on({"command": "convergence", "parameters": {"eps_seq": [0.0]}}, tmp_path)
+    assert status == 2 and manifest.startswith("error: eps = 0")
+    assert not (tmp_path / "run" / "convergence.csv").exists()
+
+
+def test_melnikov_zeros_of_an_identically_zero_function_is_config_error(tmp_path):
+    status, manifest = _main_on({"command": "melnikov-zeros"}, tmp_path)
+    assert status == 2 and manifest.startswith("error: M_k is identically zero")
+    assert not (tmp_path / "run" / "zero_count.json").exists()
+
+
 def test_cyclicity_sweep_outputs(tmp_path):
     params = {
         "family": "general",

@@ -381,6 +381,15 @@ def test_failed_return_maps_are_logged_and_skipped(monkeypatch, caplog):
     assert len(skipped) == 2 and "h=0.4 " in skipped[0] and "h=0.1375 " in skipped[1]
 
 
+def test_a_displacement_of_exactly_zero_at_a_grid_point_is_bracketed(monkeypatch):
+    """The grid point carries no sign, as in count_zeros: its neighbours bracket the cycle on it."""
+    grid = np.geomspace(0.1, 0.4, 3)
+    monkeypatch.setattr(dynamics, "displacement", lambda h, lam, cfg=None: h - grid[1])
+    recs = el.find_limit_cycles(LAM0, (0.1, 0.4), grid_n=3, refine_tol=1e-6)
+    assert len(recs) == 1
+    assert abs(recs[0].h_star - grid[1]) < 1e-6 and recs[0].stability == 1
+
+
 # ---------------------------------------------------------------------------
 # Arcs and convergence
 # ---------------------------------------------------------------------------
@@ -404,6 +413,14 @@ def test_arc_leading_order_skips_degenerate_orders():
     arc = el.ArcSpec({"lam1": (0.0, 0.0, 1.0), "lam2": (0.0, 0.3), "lam3": (0.0, 0.4)})
     assert arc.leading_order() == 2
     npt.assert_allclose(arc.melnikov_spec(2).cross_coefficient, 0.3 * 0.4 / 3.0)
+
+
+def test_arc_uses_every_coefficient_it_holds():
+    arc = el.ArcSpec({"lam1": (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)})
+    assert arc.leading_order() == 5
+    assert arc.params_at(0.5) == (0.5**5, 0.0, 0.0, 0.0)
+    # a cross term reaches orders beyond every coefficient tuple
+    assert el.ArcSpec({"lam2": (0.0, 0.0, 1.0), "lam3": (0.0, 0.0, 1.0)}).leading_order() == 4
 
 
 def test_convergence_table_tracks_the_first_order_function(integ_cfg):

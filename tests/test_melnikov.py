@@ -180,6 +180,28 @@ def test_count_zeros_linear_function():
     assert zc.suspects == ()
 
 
+_ON_GRID = 0.37  # a point of np.linspace(0, 1, 101)
+
+
+@pytest.mark.parametrize(
+    "f,count,n_suspects",
+    [
+        (lambda h: h - _ON_GRID, 1, 0),
+        (lambda h: (h - _ON_GRID) ** 2, 0, 1),
+        (lambda h: -((h - _ON_GRID) ** 2), 0, 1),
+        (lambda h: 0.0, 0, 0),
+    ],
+    ids=["simple", "double", "negative-double", "identically-zero"],
+)
+def test_count_zeros_gives_a_sample_of_zero_no_sign(f, count, n_suspects):
+    """A zero that lands on the grid counts as one off it would: a sample of exactly 0.0 has no sign."""
+    assert np.linspace(0.0, 1.0, 101)[37] == _ON_GRID and f(_ON_GRID) == 0.0
+    zc = el.count_zeros(f, (0.0, 1.0), grid_n=101)
+    assert (zc.count, len(zc.suspects)) == (count, n_suspects)
+    assert all(abs(h - _ON_GRID) < 1e-9 for h, _ in zc.zeros)
+    assert all(s == _ON_GRID for s in zc.suspects)
+
+
 def test_bisect_keeps_a_zero_hit_at_the_midpoint():
     assert _bisect(lambda h: h - 0.5, 0.0, 1.0, -0.5, 0.5, 0.1) == (0.4375, 0.5, -0.0625, 0.0)
 
