@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -518,7 +519,11 @@ class SweepResult:
     h_window: tuple
     seed: int
     samples: tuple
-    histogram: dict = field(default_factory=dict)
+
+    @property
+    def histogram(self) -> dict:
+        """Number of unfailed samples per limit-cycle count."""
+        return dict(Counter(s.count for s in self.samples if not s.failed))
 
     @property
     def max_count(self) -> int:
@@ -575,8 +580,4 @@ def cyclicity_sweep(
             samples = list(pool.map(_sweep_one, jobs, chunksize=max(1, n_samples // (4 * threads))))
     else:
         samples = [_sweep_one(j) for j in jobs]
-    hist: dict = {}
-    for s in samples:
-        if not s.failed:
-            hist[s.count] = hist.get(s.count, 0) + 1
-    return SweepResult(eps=eps, h_window=tuple(h_window), seed=seed, samples=tuple(samples), histogram=hist)
+    return SweepResult(eps=eps, h_window=tuple(h_window), seed=seed, samples=tuple(samples))

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.integrate import quad
 
 from .geometry import x_plus
@@ -95,17 +94,23 @@ class IntegralTriple:
     err: dict = field(default_factory=dict)
 
 
-def _theta_quad(f, h: float, cfg: QuadratureConfig, label: str):
-    """Adaptive quadrature of a smooth integrand over [-pi/2, pi/2].
+def _oval_quad(integrand, h: float, i: int, cfg: QuadratureConfig | None, label: str):
+    """(value, err) of the adaptive quadrature of integrand(theta, a, s, i) over [-pi/2, pi/2].
 
-    Returns (value, err); raises ToleranceNotMet when the subdivision cap is
-    hit before the requested tolerance (the exception still carries the best
-    value and its honest error bound).
+    a = x_plus(h) (which rejects a non-finite or non-positive h) and
+    s = sqrt(1+4h) - 1 place the oval; cfg None means the default
+    QuadratureConfig.  One QUADPACK call; raises ToleranceNotMet when the
+    subdivision cap is hit before the requested tolerance (the exception
+    still carries the best value and its honest error bound).
     """
+    a = x_plus(h)
+    s = math.sqrt(1.0 + 4.0 * h) - 1.0
+    cfg = cfg or QuadratureConfig()
     out = quad(
-        f,
+        integrand,
         -_HALF_PI,
         _HALF_PI,
+        args=(a, s, i),
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
         limit=cfg.max_subdivisions,
@@ -120,11 +125,23 @@ def _theta_quad(f, h: float, cfg: QuadratureConfig, label: str):
     return value, err
 
 
-def _oval(h: float):
-    """(x_plus, s, sqrt(1+4h)) of the exterior oval at h; x_plus rejects a non-finite or non-positive h."""
-    a = x_plus(h)
-    r = math.sqrt(1.0 + 4.0 * h)
-    return a, r - 1.0, r
+# The integrands take one Python float theta at a time, so they use math.
+
+
+def _xiy(th, a, s, i):
+    x = a * math.sin(th)
+    return a * a * math.cos(th) ** 2 * x**i * math.sqrt((x * x + s) / 2.0)
+
+
+def _xi_over_y(th, a, s, i):
+    x = a * math.sin(th)
+    return x**i * math.sqrt(2.0 / (x * x + s))
+
+
+def _i0pp(th, a, s, _i):
+    sin_th = math.sin(th)
+    x = a * sin_th
+    return (1.0 + sin_th * sin_th) / (x * x + s) ** 1.5
 
 
 def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
@@ -135,14 +152,7 @@ def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 1, 2):
         raise ValueError(f"i must be one of 0, 1, 2 (got {i})")
-    a, s, _ = _oval(h)
-    cfg = cfg or QuadratureConfig()
-
-    def f(th):
-        x = a * np.sin(th)
-        return a * a * np.cos(th) ** 2 * x**i * np.sqrt((x * x + s) / 2.0)
-
-    v, e = _theta_quad(f, h, cfg, f"I_{i}")
+    v, e = _oval_quad(_xiy, h, i, cfg, f"I_{i}")
     return 2.0 * v, 2.0 * e
 
 
@@ -153,26 +163,8 @@ def integral_xi_over_y(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 2, 4):
         raise ValueError(f"i must be one of 0, 2, 4 (got {i})")
-    a, s, _ = _oval(h)
-    cfg = cfg or QuadratureConfig()
-
-    def f(th):
-        x = a * np.sin(th)
-        return x**i * np.sqrt(2.0 / (x * x + s))
-
-    v, e = _theta_quad(f, h, cfg, f"I'_{i}")
+    v, e = _oval_quad(_xi_over_y, h, i, cfg, f"I'_{i}")
     return 2.0 * v, 2.0 * e
-
-
-def moment(name: str, h: float, cfg: QuadratureConfig | None):
-    """Full-contour moment of M_k by name, as (value, err): 'I0', 'I2' or 'I4p' (= I'_4).
-
-    The one place the moment names of the series and Melnikov layers map to
-    a quadrature; cfg None means the default QuadratureConfig.
-    """
-    if name == "I4p":
-        return integral_xi_over_y(h, 4, cfg)
-    return integral_xiy(h, {"I0": 0, "I2": 2}[name], cfg)
 
 
 def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
@@ -181,45 +173,41 @@ def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     Returns (value, err).  Diverges like -2*kappa/h as h -> 0+ (consistent
     with 4h(4h+1) I''_0 = -3 I_0), so expect large magnitudes at small h.
     """
-    a, s, r = _oval(h)
-    cfg = cfg or QuadratureConfig()
-
-    def f(th):
-        sin_th = np.sin(th)
-        x = a * sin_th
-        return (1.0 + sin_th * sin_th) / (x * x + s) ** 1.5
-
-    v, e = _theta_quad(f, h, cfg, "I''_0")
-    scale = 2.0 * math.sqrt(2.0) / r
+    v, e = _oval_quad(_i0pp, h, 0, cfg, "I''_0")
+    scale = 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + 4.0 * h)
     return -scale * v, scale * e
+
+
+#: The seven IntegralTriple moments by name, each one call of its quadrature
+#: with its index.  The quadratures are looked up by name at call time, so a
+#: wrapper put in their place (perfbench/tracing.py) sees every call.
+_MOMENTS = {
+    "I0": lambda h, cfg: integral_xiy(h, 0, cfg),
+    "I1": lambda h, cfg: integral_xiy(h, 1, cfg),
+    "I2": lambda h, cfg: integral_xiy(h, 2, cfg),
+    "I0p": lambda h, cfg: integral_xi_over_y(h, 0, cfg),
+    "I2p": lambda h, cfg: integral_xi_over_y(h, 2, cfg),
+    "I4p": lambda h, cfg: integral_xi_over_y(h, 4, cfg),
+    "I0pp": lambda h, cfg: integral_I0pp(h, cfg),
+}
+
+
+def moment(name: str, h: float, cfg: QuadratureConfig | None):
+    """Full-contour moment by its IntegralTriple field name, as (value, err).
+
+    name is one of 'I0', 'I1', 'I2', 'I0p', 'I2p', 'I4p' and 'I0pp'.  The
+    one place the moment names map to a quadrature; cfg None means the
+    default QuadratureConfig.
+    """
+    return _MOMENTS[name](h, cfg)
 
 
 def integral_triple(h: float, cfg: QuadratureConfig | None = None) -> IntegralTriple:
     """All moments at h with a shared config and consistent orientation."""
     cfg = cfg or QuadratureConfig()
-    I0, e0 = integral_xiy(h, 0, cfg)
-    I1, e1 = integral_xiy(h, 1, cfg)
-    I2, e2 = integral_xiy(h, 2, cfg)
-    I0p, e0p = integral_xi_over_y(h, 0, cfg)
-    I2p, e2p = integral_xi_over_y(h, 2, cfg)
-    I4p, e4p = integral_xi_over_y(h, 4, cfg)
-    I0pp, e0pp = integral_I0pp(h, cfg)
+    results = {name: quadrature(h, cfg) for name, quadrature in _MOMENTS.items()}
     return IntegralTriple(
         h=h,
-        I0=I0,
-        I1=I1,
-        I2=I2,
-        I0p=I0p,
-        I2p=I2p,
-        I4p=I4p,
-        I0pp=I0pp,
-        err={
-            "I0": e0,
-            "I1": e1,
-            "I2": e2,
-            "I0p": e0p,
-            "I2p": e2p,
-            "I4p": e4p,
-            "I0pp": e0pp,
-        },
+        **{name: value for name, (value, _) in results.items()},
+        err={name: err for name, (_, err) in results.items()},
     )

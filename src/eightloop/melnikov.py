@@ -93,9 +93,12 @@ class ZeroCount:
 
     interval: tuple
     zeros: tuple
-    count: int
     suspects: tuple = ()
     samples: tuple = ()
+
+    @property
+    def count(self) -> int:
+        return len(self.zeros)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,8 +147,10 @@ def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
 def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     """Halve a sign-change bracket [lo, hi] of f, with f(lo) = flo and f(hi) = fhi, to width tol.
 
-    The half with flo * f(mid) <= 0 is kept, so a zero hit at mid stays
-    in the bracket as hi.  Where f returns None (undefined there), halving
+    The half where f(mid) is 0.0 or has the sign opposite to flo's is
+    kept, so a zero hit at mid stays in the bracket as hi.  Signs are
+    compared, not multiplied: a product of two values below ~1e-154
+    underflows to 0.  Where f returns None (undefined there), halving
     stops.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
     """
     while hi - lo > tol:
@@ -153,7 +158,7 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
         fm = f(mid)
         if fm is None:
             break
-        if flo * fm <= 0.0:
+        if fm == 0.0 or flo < 0.0 < fm or fm < 0.0 < flo:
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
@@ -165,11 +170,12 @@ def _sign_changes(f, samples, tol: float) -> list:
 
     A sample whose value is None (f undefined there) or 0.0 carries no
     sign and drops out; each sign change between consecutive remaining
-    samples is one bracket, halved by _bisect to width tol.
+    samples (compared as signs, as in _bisect) is one bracket, halved by
+    _bisect to width tol.
     """
     signed = [(h, v) for h, v in samples if v is not None and v != 0.0]
     pairs = zip(signed[:-1], signed[1:])
-    return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 * v1 < 0.0]
+    return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 < 0.0 < v1 or v1 < 0.0 < v0]
 
 
 def count_zeros(
@@ -219,7 +225,6 @@ def count_zeros(
     return ZeroCount(
         interval=(a, b),
         zeros=zeros,
-        count=len(zeros),
         suspects=tuple(suspects),
         samples=samples,
     )

@@ -92,23 +92,6 @@ class IllConditionedFit(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def _poly_mul_x(c):
-    return [Fraction(0)] + list(c)
-
-
-def _poly_scale(a, c):
-    return [a * x for x in c]
-
-
-def _poly_add(*cs):
-    n = max(len(c) for c in cs)
-    out = [Fraction(0)] * n
-    for c in cs:
-        for k, x in enumerate(c):
-            out[k] += x
-    return out
-
-
 def log_coefficients(which: str, order: int = 10) -> list[Fraction]:
     """Exact log-part coefficients [f_0 ... f_order] from the recurrences.
 
@@ -121,24 +104,19 @@ def log_coefficients(which: str, order: int = 10) -> list[Fraction]:
         f.append(Fraction(-(4 * n - 5) * (4 * n - 7), 4 * n * (n - 1)) * f[-1])
     if which == "I0":
         return f[: order + 1]
-    # I2 log part: P2 = (4/5) f + (12/5) h f - (4/5) h (4h+1) f'
-    fp = [n * f[n] for n in range(1, len(f))]  # derivative coefficients
-    p2 = _poly_add(
-        _poly_scale(Fraction(4, 5), f),
-        _poly_scale(Fraction(12, 5), _poly_mul_x(f)),
-        _poly_scale(Fraction(-16, 5), _poly_mul_x(_poly_mul_x(fp))),
-        _poly_scale(Fraction(-4, 5), _poly_mul_x(fp)),
-    )
+    f_prev = [Fraction(0)] + f  # f_prev[n] = f_{n-1}, with f_{-1} = 0
+    # I2 log part: P2 = (4/5) f + (12/5) h f - (4/5) h (4h+1) f', so
+    # P2_n = (4/5) [(1 - n) f_n + (7 - 4n) f_{n-1}]
+    p2 = [Fraction(4, 5) * ((1 - n) * f[n] + (7 - 4 * n) * f_prev[n]) for n in range(order + 1)]
     if which == "I2":
-        return p2[: order + 1]
+        return p2
     if which != "I4p":
         raise ValueError(f"unknown series {which!r}")
-    # I4' log part: (4h+1) P4 = 4h f + 5 P2, solved coefficientwise
-    num = _poly_add(_poly_scale(Fraction(4), _poly_mul_x(f)), _poly_scale(Fraction(5), p2))
-    p4 = [Fraction(0)] * len(num)
-    for n in range(len(num)):
-        p4[n] = num[n] - (Fraction(4) * p4[n - 1] if n >= 1 else Fraction(0))
-    return p4[: order + 1]
+    # I4' log part: (4h+1) P4 = 4h f + 5 P2, so P4_n = 5 P2_n + 4 f_{n-1} - 4 P4_{n-1}
+    p4 = [Fraction(0)]  # P4_{-1}
+    for n in range(order + 1):
+        p4.append(5 * p2[n] + 4 * f_prev[n] - 4 * p4[-1])
+    return p4[1:]
 
 
 #: Classical tabulated expansion coefficients, kept verbatim for comparison

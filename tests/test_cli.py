@@ -311,6 +311,15 @@ def test_melnikov_zeros_of_an_identically_zero_function_is_config_error(tmp_path
     assert not (tmp_path / "run" / "zero_count.json").exists()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-170])
+def test_melnikov_zeros_of_a_tiny_M_k_are_those_of_its_unit_scale(scale, tmp_path):
+    params = {"k": 1, "lam1k": scale, "lam4k": -1.3 * scale, "interval": [1e-3, 0.2], "backend": "series"}
+    status, manifest = _main_on({"command": "melnikov-zeros", "parameters": params}, tmp_path)
+    assert status == 0 and manifest == "ok"
+    doc = json.loads((tmp_path / "run" / "zero_count.json").read_text())
+    assert doc["count"] == 1 and doc["zeros"][0][0] == 0.022121527600025982
+
+
 def test_cyclicity_sweep_outputs(tmp_path):
     params = {
         "family": "general",

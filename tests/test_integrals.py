@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
-from eightloop.integrals import integral_I0pp
+from eightloop.integrals import integral_I0pp, moment
 
 
 def _midpoint_xiy(h, i, n=400_000):
@@ -79,6 +79,20 @@ def test_triple_is_consistent_with_elementwise_calls(quad_cfg):
     npt.assert_allclose(t.I4p, el.integral_xi_over_y(h, 4, quad_cfg)[0], rtol=1e-14)
     assert set(t.err) == {"I0", "I1", "I2", "I0p", "I2p", "I4p", "I0pp"}
     assert all(e >= 0 for e in t.err.values())
+
+
+_TRIPLE_NAMES = ("I0", "I1", "I2", "I0p", "I2p", "I4p", "I0pp")
+
+
+@pytest.mark.parametrize("name", _TRIPLE_NAMES)
+def test_moment_is_the_triple_entry_of_its_name(name, quad_cfg, quadpack_calls):
+    h = 0.2
+    t = el.integral_triple(h, quad_cfg)
+    assert len(quadpack_calls) == 7
+    value, err = moment(name, h, quad_cfg)
+    assert len(quadpack_calls) == 8
+    assert (value, err) == (getattr(t, name), t.err[name])
+    assert tuple(t.err) == _TRIPLE_NAMES
 
 
 def test_invalid_exponent_rejected(quad_cfg):

@@ -202,6 +202,21 @@ def test_count_zeros_gives_a_sample_of_zero_no_sign(f, count, n_suspects):
     assert all(s == _ON_GRID for s in zc.suspects)
 
 
+@pytest.mark.parametrize(
+    "scale,atol",
+    [(1.0, 1e-9), (1e-150, 1e-9), (1e-170, 1e-9), (1e-320, 1e-3)],
+    ids=["unit", "1e-150", "1e-170", "subnormal-1e-320"],
+)
+def test_count_zeros_finds_the_zero_of_a_tiny_function(scale, atol):
+    """Signs are compared, not multiplied: at 1e-170 a product of two samples underflows to 0.
+
+    At 1e-320 the values are subnormal and resolve h only to ~1e-3.
+    """
+    zc = el.count_zeros(lambda h: scale * (h - 0.3), (0.0, 1.0), grid_n=101)
+    assert zc.count == 1 and zc.suspects == ()
+    assert abs(zc.zeros[0][0] - 0.3) < atol
+
+
 def test_bisect_keeps_a_zero_hit_at_the_midpoint():
     assert _bisect(lambda h: h - 0.5, 0.0, 1.0, -0.5, 0.5, 0.1) == (0.4375, 0.5, -0.0625, 0.0)
 
