@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import sys
 import time
@@ -482,12 +483,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out", default=None, help="override the scenario output directory")
     parser.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+    parser.add_argument("--log-level", default="warning", choices=("debug", "info", "warning", "error"))
     t_start = time.monotonic()
     args = argparse.Namespace()  # filled as parsing goes: a rejection sees the flags read before the error
     try:
         parser.parse_args(argv, args)
     except ConfigError as exc:
         return _reject(args, t_start, str(exc), None)
+    logging.basicConfig(level=args.log_level.upper())
     try:
         raw = Path(args.config).read_bytes()
     except OSError as exc:

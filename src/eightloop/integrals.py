@@ -30,7 +30,8 @@ boundary terms).  Using d(x^2+s)/dh = (1 + sin^2 theta) * 2/sqrt(1+4h):
 again smooth for h > 0.  All integrands develop a sharp (but integrable)
 feature at theta = 0 as h -> 0+, so 'points=[0]' hints the subdivision;
 values are only guaranteed for h >= 1e-4 — below that the series module is
-the intended tool.
+the intended tool.  These quadratures are the tests' oracle; M_k takes I_0,
+I_2 and I'_4 from their closed forms in K and E (_exterior_moments) instead.
 
 Values here are full-contour.  Consumers that want the per-lobe convention
 (in which I_0(0+) = 4/3) divide by the contour constant KAPPA = 2 of the
@@ -43,8 +44,9 @@ import math
 from dataclasses import dataclass, field
 
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipkm1
 
-from .geometry import x_plus
+from .geometry import SQRT2, x_plus
 
 _HALF_PI = 0.5 * math.pi
 
@@ -176,6 +178,27 @@ def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     v, e = _oval_quad(_i0pp, h, 0, cfg, "I''_0")
     scale = 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + 4.0 * h)
     return -scale * v, scale * e
+
+
+def _exterior_moments(h: float):
+    """Full-contour (I0, I2, I'_4) at h in closed form; h is checked by x_plus.
+
+    With r = sqrt(1+4h), s = 4h/(r+1) = r - 1, a^2 = x_plus^2 = 2 + s, c^2 = 2r
+    and m = a^2/c^2, x = a cos(phi) makes each moment a sum of the integrals
+    S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over [0, pi/2]: S_0 = K(m) (by
+    ellipkm1 at 1 - m = s/c^2), S_1 = (K - E)/m, (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}.
+    """
+    x_plus(h)
+    r = math.sqrt(1.0 + 4.0 * h)
+    s = 4.0 * h / (r + 1.0)
+    a2, c2 = 2.0 + s, 2.0 * r
+    m = a2 / c2
+    s0 = float(ellipkm1(s / c2))
+    s1 = (s0 - float(ellipe(m))) / m
+    s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m)
+    s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m)
+    w = 2.0 * SQRT2 * a2 * math.sqrt(c2)
+    return w * (s1 - m * s2), w * a2 * (s1 - (1.0 + m) * s2 + m * s3), 2.0 * w * a2 / c2 * (s0 - 2.0 * s1 + s2)
 
 
 #: The seven IntegralTriple moments by name, each one call of its quadrature

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import moment
+from .integrals import _exterior_moments
 from .series import A1, KAPPA, series_eval
 
 SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
@@ -117,21 +117,18 @@ def m1(h: float, lam1: float, lam4: float, backend: str = "series") -> float:
 def mk(h: float, spec: MelnikovSpec, backend: str = "series") -> float:
     """Order-k bifurcation function for an arbitrary arc order.
 
-    The quadrature backend divides the full-contour moments by KAPPA and
-    computes I4' only when c_k != 0; I0 and I2 are always computed, so h is
-    always checked.  Since I4' > 0, c_k * 0.0 is the same signed zero as
-    c_k * I4' when c_k = 0, so no bit changes.
+    The series backend sums the h -> 0+ expansions.  The quadrature backend
+    takes the exact full-range moments I0, I2 and I4' from their closed forms
+    in K and E (integrals._exterior_moments, which the tests check against
+    QUADPACK) and divides them by KAPPA.
     """
-    if backend not in ("series", "quadrature"):
-        raise ValueError(f"unknown backend {backend!r}")
-    ck = spec.cross_coefficient
     if backend == "series":
         i0, i2, i4p = series_eval(h)
+    elif backend == "quadrature":
+        i0, i2, i4p = (v / KAPPA for v in _exterior_moments(h))
     else:
-        i0 = moment("I0", h, None)[0] / KAPPA
-        i2 = moment("I2", h, None)[0] / KAPPA
-        i4p = moment("I4p", h, None)[0] / KAPPA if ck != 0.0 else 0.0
-    return spec.lam1k * i0 + spec.lam4k * i2 + ck * i4p
+        raise ValueError(f"unknown backend {backend!r}")
+    return spec.lam1k * i0 + spec.lam4k * i2 + spec.cross_coefficient * i4p
 
 
 def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
@@ -150,13 +147,13 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     The half where f(mid) is 0.0 or has the sign opposite to flo's is
     kept, so a zero hit at mid stays in the bracket as hi.  Signs are
     compared, not multiplied: a product of two values below ~1e-154
-    underflows to 0.  Where f returns None (undefined there), halving
-    stops.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
+    underflows to 0.  Where f returns None (undefined there) or NaN,
+    halving stops.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm is None:
+        if fm is None or np.isnan(fm):
             break
         if fm == 0.0 or flo < 0.0 < fm or fm < 0.0 < flo:
             hi, fhi = mid, fm
@@ -168,12 +165,12 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
 def _sign_changes(f, samples, tol: float) -> list:
     """Brackets (lo, hi, flo, fhi) of the sign changes of f among its (h, f(h)) samples.
 
-    A sample whose value is None (f undefined there) or 0.0 carries no
-    sign and drops out; each sign change between consecutive remaining
+    A sample whose value is None (f undefined there), NaN or 0.0 carries
+    no sign and drops out; each sign change between consecutive remaining
     samples (compared as signs, as in _bisect) is one bracket, halved by
     _bisect to width tol.
     """
-    signed = [(h, v) for h, v in samples if v is not None and v != 0.0]
+    signed = [(h, v) for h, v in samples if v is not None and (v < 0.0 or v > 0.0)]
     pairs = zip(signed[:-1], signed[1:])
     return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 < 0.0 < v1 or v1 < 0.0 < v0]
 
@@ -188,12 +185,13 @@ def count_zeros(
 
     A grid of grid_n points locates sign changes, each refined by plain
     bisection until the bracket is narrower than refine_tol; zeros are
-    (h_star, width) pairs.  A sample of exactly 0.0 carries no sign, as in
-    find_limit_cycles (both read the grid by _sign_changes), so f = 0 has
-    no zeros.  Interior local minima of |f| whose parabola-extrapolated
-    minimum is below SUSPECT_REL * max|f|, with no sign change among their
-    three samples, are reported as suspects (possible even-order zeros
-    that sign counting cannot see); they are not included in count.
+    (h_star, width) pairs.  A sample of exactly 0.0 or NaN carries no
+    sign, as in find_limit_cycles (both read the grid by _sign_changes),
+    so f = 0 has no zeros.  Interior local minima of |f| whose parabola-
+    extrapolated minimum is below SUSPECT_REL * max|f| (NaN ignored), with
+    no sign change among their three samples, are reported as suspects
+    (possible even-order zeros that sign counting cannot see); they are
+    not included in count.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
@@ -203,7 +201,7 @@ def count_zeros(
     hs = np.linspace(a, b, grid_n)
     vals = np.array([f(h) for h in hs], dtype=float)
     samples = tuple(zip(hs.tolist(), vals.tolist()))
-    scale = float(np.max(np.abs(vals)))
+    scale = float(np.nanmax(np.abs(vals)))
     zeros = tuple((0.5 * (lo + hi), hi - lo) for lo, hi, _, _ in _sign_changes(f, samples, refine_tol))
     suspects = []
     for i in range(1, grid_n - 1):

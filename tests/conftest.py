@@ -1,7 +1,7 @@
 import pytest
 
 import eightloop as el
-from eightloop import integrals
+from eightloop import integrals, melnikov
 
 
 @pytest.fixture(scope="session")
@@ -31,4 +31,18 @@ def quadpack_calls(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(integrals, "quad", counting)
+    return calls
+
+
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """A list that gains one entry, its h, per call of the closed-form moments behind mk."""
+    calls = []
+    closed_form = melnikov._exterior_moments
+
+    def counting(h):
+        calls.append(h)
+        return closed_form(h)
+
+    monkeypatch.setattr(melnikov, "_exterior_moments", counting)
     return calls

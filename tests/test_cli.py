@@ -169,12 +169,13 @@ def test_melnikov_zeros_positive_combination(tmp_path):
     assert len((tmp_path / "plot_melnikov.txt").read_text().splitlines()) == 48
 
 
-def test_quadrature_melnikov_zeros_evaluates_each_sample_once(quadpack_calls, tmp_path):
+def test_quadrature_melnikov_zeros_evaluates_each_sample_once(quadpack_calls, closed_form_calls, tmp_path):
     # M_1 = I0 > 0 has no zeros, so the count evaluates M_1 at its 160 grid points and nowhere else
     s = _scenario("melnikov-zeros", {"k": 1, "lam1k": 1.0}, out=tmp_path)
     assert cli.run(s) == 0
     assert json.loads((tmp_path / "zero_count.json").read_text())["count"] == 0
-    assert len(quadpack_calls) == 2 * 160  # I0 and I2 per sample
+    assert len(closed_form_calls) == 160  # one closed-form (I0, I2, I4') per sample
+    assert len(quadpack_calls) == 0
 
 
 def test_plot_melnikov_holds_the_samples_of_the_count(tmp_path):
@@ -411,6 +412,30 @@ def test_main_missing_or_invalid_config(tmp_path, monkeypatch):
     assert manifest["status"].startswith("error: config is not valid JSON")
     assert manifest["scenario_sha256"] == hashlib.sha256(b"{not json").hexdigest()
     assert manifest["command"] is None and manifest["seed"] is None
+
+
+@pytest.mark.parametrize("level", ["debug", "info", "warning", "error", None])
+def test_log_level_configures_logging_once(level, tmp_path, monkeypatch):
+    configured = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "pf-check", "parameters": {"h_min": 0.1, "h_max": 0.1, "n": 1}}))
+    flags = [] if level is None else ["--log-level", level]
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "run"), *flags]) == 0
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "ok"
+    assert configured == [{"level": (level or "warning").upper()}]
+
+
+def test_unknown_log_level_exits_2_with_a_manifest(tmp_path, monkeypatch):
+    configured = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "pf-check"}))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--out", str(out), "--log-level", "loud"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: argument --log-level: invalid choice: 'loud'")
+    assert configured == [] and not (out / "pf_residuals.csv").exists()
 
 
 def test_output_dir_must_be_a_string(tmp_path, monkeypatch):

@@ -437,10 +437,13 @@ def test_convergence_table_tracks_the_first_order_function(integ_cfg):
     assert rows[1].ratio < 1.01
 
 
-def test_convergence_table_evaluates_the_bifurcation_function_once_per_energy(quadpack_calls, integ_cfg):
+def test_convergence_table_evaluates_the_bifurcation_function_once_per_energy(
+    quadpack_calls, closed_form_calls, integ_cfg
+):
     rows = el.melnikov_convergence(el.ArcSpec({"lam1": (0.0, 1.0)}), (0.2,), (1e-2, 1e-3), integ_cfg)
     assert len(rows) == 2
-    assert len(quadpack_calls) == 2  # I0 and I2 at h = 0.2, shared by both rows
+    assert closed_form_calls == [0.2]  # the moments at h = 0.2, shared by both rows
+    assert len(quadpack_calls) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
-from eightloop.integrals import integral_I0pp, moment
+from eightloop.integrals import _exterior_moments, integral_I0pp, moment
+from eightloop.series import KAPPA
+
+TIGHT_QUAD = el.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
 
 
 def _midpoint_xiy(h, i, n=400_000):
@@ -93,6 +96,38 @@ def test_moment_is_the_triple_entry_of_its_name(name, quad_cfg, quadpack_calls):
     assert len(quadpack_calls) == 8
     assert (value, err) == (getattr(t, name), t.err[name])
     assert tuple(t.err) == _TRIPLE_NAMES
+
+
+def test_closed_form_moments_match_tight_quadpack():
+    for h in np.geomspace(1e-4, 3.0, 40).tolist():
+        oracle = (
+            el.integral_xiy(h, 0, TIGHT_QUAD)[0],
+            el.integral_xiy(h, 2, TIGHT_QUAD)[0],
+            el.integral_xi_over_y(h, 4, TIGHT_QUAD)[0],
+        )
+        npt.assert_allclose(_exterior_moments(h), oracle, rtol=1e-12, atol=0.0, err_msg=f"h={h}")
+
+
+def test_quadrature_mk_is_the_kappa_divided_quadpack_combination():
+    spec = el.MelnikovSpec(k=2, lam1k=1.0, lam4k=0.5, lam2=(0.0, 1.0), lam3=(0.0, 3.0))
+    assert spec.cross_coefficient == 1.0
+    for h in (1e-3, 0.05, 0.3, 2.0):
+        i0, i2, i4p = (moment(name, h, None)[0] / KAPPA for name in ("I0", "I2", "I4p"))
+        expected = spec.lam1k * i0 + spec.lam4k * i2 + spec.cross_coefficient * i4p
+        assert abs(el.mk(h, spec, backend="quadrature") - expected) <= 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "h,error",
+    [(math.nan, ValueError), (math.inf, ValueError), (0.0, el.NonPositiveEnergy), (-0.1, el.NonPositiveEnergy)],
+    ids=["nan", "inf", "zero", "negative"],
+)
+def test_closed_form_rejects_the_energies_quadpack_rejects(h, error):
+    with pytest.raises(ValueError) as closed:
+        _exterior_moments(h)
+    with pytest.raises(ValueError) as quadpack:
+        el.integral_xiy(h, 0)
+    assert closed.type is quadpack.type is error
 
 
 def test_invalid_exponent_rejected(quad_cfg):

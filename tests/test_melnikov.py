@@ -111,12 +111,12 @@ def test_backend_consistency_on_the_overlap_window():
             assert abs(q - s) / abs(q) < 2e-3
 
 
-def test_quadrature_mk_computes_I4p_only_when_the_cross_term_needs_it(quadpack_calls):
+def test_quadrature_mk_takes_its_moments_from_one_closed_form_call(quadpack_calls, closed_form_calls):
     el.m1(0.1, 1.0, 0.5, backend="quadrature")
-    assert len(quadpack_calls) == 2  # I0, I2
-    quadpack_calls.clear()
-    el.mk(0.1, SPEC_51, backend="quadrature")
-    assert len(quadpack_calls) == 3  # I0, I2, I4'
+    assert closed_form_calls == [0.1]
+    el.mk(0.2, SPEC_51, backend="quadrature")
+    assert closed_form_calls == [0.1, 0.2]
+    assert len(quadpack_calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,14 @@ def test_count_zeros_finds_the_zero_of_a_tiny_function(scale, atol):
     zc = el.count_zeros(lambda h: scale * (h - 0.3), (0.0, 1.0), grid_n=101)
     assert zc.count == 1 and zc.suspects == ()
     assert abs(zc.zeros[0][0] - 0.3) < atol
+
+
+def test_count_zeros_brackets_a_zero_next_to_a_nan_sample():
+    """A NaN sample carries no sign: its neighbours bracket the zero, and halving stops at the NaN."""
+    zc = el.count_zeros(lambda h: math.nan if abs(h - 0.31) < 1e-12 else h - 0.305, (0.0, 1.0), grid_n=101)
+    assert zc.count == 1 and zc.suspects == ()
+    h_star, width = zc.zeros[0]
+    assert h_star - 0.5 * width <= 0.305 <= h_star + 0.5 * width
 
 
 def test_bisect_keeps_a_zero_hit_at_the_midpoint():
