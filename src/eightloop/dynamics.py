@@ -442,10 +442,10 @@ def melnikov_convergence(
     k is the lowest order with a nonzero bifurcation function along the
     arc; for arcs with none (center variety) k = 1 is used and the ratio
     column is NaN — the scaled-displacement column is the story there.
-    The quadrature backend is used for M_k so probes beyond the series
-    trust region are fine; it is evaluated once per probe energy.  eps may
-    be negative (the expansion holds on both sides of the arc's origin);
-    eps = 0 is a ValueError, raised before anything is integrated.
+    M_k takes the quadrature backend (exact closed-form moments, any h > 0),
+    once per probe energy.  eps may be negative (the expansion holds on
+    both sides of the arc's origin); eps = 0 is a ValueError, raised
+    before anything is integrated.
     """
     if 0.0 in eps_seq:
         raise ValueError("eps = 0 is the unperturbed system, whose displacement/eps^k is undefined")
