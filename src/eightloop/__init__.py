@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .geometry import (
     SQRT2,
     NonPositiveEnergy,
-    PerturbationParams,
     energy,
     vector_field,
 )

@@ -252,8 +252,7 @@ def _run_melnikov_zeros(s: Scenario, threads: int) -> None:
         lam2=p["lam2"],
         lam3=p["lam3"],
     )
-    if spec.lam1k == 0.0 and spec.lam4k == 0.0 and spec.cross_coefficient == 0.0:
-        # I0, I2 and I4' are independent, so M_k vanishes identically exactly when all three do
+    if spec.vanishes:
         raise ConfigError("M_k is identically zero: lam1k, lam4k and the cross coefficient c_k all vanish")
     backend = p["backend"]
     zc = count_zeros(lambda h: mk(h, spec, backend=backend), p["interval"], grid_n=p["grid_n"])

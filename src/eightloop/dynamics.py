@@ -29,8 +29,10 @@ across worker processes without coordinating generator state.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import DOP853
 
-from .geometry import SQRT2, PerturbationParams, energy, vector_field, x_plus
+from .geometry import SQRT2, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
 from .series import KAPPA
 
@@ -48,6 +50,7 @@ logger = logging.getLogger(__name__)
 H_FLOOR = 1e-3
 ESCAPE_BOUND = 10.0
 MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCap
+_PARAMS = ("lam1", "lam2", "lam3", "lam4")  # an arc's parameter names, in vector_field's order
 
 
 class TimeCap(RuntimeError):
@@ -104,7 +107,7 @@ class ArcSpec:
 
     def __post_init__(self):
         for name, seq in self.coeff_table.items():
-            if name not in ("lam1", "lam2", "lam3", "lam4"):
+            if name not in _PARAMS:
                 raise ValueError(f"unknown parameter {name!r}")
             if seq and seq[0] != 0.0:
                 raise ValueError("arc must pass through lam = 0 at eps = 0")
@@ -113,14 +116,15 @@ class ArcSpec:
         seq = self.coeff_table.get(name, ())
         return float(seq[k]) if k < len(seq) else 0.0
 
-    def params_at(self, eps: float) -> PerturbationParams:
+    def params_at(self, eps: float) -> tuple:
+        """(lam1, lam2, lam3, lam4) at eps."""
         vals = []
-        for name in ("lam1", "lam2", "lam3", "lam4"):
+        for name in _PARAMS:
             acc = 0.0
             for c in reversed(self.coeff_table.get(name, ())[1:]):
                 acc = (acc + float(c)) * eps
             vals.append(acc)
-        return PerturbationParams(*vals)
+        return tuple(vals)
 
     def melnikov_spec(self, k: int) -> MelnikovSpec:
         pad = lambda name: tuple(self._coeff(name, i) for i in range(k + 1))  # noqa: E731
@@ -135,8 +139,7 @@ class ArcSpec:
     def leading_order(self):
         """Lowest k with a nonzero M_k, or None; M_k vanishes for k beyond the table's total length."""
         for k in range(1, sum(map(len, self.coeff_table.values())) + 1):
-            s = self.melnikov_spec(k)
-            if s.lam1k != 0.0 or s.lam4k != 0.0 or s.cross_coefficient != 0.0:
+            if not self.melnikov_spec(k).vanishes:
                 return k
         return None
 
@@ -469,17 +472,15 @@ def melnikov_convergence(
 # --------------------------------------------------------------------------
 
 
+def _uniform_arc(rng: np.random.Generator, orders) -> ArcSpec:
+    """Arc with each lam_i = u_i eps^orders[i], the four u_i drawn uniform in [-1, 1]."""
+    u = rng.uniform(-1.0, 1.0, size=4)
+    return ArcSpec(coeff_table={name: (0.0,) * k + (float(c),) for name, k, c in zip(_PARAMS, orders, u)})
+
+
 def arc_sampler_general(rng: np.random.Generator) -> ArcSpec:
     """First-order arc with all four coefficients uniform in [-1, 1]."""
-    u = rng.uniform(-1.0, 1.0, size=4)
-    return ArcSpec(
-        coeff_table={
-            "lam1": (0.0, float(u[0])),
-            "lam2": (0.0, float(u[1])),
-            "lam3": (0.0, float(u[2])),
-            "lam4": (0.0, float(u[3])),
-        },
-    )
+    return _uniform_arc(rng, (1, 1, 1, 1))
 
 
 def arc_sampler_no_first_order(rng: np.random.Generator) -> ArcSpec:
@@ -488,15 +489,7 @@ def arc_sampler_no_first_order(rng: np.random.Generator) -> ArcSpec:
     lam2, lam3 stay first-order so the cross term makes M_2 generically
     nonzero alongside the second-order lam1, lam4 contributions.
     """
-    u = rng.uniform(-1.0, 1.0, size=4)
-    return ArcSpec(
-        coeff_table={
-            "lam1": (0.0, 0.0, float(u[0])),
-            "lam2": (0.0, float(u[1])),
-            "lam3": (0.0, float(u[2])),
-            "lam4": (0.0, 0.0, float(u[3])),
-        },
-    )
+    return _uniform_arc(rng, (2, 1, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -539,8 +532,7 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _sweep_one(args) -> SweepSample:
-    sampler, seed, index, eps, h_window, grid_n, cfg, refine_tol = args
+def _sweep_one(sampler, seed, eps, h_window, grid_n, cfg, refine_tol, index) -> SweepSample:
     arc = sampler(_sample_rng(seed, index))
     bound = 2 if arc.leading_order() == 1 else 5
     try:
@@ -568,16 +560,15 @@ def cyclicity_sweep(
 
     Each sample gets its own counter-keyed generator, so results do not
     depend on worker scheduling.  threads > 1 distributes samples over
-    processes (the stepper is pure Python, so threads would serialize).
+    processes (the stepper is pure Python, so threads would serialize),
+    at most one per sample and one per CPU.
     """
     cfg = cfg or IntegratorConfig()
-    jobs = [
-        (arc_family, seed, i, eps, tuple(h_window), grid_n, cfg, refine_tol)
-        for i in range(n_samples)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(_sweep_one, jobs, chunksize=max(1, n_samples // (4 * threads))))
+    one = functools.partial(_sweep_one, arc_family, seed, eps, tuple(h_window), grid_n, cfg, refine_tol)
+    workers = min(threads, n_samples, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            samples = list(pool.map(one, range(n_samples), chunksize=max(1, n_samples // (4 * workers))))
     else:
-        samples = [_sweep_one(j) for j in jobs]
+        samples = list(map(one, range(n_samples)))
     return SweepResult(eps=eps, h_window=tuple(h_window), seed=seed, samples=tuple(samples))

@@ -22,22 +22,12 @@ with no smallness assumption baked in; smallness is the caller's concern.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 SQRT2 = math.sqrt(2.0)
 
 
 class NonPositiveEnergy(ValueError):
     """Raised when an exterior-oval operation is asked for h <= 0."""
-
-
-class PerturbationParams(NamedTuple):
-    """The four perturbation coefficients (lam1*y + lam2*x^2 + lam3*x*y + lam4*x^2*y)."""
-
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    lambda3: float = 0.0
-    lambda4: float = 0.0
 
 
 def energy(p) -> float:
@@ -50,7 +40,7 @@ def energy(p) -> float:
 
 
 def vector_field(t, state, lam):
-    """Right-hand side (x', y') of the perturbed system at state.
+    """Right-hand side (x', y') of the perturbed system at state, with lam = (lam1, lam2, lam3, lam4).
 
     The signature is that of scipy's ODE solvers, fun(t, y, *args), with t
     unused; the DOP853 stepper of the dynamics module calls it this way.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import _exterior_moments
-from .series import A1, KAPPA, series_eval
+from .series import A1, I0_CONST, I2_CONST, I4P_CONST, KAPPA, LINEAR_COEFF, series_eval
 
 SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
 
@@ -69,6 +69,11 @@ class MelnikovSpec:
             if i < len(self.lam2) and j < len(self.lam3):
                 total += self.lam2[i] * self.lam3[j]
         return total / 3.0
+
+    @property
+    def vanishes(self) -> bool:
+        """M_k is identically zero: as I0, I2 and I4' are independent, lam1k, lam4k and c_k all vanish."""
+        return self.lam1k == 0.0 and self.lam4k == 0.0 and self.cross_coefficient == 0.0
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,12 @@ class ZeroCount:
         }
 
 
-def m1(h: float, lam1: float, lam4: float, backend: str = "series") -> float:
+def m1(h: float, lam1: float, lam4: float, backend: str) -> float:
     """First-order bifurcation function lam1 I0(h) + lam4 I2(h)."""
     return mk(h, MelnikovSpec(k=1, lam1k=lam1, lam4k=lam4), backend)
 
 
-def mk(h: float, spec: MelnikovSpec, backend: str = "series") -> float:
+def mk(h: float, spec: MelnikovSpec, backend: str) -> float:
     """Order-k bifurcation function for an arbitrary arc order.
 
     The series backend sums the h -> 0+ expansions.  The quadrature backend
@@ -135,9 +140,9 @@ def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:
     """Exact leading coefficients of M_k at h -> 0+ (c2 through the closed form A1 = 1 + 4 ln 2)."""
     ck = spec.cross_coefficient
     return LeadingCoeffs(
-        c0=(4.0 / 3.0) * spec.lam1k + (16.0 / 15.0) * spec.lam4k + (16.0 / 3.0) * ck,
+        c0=float(I0_CONST) * spec.lam1k + float(I2_CONST) * spec.lam4k + float(I4P_CONST) * ck,
         c1=-spec.lam1k,
-        c2=A1 * spec.lam1k + 4.0 * spec.lam4k + 4.0 * ck,
+        c2=A1 * spec.lam1k + float(LINEAR_COEFF) * spec.lam4k + float(LINEAR_COEFF) * ck,
     )
 
 
@@ -147,11 +152,12 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     The half where f(mid) is 0.0 or has the sign opposite to flo's is
     kept, so a zero hit at mid stays in the bracket as hi.  Signs are
     compared, not multiplied: a product of two values below ~1e-154
-    underflows to 0.  Where f returns None (undefined there) or NaN,
-    halving stops.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
+    underflows to 0.  Halving stops where f returns None (undefined
+    there) or NaN, and once lo and hi are adjacent floats, which a tol
+    below their spacing (0 or negative included) would never end.
+    Returns the bracket reached and its end values, (lo, hi, flo, fhi).
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         fm = f(mid)
         if fm is None or np.isnan(fm):
             break

@@ -92,7 +92,7 @@ class IllConditionedFit(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def log_coefficients(which: str, order: int = 10) -> list[Fraction]:
+def log_coefficients(which: str, order: int) -> list[Fraction]:
     """Exact log-part coefficients [f_0 ... f_order] from the recurrences.
 
     which is one of 'I0', 'I2', 'I4p'.  Index n is the coefficient of
@@ -258,14 +258,14 @@ def measure_kappa(cfg: QuadratureConfig | None = None) -> float:
 # --------------------------------------------------------------------------
 
 
-def fit_series_tail(hs, residual_values, degree: int = 8):
+def fit_series_tail(hs, residual_values, degree: int):
     """Fit a smooth remainder R(h) = h * (c0 + c1 h + ...) on a window.
 
     The remainder is divided by h and fitted in a Chebyshev basis on
     [min(hs), max(hs)] (well-conditioned), then converted to power-series
-    coefficients of h; returns (power_coeffs_of_h, rms_residual, cond) where
-    power_coeffs_of_h[n] multiplies h^{n+1}.  cond is the design-matrix
-    condition number; the normal-system condition is its square.
+    coefficients of h; returns (power_coeffs_of_h, rms_residual) where
+    power_coeffs_of_h[n] multiplies h^{n+1}.  IllConditionedFit if the
+    normal-system condition, the square of the design matrix's, exceeds 1e10.
     """
     hs = np.asarray(hs, dtype=float)
     g = np.asarray(residual_values, dtype=float) / hs
@@ -281,10 +281,10 @@ def fit_series_tail(hs, residual_values, degree: int = 8):
     # convert to power coefficients in h on the original axis
     series = npcheb.Chebyshev(coef, domain=[lo, hi])
     power = series.convert(kind=np.polynomial.Polynomial)
-    return np.asarray(power.coef, dtype=float), rms, cond
+    return np.asarray(power.coef, dtype=float), rms
 
 
-def fit_constants(hs, i0, i2, kappa: float, degree: int = 8) -> FittedConstants:
+def fit_constants(hs, i0, i2, kappa: float, degree: int) -> FittedConstants:
     """Recover (a1, a2, b2) from full-contour I0 and I2 sampled at energies hs.
 
     At least 8 energies must lie inside [0.01, 0.15]; kappa is the contour
@@ -306,8 +306,8 @@ def fit_constants(hs, i0, i2, kappa: float, degree: int = 8) -> FittedConstants:
     ln = np.log(hs)
     g0 = i0 - logs0 * ln - float(I0_CONST)
     g2 = i2 - logs2 * ln - float(I2_CONST) - float(LINEAR_COEFF) * hs
-    c0, rms0, _ = fit_series_tail(hs, g0, degree)
-    c2, rms2, _ = fit_series_tail(hs, g2, degree)
+    c0, rms0 = fit_series_tail(hs, g0, degree)
+    c2, rms2 = fit_series_tail(hs, g2, degree)
     # g2 has no linear term left, so its leading fitted coefficient (of h)
     # should be ~0; b2 is the h^2 entry
     return FittedConstants(

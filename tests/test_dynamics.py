@@ -1,6 +1,7 @@
 """Flow integration, the section return map, and cycle detection."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -501,3 +502,33 @@ def test_sweep_records_numerical_failures_and_propagates_other_errors(monkeypatc
     monkeypatch.setattr(dynamics, "find_limit_cycles", broken)
     with pytest.raises(TypeError):
         el.cyclicity_sweep(el.arc_sampler_general, **kw)
+
+
+@pytest.mark.parametrize(
+    "n_samples, cpus, pools",
+    [(3, 64, [3]), (3, 2, [2]), (3, 1, []), (1, 64, [])],
+)
+def test_sweep_pool_is_capped_at_the_samples_and_the_cpus(monkeypatch, n_samples, cpus, pools):
+    """--threads asks for at most one worker per sample and per CPU, and one worker is no pool."""
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(dynamics, "find_limit_cycles", lambda *args, **kwargs: [])
+    res = el.cyclicity_sweep(el.arc_sampler_general, eps=1e-3, h_window=(0.05, 0.2), n_samples=n_samples,
+                             threads=10**6)
+    assert made == pools
+    assert [s.index for s in res.samples] == list(range(n_samples))

@@ -22,14 +22,14 @@ def test_energy_is_conserved_form_of_vector_field():
     rng = np.random.default_rng(42)
     for _ in range(50):
         x, y = rng.uniform(-2, 2, size=2)
-        fx, fy = el.vector_field(0.0, (x, y), el.PerturbationParams())
+        fx, fy = el.vector_field(0.0, (x, y), (0.0, 0.0, 0.0, 0.0))
         dHx = -x + x**3
         dHy = y
         assert abs(dHx * fx + dHy * fy) < 1e-12
 
 
 def test_vector_field_perturbation_terms():
-    lam = el.PerturbationParams(lambda1=0.1, lambda2=0.2, lambda3=0.3, lambda4=0.4)
+    lam = (0.1, 0.2, 0.3, 0.4)
     x, y = 1.5, -0.7
     fx, fy = el.vector_field(0.0, (x, y), lam)
     assert fx == y
@@ -50,8 +50,3 @@ def test_oval_geometry_rejects_nonpositive_h():
         x_plus(0.0)
     with pytest.raises(el.NonPositiveEnergy):
         x_plus(-0.1)
-
-
-def test_phase_point_and_params_defaults():
-    lam = el.PerturbationParams()
-    assert lam == (0.0, 0.0, 0.0, 0.0)

@@ -60,7 +60,7 @@ def test_m1_basis_directions():
                 else el.integral_xiy(h, 0, None)[0] / KAPPA,
                 rtol=1e-12,
             )
-    assert el.m1(0.1, 0.0, 0.0) == 0.0
+    assert el.m1(0.1, 0.0, 0.0, "series") == 0.0
 
 
 def test_m1_small_h_limit():
@@ -71,20 +71,20 @@ def test_m1_small_h_limit():
 
 def test_mk_zero_spec_and_combination():
     zero = el.MelnikovSpec(k=2, lam1k=0.0, lam4k=0.0)
-    assert el.mk(0.1, zero) == 0.0
+    assert el.mk(0.1, zero, "series") == 0.0
     # general spec equals the stated linear combination of the integrals
     spec = el.MelnikovSpec(k=2, lam1k=0.7, lam4k=-0.4, lam2=(0.0, 1.5), lam3=(0.0, 2.0))
     h = 0.08
     i0, i2, i4p = el.series_eval(h)
     expect = 0.7 * i0 - 0.4 * i2 + spec.cross_coefficient * i4p
-    npt.assert_allclose(el.mk(h, spec), expect, rtol=1e-12)
+    npt.assert_allclose(el.mk(h, spec, "series"), expect, rtol=1e-12)
 
 
 def test_five_minus_one_combination_leading_behavior():
     # 5*I2 - I4' = 16h + 4h^2 ln h + ... near the loop
     for h, rtol in ((0.01, 1e-3), (0.05, 1e-2)):
         model = 16.0 * h + 4.0 * h * h * math.log(h)
-        npt.assert_allclose(el.mk(h, SPEC_51), model, rtol=rtol)
+        npt.assert_allclose(el.mk(h, SPEC_51, "series"), model, rtol=rtol)
 
 
 def test_mk_linearity_in_the_linear_coefficients():
@@ -98,8 +98,8 @@ def test_mk_linearity_in_the_linear_coefficients():
             k=2, lam1k=a1 + b1, lam4k=a4 + b4, lam2=(0.0, cross[0]), lam3=(0.0, cross[1])
         )
         h = float(rng.uniform(0.02, 0.15))
-        lhs = el.mk(h, ssum)
-        rhs = el.mk(h, sa) + el.mk(h, sb)
+        lhs = el.mk(h, ssum, "series")
+        rhs = el.mk(h, sa, "series") + el.mk(h, sb, "series")
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -227,6 +227,16 @@ def test_count_zeros_brackets_a_zero_next_to_a_nan_sample():
 
 def test_bisect_keeps_a_zero_hit_at_the_midpoint():
     assert _bisect(lambda h: h - 0.5, 0.0, 1.0, -0.5, 0.5, 0.1) == (0.4375, 0.5, -0.0625, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-20])
+def test_bisection_below_the_float_spacing_ends_at_adjacent_floats(tol):
+    """A refine_tol no bracket of floats can reach stops the halving at the float spacing."""
+    zc = el.count_zeros(lambda h: h - 0.3, (0.0, 1.0), grid_n=64, refine_tol=tol)
+    assert zc.count == 1
+    h_star, width = zc.zeros[0]
+    assert 0.0 < width <= 2.0 * math.ulp(0.3)
+    assert abs(h_star - 0.3) <= width
 
 
 def test_count_zeros_requires_reasonable_grid():

@@ -197,7 +197,7 @@ def _quadrature_samples(hs, cfg):
 
 def test_fit_recovers_synthetic_constants():
     kappa = el.measure_kappa()
-    fc = el.fit_constants(*_synthetic_samples(3.7, 0.02, -0.13, kappa), kappa)
+    fc = el.fit_constants(*_synthetic_samples(3.7, 0.02, -0.13, kappa), kappa, 8)
     npt.assert_allclose(fc.a1, 3.7, atol=1e-6)
     npt.assert_allclose(fc.a2, 0.02, atol=1e-6)
     npt.assert_allclose(fc.b2, -0.13, atol=1e-6)
@@ -220,7 +220,7 @@ def test_fit_measures_the_exact_constants(consts):
 def test_fit_requires_enough_samples(quad_cfg):
     samples = _quadrature_samples(np.geomspace(0.02, 0.1, 5), quad_cfg)
     with pytest.raises(ValueError):
-        el.fit_constants(*samples, KAPPA)
+        el.fit_constants(*samples, KAPPA, 8)
 
 
 def test_overparameterized_fit_is_rejected(quad_cfg):
@@ -245,7 +245,7 @@ def test_I4p_quadratic_coefficient_consistency(quad_cfg, consts):
     vals = np.array([el.integral_xi_over_y(h, 4, quad_cfg)[0] / consts.kappa for h in hs])
     logs = np.array([_poly_eval(log_coefficients("I4p", 10), h) for h in hs])
     remainder = vals - logs * np.log(hs) - 16.0 / 3.0 - 4.0 * hs
-    coeffs, _, _ = fit_series_tail(hs, remainder)
+    coeffs, _ = fit_series_tail(hs, remainder, 8)
     derived_form = 4.0 * consts.a1 + 5.0 * consts.b2 - 16.0
     printed_form = TABULATED_I4P_H2(consts.a1, consts.b2)
     assert abs(coeffs[1] - derived_form) < 1e-4
