@@ -36,7 +36,6 @@ from . import __version__
 from .dynamics import (
     ArcSpec,
     EscapedRegion,
-    IntegratorConfig,
     StepFailure,
     TimeCap,
     arc_sampler_general,
@@ -46,7 +45,7 @@ from .dynamics import (
     melnikov_convergence,
 )
 from .geometry import energy, x_plus
-from .integrals import QuadratureConfig, ToleranceNotMet, integral_triple
+from .integrals import ToleranceNotMet, integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
 from .series import IllConditionedFit, fit_quadrature, pf_residuals
 
@@ -63,13 +62,17 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario: ``parameters`` as written, ``args`` converted with every default filled in."""
+    """A parsed scenario: ``args`` converted with every default filled in, ``sha256`` the manifest's hash.
+
+    The hash covers the command, the parameters as written, and the seed and
+    output directory after any command-line override.
+    """
 
     command: str
-    parameters: dict
     seed: int
     output_dir: Path
     args: dict
+    sha256: str
 
 
 @dataclass(frozen=True)
@@ -152,22 +155,12 @@ def parse_scenario(doc: dict, seed_override=None, out_override=None) -> Scenario
         raise ConfigError("output_dir must be a string")
     if out_override is not None:
         out = out_override
-    return Scenario(command=command, parameters=dict(params), seed=seed, output_dir=Path(out), args=args)
+    sha256 = _document_hash({"command": command, "parameters": params, "seed": seed, "output_dir": str(Path(out))})
+    return Scenario(command=command, seed=seed, output_dir=Path(out), args=args, sha256=sha256)
 
 
 def _document_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _scenario_hash(s: Scenario) -> str:
-    return _document_hash(
-        {
-            "command": s.command,
-            "parameters": s.parameters,
-            "seed": s.seed,
-            "output_dir": str(s.output_dir),
-        }
-    )
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +181,8 @@ def _write_rows(path: Path, rows, sep: str = " ", head=()) -> None:
             f.write(sep.join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_csv(path: Path, header, rows, seed: int, command: str) -> None:
-    _write_rows(path, rows, ",", (f"# command={command} seed={seed}", ",".join(header)))
+def _write_csv(s: Scenario, name: str, header, rows) -> None:
+    _write_rows(s.output_dir / name, rows, ",", (f"# command={s.command} seed={s.seed}", ",".join(header)))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -202,37 +195,29 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _h_grid(p: dict):
-    if p.get("h_grid") is not None:
-        return list(p["h_grid"])
     return list(np.geomspace(p["h_min"], p["h_max"], p["n"]))
 
 
 def _run_integrals(s: Scenario, threads: int) -> None:
-    cfg = QuadratureConfig()
-    samples = [integral_triple(h, cfg) for h in _h_grid(s.args)]
+    samples = [integral_triple(h) for h in _h_grid(s.args)]
     _write_csv(
-        s.output_dir / "integrals.csv",
+        s,
+        "integrals.csv",
         ("h", "I0", "I1", "I2", "I0p", "I2p", "I4p", "I0pp", "err_max"),
-        [
-            (t.h, t.I0, t.I1, t.I2, t.I0p, t.I2p, t.I4p, t.I0pp, max(t.err.values()))
-            for t in samples
-        ],
-        s.seed,
-        s.command,
+        [(t.h, t.I0, t.I1, t.I2, t.I0p, t.I2p, t.I4p, t.I0pp, max(t.err.values())) for t in samples],
     )
     _write_rows(s.output_dir / "plot_integrals.txt", [(t.h, t.I0, t.I2, t.I4p) for t in samples])
 
 
 def _run_pf_check(s: Scenario, threads: int) -> None:
-    cfg = QuadratureConfig()
     threshold = s.args["threshold"]
     rows = []
     worst = 0.0
     for h in _h_grid(s.args):
-        r = pf_residuals(integral_triple(h, cfg))
+        r = pf_residuals(integral_triple(h))
         rows.append((h, r.r1, r.r2, r.r3, r.r4))
         worst = max(worst, r.r1, r.r2, r.r3, r.r4)
-    _write_csv(s.output_dir / "pf_residuals.csv", ("h", "r1", "r2", "r3", "r4"), rows, s.seed, s.command)
+    _write_csv(s, "pf_residuals.csv", ("h", "r1", "r2", "r3", "r4"), rows)
     if worst >= threshold:
         raise NumericalFailure(f"max relative residual {worst:.3e} >= {threshold:g}")
 
@@ -272,26 +257,15 @@ def _run_simulate(s: Scenario, threads: int) -> None:
     if p["t_end"] < 0.0:  # a grid of one point or none holds no negative time for integrate to reject
         raise ConfigError(f"output times must be non-negative and non-decreasing, got t_end={p['t_end']:g}")
     ts = np.linspace(0.0, p["t_end"], p["n_points"])
-    states = integrate(p0, p["lam"], ts, IntegratorConfig())
+    states = integrate(p0, p["lam"], ts)
     rows = [(t, x, y, energy((x, y))) for t, (x, y) in zip(ts.tolist(), states.tolist())]
-    _write_csv(s.output_dir / "trajectory.csv", ("t", "x", "y", "H"), rows, s.seed, s.command)
+    _write_csv(s, "trajectory.csv", ("t", "x", "y", "H"), rows)
 
 
 def _run_convergence(s: Scenario, threads: int) -> None:
     p = s.args
-    rows = melnikov_convergence(
-        ArcSpec(coeff_table=dict(p["coeff_table"])),
-        list(p["h_probe"]),
-        list(p["eps_seq"]),
-        IntegratorConfig(),
-    )
-    _write_csv(
-        s.output_dir / "convergence.csv",
-        ("eps", "h", "scaled_displacement", "m_k", "ratio"),
-        rows,
-        s.seed,
-        s.command,
-    )
+    rows = melnikov_convergence(ArcSpec(coeff_table=dict(p["coeff_table"])), list(p["h_probe"]), list(p["eps_seq"]))
+    _write_csv(s, "convergence.csv", ("eps", "h", "scaled_displacement", "m_k", "ratio"), rows)
     eps_min = min((r.eps for r in rows), default=None)
     _write_rows(
         s.output_dir / "plot_displacement.txt",
@@ -312,30 +286,25 @@ def _run_cyclicity_sweep(s: Scenario, threads: int) -> None:
         eps=p["eps"],
         h_window=p["h_window"],
         n_samples=p["n_samples"],
-        cfg=IntegratorConfig(),
         seed=s.seed,
         grid_n=p["grid_n"],
         refine_tol=p["refine_tol"],
         threads=threads,
     )
-    with open(s.output_dir / "sweep.jsonl", "w") as f:
-        for sample in result.samples:
-            f.write(
-                json.dumps(
-                    {
-                        "index": sample.index,
-                        "arc": {k: list(v) for k, v in sample.arc.coeff_table.items()},
-                        "eps": result.eps,
-                        "count": sample.count,
-                        "bound": sample.bound,
-                        "anomaly": sample.anomaly,
-                        "failed": sample.failed,
-                        "seed": result.seed,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    docs = [
+        {
+            "index": sample.index,
+            "arc": {k: list(v) for k, v in sample.arc.coeff_table.items()},
+            "eps": result.eps,
+            "count": sample.count,
+            "bound": sample.bound,
+            "anomaly": sample.anomaly,
+            "failed": sample.failed,
+            "seed": result.seed,
+        }
+        for sample in result.samples
+    ]
+    _write_rows(s.output_dir / "sweep.jsonl", [(json.dumps(doc, sort_keys=True),) for doc in docs])
     _write_json(
         s.output_dir / "sweep_summary.json",
         {
@@ -375,7 +344,7 @@ def _grid_params(h_min: float, h_max: float, n: int) -> dict:
 
 
 COMMANDS = {
-    "integrals": Command(_run_integrals, {**_grid_params(1e-4, 3.0, 50), "h_grid": (_numbers, None)}),
+    "integrals": Command(_run_integrals, _grid_params(1e-4, 3.0, 50)),
     "pf-check": Command(_run_pf_check, {**_grid_params(1e-4, 3.0, 50), "threshold": (_number, 1e-7)}),
     "series-fit": Command(_run_series_fit, {**_grid_params(0.01, 0.15, 24), "degree": (_integer, 8)}),
     "melnikov-zeros": Command(
@@ -445,7 +414,7 @@ def run(scenario: Scenario, threads: int = 1) -> int:
         scenario.output_dir,
         t_start,
         error,
-        scenario_sha256=_scenario_hash(scenario),
+        scenario_sha256=scenario.sha256,
         command=scenario.command,
         seed=scenario.seed,
     )

@@ -396,7 +396,6 @@ def find_limit_cycles(
     fails, and carries the secant-slope stability sign.  epsilon is
     carried through to the records for bookkeeping only.
     """
-    cfg = cfg or IntegratorConfig()
     h_lo, h_hi = float(h_range[0]), float(h_range[1])
     if h_lo < H_FLOOR:
         raise ValueError(f"h_range must start at or above h_floor={H_FLOOR}")
@@ -452,7 +451,6 @@ def melnikov_convergence(
     """
     if 0.0 in eps_seq:
         raise ValueError("eps = 0 is the unperturbed system, whose displacement/eps^k is undefined")
-    cfg = cfg or IntegratorConfig()
     k = arc.leading_order() or 1
     spec = arc.melnikov_spec(k)
     m_probe = [KAPPA * mk(h, spec, backend="quadrature") for h in h_probe]
@@ -498,7 +496,6 @@ class SweepSample:
     arc: ArcSpec
     count: int
     bound: int
-    records: tuple
     failed: bool = False
 
     @property
@@ -541,8 +538,8 @@ def _sweep_one(sampler, seed, eps, h_window, grid_n, cfg, refine_tol, index) -> 
         )
     except (TimeCap, EscapedRegion, StepFailure) as exc:  # per-sample failure, logged, never aborts the sweep
         logger.warning("sweep sample %d failed: %s", index, exc)
-        return SweepSample(index=index, arc=arc, count=0, bound=bound, records=(), failed=True)
-    return SweepSample(index=index, arc=arc, count=len(records), bound=bound, records=tuple(records))
+        return SweepSample(index=index, arc=arc, count=0, bound=bound, failed=True)
+    return SweepSample(index=index, arc=arc, count=len(records), bound=bound)
 
 
 def cyclicity_sweep(
@@ -563,7 +560,6 @@ def cyclicity_sweep(
     processes (the stepper is pure Python, so threads would serialize),
     at most one per sample and one per CPU.
     """
-    cfg = cfg or IntegratorConfig()
     one = functools.partial(_sweep_one, arc_family, seed, eps, tuple(h_window), grid_n, cfg, refine_tol)
     workers = min(threads, n_samples, os.cpu_count() or 1)
     if workers > 1:

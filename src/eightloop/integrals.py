@@ -227,7 +227,6 @@ def moment(name: str, h: float, cfg: QuadratureConfig | None):
 
 def integral_triple(h: float, cfg: QuadratureConfig | None = None) -> IntegralTriple:
     """All moments at h with a shared config and consistent orientation."""
-    cfg = cfg or QuadratureConfig()
     results = {name: quadrature(h, cfg) for name, quadrature in _MOMENTS.items()}
     return IntegralTriple(
         h=h,

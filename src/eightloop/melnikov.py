@@ -28,6 +28,7 @@ exterior ovals; their number is what the direct simulations probe.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +198,8 @@ def count_zeros(
     extrapolated minimum is below SUSPECT_REL * max|f| (NaN ignored), with
     no sign change among their three samples, are reported as suspects
     (possible even-order zeros that sign counting cannot see); they are
-    not included in count.
+    not included in count.  NaN samples are logged in one warning, since
+    zeros between them cannot be seen either.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
@@ -207,7 +209,12 @@ def count_zeros(
     hs = np.linspace(a, b, grid_n)
     vals = np.array([f(h) for h in hs], dtype=float)
     samples = tuple(zip(hs.tolist(), vals.tolist()))
-    scale = float(np.nanmax(np.abs(vals)))
+    nan = np.isnan(vals)
+    if nan.any():
+        logging.getLogger(__name__).warning(
+            "count_zeros: %d of %d samples are NaN; zeros between them are not counted", nan.sum(), grid_n
+        )
+    scale = float(np.max(np.abs(vals), initial=0.0, where=~nan))
     zeros = tuple((0.5 * (lo + hi), hi - lo) for lo, hi, _, _ in _sign_changes(f, samples, refine_tol))
     suspects = []
     for i in range(1, grid_n - 1):

@@ -38,7 +38,6 @@ def _read_csv(path):
 def test_parse_scenario_defaults():
     s = cli.parse_scenario({"command": "integrals"})
     assert s.command == "integrals"
-    assert s.parameters == {}
     assert s.seed == 0
     assert s.output_dir == Path("out")
 
@@ -108,7 +107,18 @@ def test_rejected_scenario_manifest_goes_to_its_output_dir(tmp_path, monkeypatch
 def test_scenario_hash_is_stable():
     # the manifest's scenario_sha256 hashes the parameters as written
     s = cli.parse_scenario({"command": "pf-check", "parameters": {"h_min": 1e-4, "h_max": 3.0, "n": 50}})
-    assert cli._scenario_hash(s) == "43e1ecf4976519179c6ee30b8f95fe6e8aa0bb61e1c33e67116d73336d7c87cf"
+    assert s.sha256 == "43e1ecf4976519179c6ee30b8f95fe6e8aa0bb61e1c33e67116d73336d7c87cf"
+
+
+def test_manifest_hash_covers_the_overridden_seed_and_output_dir(tmp_path):
+    params = {"h_min": 0.1, "h_max": 0.1, "n": 1}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": "pf-check", "parameters": params, "seed": 1, "output_dir": "doc"}))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(config), "--seed", "9", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = {"command": "pf-check", "parameters": params, "seed": 9, "output_dir": str(out)}
+    assert manifest["scenario_sha256"] == cli._document_hash(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def test_pf_check_numerical_failure_exit_code(tmp_path):
 
 
 def test_integrals_outputs_are_deterministic(tmp_path):
-    params = {"h_grid": [0.05, 0.2]}
+    params = {"h_min": 0.05, "h_max": 0.2, "n": 2}
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.run(_scenario("integrals", params, seed=3, out=a)) == 0
     assert cli.run(_scenario("integrals", params, seed=3, out=b)) == 0
@@ -373,7 +383,7 @@ def test_arguments_the_library_rejects_are_config_errors(command, params, tmp_pa
 
 
 def test_plot_files_format_columns(tmp_path):
-    assert cli.run(_scenario("integrals", {"h_grid": [0.1, 0.2]}, out=tmp_path)) == 0
+    assert cli.run(_scenario("integrals", {"h_min": 0.1, "h_max": 0.2, "n": 2}, out=tmp_path)) == 0
     lines = (tmp_path / "plot_integrals.txt").read_text().splitlines()
     # h I0 I2 I4p, space-separated, each float with 17 significant digits
     csv_rows = [ln.split(",") for ln in (tmp_path / "integrals.csv").read_text().splitlines()[2:]]

@@ -1,6 +1,7 @@
 """Bifurcation-function assembly, leading coefficients, and zero counting."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -223,6 +224,27 @@ def test_count_zeros_brackets_a_zero_next_to_a_nan_sample():
     assert zc.count == 1 and zc.suspects == ()
     h_star, width = zc.zeros[0]
     assert h_star - 0.5 * width <= 0.305 <= h_star + 0.5 * width
+
+
+def test_count_zeros_of_an_all_nan_function_warns_by_logging(caplog):
+    """Every sample NaN: no numpy warning, count 0, and the NaN samples are logged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zc = el.count_zeros(lambda h: math.nan, (0.0, 1.0), grid_n=64)
+    assert zc.count == 0 and zc.suspects == ()
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "64 of 64" in caplog.records[0].getMessage()
+
+
+def test_count_zeros_logs_a_nan_stretch_that_hides_two_zeros(caplog):
+    """The zeros at 0.3 and 0.35 lie inside a NaN stretch: not counted, but the 8 NaN samples are logged."""
+    zc = el.count_zeros(
+        lambda h: math.nan if 0.285 < h < 0.365 else (h - 0.3) * (h - 0.35), (0.0, 1.0), grid_n=101
+    )
+    assert zc.count == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "eightloop.melnikov"] == [
+        "count_zeros: 8 of 101 samples are NaN; zeros between them are not counted"
+    ]
 
 
 def test_bisect_keeps_a_zero_hit_at_the_midpoint():
