@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 from .geometry import (
     SQRT2,
     NonPositiveEnergy,
+    NumericalFailure,
     energy,
     vector_field,
 )

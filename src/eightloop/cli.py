@@ -10,11 +10,11 @@ handler and a converter and default for each of its parameters.  Parsing
 is strict — unknown flags, unknown top-level or parameter keys, wrongly
 typed values and non-finite numbers are rejected (exit 2) rather than
 ignored, so a typo cannot silently change a run; arguments the library
-rejects as out of range exit 2 as well.  Numerical failures exit 3 with
-partial outputs retained.  Every run, a rejected scenario or command line
-included, writes manifest.json recording the scenario hash, tool version,
-the seed, and wall time; every numeric table starts with a seed-stamped
-comment and a header row.
+rejects as out of range exit 2 as well.  Numerical failures (any
+NumericalFailure) exit 3 with partial outputs retained.  Every run, a
+rejected scenario or command line included, writes manifest.json
+recording the scenario hash, tool version, the seed, and wall time; every
+numeric table starts with a seed-stamped comment and a header row.
 """
 
 from __future__ import annotations
@@ -35,29 +35,20 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     ArcSpec,
-    EscapedRegion,
-    StepFailure,
-    TimeCap,
     arc_sampler_general,
     arc_sampler_no_first_order,
     cyclicity_sweep,
     integrate,
     melnikov_convergence,
 )
-from .geometry import energy, x_plus
-from .integrals import ToleranceNotMet, integral_triple
+from .geometry import NumericalFailure, energy, x_plus
+from .integrals import integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
-from .series import IllConditionedFit, fit_quadrature, pf_residuals
-
-_NUMERICAL = (ToleranceNotMet, IllConditionedFit, TimeCap, EscapedRegion, StepFailure)
+from .series import fit_quadrature, pf_residuals
 
 
 class ConfigError(ValueError):
     """Scenario file or flags unusable; exit status 2."""
-
-
-class NumericalFailure(RuntimeError):
-    """A computation missed its accuracy contract; exit status 3."""
 
 
 @dataclass(frozen=True)
@@ -408,7 +399,7 @@ def run(scenario: Scenario, threads: int = 1) -> int:
         COMMANDS[scenario.command].handler(scenario, threads)
     except ValueError as exc:  # ConfigError, OutOfTrustRegion, or an argument the library rejects
         status, error = 2, str(exc)
-    except (NumericalFailure, *_NUMERICAL) as exc:
+    except NumericalFailure as exc:  # TimeCap, ToleranceNotMet, ... and pf-check's residual test
         status, error = 3, str(exc)
     _write_manifest(
         scenario.output_dir,

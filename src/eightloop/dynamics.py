@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import DOP853
 
-from .geometry import SQRT2, energy, vector_field, x_plus
+from .geometry import SQRT2, NumericalFailure, energy, vector_field, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
 from .series import KAPPA
 
@@ -53,15 +53,15 @@ MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCa
 _PARAMS = ("lam1", "lam2", "lam3", "lam4")  # an arc's parameter names, in vector_field's order
 
 
-class TimeCap(RuntimeError):
+class TimeCap(NumericalFailure):
     """Flow-time budget exhausted without a completed return."""
 
 
-class EscapedRegion(RuntimeError):
+class EscapedRegion(NumericalFailure):
     """Trajectory left the working box |x|, |y| < 10."""
 
 
-class StepFailure(RuntimeError):
+class StepFailure(NumericalFailure):
     """The step controller gave up."""
 
 
@@ -390,24 +390,26 @@ def find_limit_cycles(
     """Sign-change fixed points of the return map on a geometric h-grid.
 
     The grid is read by count_zeros' rule (melnikov._sign_changes): a grid
-    point where the return map fails (TimeCap and friends, logged) or the
-    displacement is exactly 0.0 has no sign and drops out.  Each bracket is
-    bisected to a width below refine_tol, stopping where the return map
-    fails, and carries the secant-slope stability sign.  epsilon is
-    carried through to the records for bookkeeping only.
+    point where the return map fails (a NumericalFailure, logged, is NaN)
+    or the displacement is exactly 0.0 has no sign and drops out; if the
+    map fails at every grid point, the last failure is raised.  Each
+    bracket is bisected to a width below refine_tol, stopping where the
+    return map fails, and carries the secant-slope stability sign.
+    epsilon is carried through to the records for bookkeeping only.
     """
-    h_lo, h_hi = float(h_range[0]), float(h_range[1])
-    if h_lo < H_FLOOR:
-        raise ValueError(f"h_range must start at or above h_floor={H_FLOOR}")
+    failures = []
 
     def disp(h):
         try:
             return displacement(h, lam, cfg)
-        except (TimeCap, EscapedRegion, StepFailure) as exc:
+        except NumericalFailure as exc:
             logger.info("return map at h=%.6g skipped: %s", h, exc)
-            return None
+            failures.append(exc)
+            return math.nan
 
-    samples = [(h, disp(h)) for h in np.geomspace(h_lo, h_hi, grid_n)]
+    samples = [(h, disp(h)) for h in np.geomspace(float(h_range[0]), float(h_range[1]), grid_n)]
+    if failures and len(failures) == len(samples):
+        raise failures[-1]  # an arc with no return map on its grid has no count, not a count of 0
     return [
         LimitCycleRecord(
             h_star=float(0.5 * (lo + hi)),
@@ -536,7 +538,7 @@ def _sweep_one(sampler, seed, eps, h_window, grid_n, cfg, refine_tol, index) -> 
         records = find_limit_cycles(
             arc.params_at(eps), h_window, grid_n=grid_n, cfg=cfg, refine_tol=refine_tol, epsilon=eps
         )
-    except (TimeCap, EscapedRegion, StepFailure) as exc:  # per-sample failure, logged, never aborts the sweep
+    except NumericalFailure as exc:  # per-sample failure, logged, never aborts the sweep
         logger.warning("sweep sample %d failed: %s", index, exc)
         return SweepSample(index=index, arc=arc, count=0, bound=bound, failed=True)
     return SweepSample(index=index, arc=arc, count=len(records), bound=bound)

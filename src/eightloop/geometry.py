@@ -30,6 +30,10 @@ class NonPositiveEnergy(ValueError):
     """Raised when an exterior-oval operation is asked for h <= 0."""
 
 
+class NumericalFailure(RuntimeError):
+    """A computation missed its accuracy contract or could not finish; the CLI exits 3 on it."""
+
+
 def energy(p) -> float:
     """H(x, y) = y^2/2 - x^2/2 + x^4/4.
 

@@ -46,12 +46,12 @@ from dataclasses import dataclass, field
 from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
 
-from .geometry import SQRT2, x_plus
+from .geometry import SQRT2, NumericalFailure, x_plus
 
 _HALF_PI = 0.5 * math.pi
 
 
-class ToleranceNotMet(RuntimeError):
+class ToleranceNotMet(NumericalFailure):
     """Quadrature could not meet the requested tolerance.
 
     Carries the best available estimate in .value and its error bound in

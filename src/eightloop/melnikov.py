@@ -29,6 +29,7 @@ exterior ovals; their number is what the direct simulations probe.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,14 +154,14 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     The half where f(mid) is 0.0 or has the sign opposite to flo's is
     kept, so a zero hit at mid stays in the bracket as hi.  Signs are
     compared, not multiplied: a product of two values below ~1e-154
-    underflows to 0.  Halving stops where f returns None (undefined
-    there) or NaN, and once lo and hi are adjacent floats, which a tol
-    below their spacing (0 or negative included) would never end.
-    Returns the bracket reached and its end values, (lo, hi, flo, fhi).
+    underflows to 0.  f returns a float, NaN where it is undefined.
+    Halving stops where f is NaN, and once lo and hi are adjacent floats,
+    which a tol below their spacing (0 or negative included) would never
+    end.  Returns the bracket reached and its end values, (lo, hi, flo, fhi).
     """
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         fm = f(mid)
-        if fm is None or np.isnan(fm):
+        if math.isnan(fm):
             break
         if fm == 0.0 or flo < 0.0 < fm or fm < 0.0 < flo:
             hi, fhi = mid, fm
@@ -172,12 +173,12 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
 def _sign_changes(f, samples, tol: float) -> list:
     """Brackets (lo, hi, flo, fhi) of the sign changes of f among its (h, f(h)) samples.
 
-    A sample whose value is None (f undefined there), NaN or 0.0 carries
-    no sign and drops out; each sign change between consecutive remaining
-    samples (compared as signs, as in _bisect) is one bracket, halved by
-    _bisect to width tol.
+    f returns a float, NaN where it is undefined.  A sample whose value is
+    NaN or 0.0 carries no sign and drops out; each sign change between
+    consecutive remaining samples (compared as signs, as in _bisect) is
+    one bracket, halved by _bisect to width tol.
     """
-    signed = [(h, v) for h, v in samples if v is not None and (v < 0.0 or v > 0.0)]
+    signed = [(h, v) for h, v in samples if v < 0.0 or v > 0.0]
     pairs = zip(signed[:-1], signed[1:])
     return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 < 0.0 < v1 or v1 < 0.0 < v0]
 
@@ -190,16 +191,16 @@ def count_zeros(
 ) -> ZeroCount:
     """Count zeros of f on an interval by sign changes plus suspect flags.
 
-    A grid of grid_n points locates sign changes, each refined by plain
-    bisection until the bracket is narrower than refine_tol; zeros are
-    (h_star, width) pairs.  A sample of exactly 0.0 or NaN carries no
-    sign, as in find_limit_cycles (both read the grid by _sign_changes),
-    so f = 0 has no zeros.  Interior local minima of |f| whose parabola-
-    extrapolated minimum is below SUSPECT_REL * max|f| (NaN ignored), with
-    no sign change among their three samples, are reported as suspects
-    (possible even-order zeros that sign counting cannot see); they are
-    not included in count.  NaN samples are logged in one warning, since
-    zeros between them cannot be seen either.
+    f returns a float, NaN where it is undefined.  A grid of grid_n points
+    locates sign changes, each refined by plain bisection until the bracket
+    is narrower than refine_tol; zeros are (h_star, width) pairs.  A 0.0 or
+    NaN sample carries no sign, as in find_limit_cycles (both read the grid
+    by _sign_changes), so f = 0 has no zeros.  Interior local minima of |f|
+    whose parabola-extrapolated minimum is below SUSPECT_REL * max|f| (NaN
+    ignored), with no sign change among their three samples, are reported
+    as suspects (possible even-order zeros that sign counting cannot see);
+    they are not included in count.  NaN samples are logged in one warning,
+    since zeros between them cannot be seen either.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):

@@ -60,6 +60,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
+from .geometry import NumericalFailure
 from .integrals import IntegralTriple, QuadratureConfig, moment
 
 TRUST_REGION_MAX = 0.2
@@ -83,7 +84,7 @@ class OutOfTrustRegion(ValueError):
     """Raised when a series evaluation is requested beyond h = 0.2."""
 
 
-class IllConditionedFit(RuntimeError):
+class IllConditionedFit(NumericalFailure):
     """Raised when the least-squares normal system is numerically unusable."""
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eightloop as el
 import eightloop.cli as cli
 
 
@@ -251,6 +252,32 @@ def test_simulate_backward_in_time_is_config_error_at_any_point_count(n_points, 
     assert cli.main(["--config", str(config), "--out", str(out)]) == 2
     assert "t_end=-5" in json.loads((out / "manifest.json").read_text())["status"]
     assert not (out / "trajectory.csv").exists()
+
+
+class _OwnFailure(el.NumericalFailure):
+    """A numerical failure the CLI has never heard of."""
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        el.ToleranceNotMet("tolerance not met", value=1.0, err=1e-3),
+        el.IllConditionedFit("normal system singular"),
+        el.TimeCap("no return"),
+        el.EscapedRegion("orbit left"),
+        el.StepFailure("step collapsed"),
+        _OwnFailure("something new"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_every_numerical_failure_exits_3_with_a_manifest(failure, tmp_path, monkeypatch):
+    def handler(scenario, threads):
+        raise failure
+
+    monkeypatch.setitem(cli.COMMANDS, "integrals", cli.Command(handler, cli.COMMANDS["integrals"].params))
+    assert cli.run(_scenario("integrals", out=tmp_path)) == 3
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == f"error: {failure}"
 
 
 def test_simulate_leaving_the_working_box_is_a_numerical_failure(tmp_path):

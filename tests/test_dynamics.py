@@ -382,6 +382,12 @@ def test_failed_return_maps_are_logged_and_skipped(monkeypatch, caplog):
     assert len(skipped) == 2 and "h=0.4 " in skipped[0] and "h=0.1375 " in skipped[1]
 
 
+def test_a_grid_with_no_defined_return_map_raises_the_last_failure():
+    """Strong damping sends every grid orbit into a lobe: no fixed point is readable, so no count of 0."""
+    with pytest.raises(el.TimeCap, match=r"h_in=0\.2\b"):
+        el.find_limit_cycles((-0.5, 0.0, 0.0, 0.0), (1e-3, 0.2), grid_n=24)
+
+
 def test_a_displacement_of_exactly_zero_at_a_grid_point_is_bracketed(monkeypatch):
     """The grid point carries no sign, as in count_zeros: its neighbours bracket the cycle on it."""
     grid = np.geomspace(0.1, 0.4, 3)
@@ -486,22 +492,17 @@ def test_sweep_samples_record_bound_and_anomaly():
 
 
 def test_sweep_records_numerical_failures_and_propagates_other_errors(monkeypatch):
-    kw = dict(eps=1e-3, h_window=(0.05, 0.2), n_samples=1, grid_n=12, refine_tol=1e-3)
-
-    def capped(*args, **kwargs):
-        raise el.TimeCap("flow-time budget spent")
-
-    monkeypatch.setattr(dynamics, "find_limit_cycles", capped)
-    res = el.cyclicity_sweep(el.arc_sampler_general, **kw)
-    assert [s.failed for s in res.samples] == [True]
-    assert res.histogram == {}
+    # at eps = 0.5 arcs 1, 2, 4 and 5 lose every grid return map to TimeCap: failed samples, not counts of 0
+    res = el.cyclicity_sweep(el.arc_sampler_general, eps=0.5, h_window=(1e-3, 0.2), n_samples=6, seed=6)
+    assert [s.failed for s in res.samples] == [False, True, True, False, True, True]
+    assert res.histogram == {0: 2}
 
     def broken(*args, **kwargs):
         raise TypeError("a programming error, not a numerical failure")
 
     monkeypatch.setattr(dynamics, "find_limit_cycles", broken)
     with pytest.raises(TypeError):
-        el.cyclicity_sweep(el.arc_sampler_general, **kw)
+        el.cyclicity_sweep(el.arc_sampler_general, eps=1e-3, h_window=(0.05, 0.2), n_samples=1, grid_n=12)
 
 
 @pytest.mark.parametrize(
