@@ -287,7 +287,7 @@ def _run_cyclicity_sweep(s: Scenario, threads: int) -> None:
             "index": sample.index,
             "arc": {k: list(v) for k, v in sample.arc.coeff_table.items()},
             "eps": result.eps,
-            "count": sample.count,
+            "count": None if sample.failed else sample.count,  # a failed arc has no count, not a count of 0
             "bound": sample.bound,
             "anomaly": sample.anomaly,
             "failed": sample.failed,

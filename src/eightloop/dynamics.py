@@ -18,8 +18,11 @@ genuinely undefined there, which the callers record rather than hide.
 One ODE integrator serves both integrate and the return map: DOP853 stepped
 on Python floats, with scipy's tableau and step control but without the
 per-step array overhead of scipy's solvers on a two-dimensional state.
-integrate ends a step exactly at each output time, so no interpolant is
-needed.  find_limit_cycles reads its cycles off the grid by the scan that
+Each accepted step is one function generated from the tableau, with
+geometry.vector_field's expression written out at every stage and at the
+step's end, so a step calls nothing per stage.  integrate ends a step
+exactly at each output time, so no interpolant is needed.
+find_limit_cycles reads its cycles off the grid by the scan that
 count_zeros uses (melnikov._sign_changes).
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
@@ -29,10 +32,13 @@ across worker processes without coordinating generator state.
 
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import logging
 import math
 import os
+import textwrap
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -164,41 +170,96 @@ _STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1,
 _WEIGHTS = tuple(_sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
 
 
-def _unrolled_dop853_step():
-    """One DOP853 step on a pair of floats, unrolled from the tableau above.
+def _field_source() -> tuple:
+    """geometry.vector_field's (x', y') expressions as source, in u, v for x, y and l1..l4 for lam."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(vector_field)))
+    pair = next(node for node in ast.walk(tree) if isinstance(node, ast.Return)).value
+    for node in ast.walk(pair):
+        if isinstance(node, ast.Name):
+            node.id = {"x": "u", "y": "v"}.get(node.id, node.id)
+    return tuple(ast.unparse(component) for component in pair.elts)
 
-    The function returned is
 
-        _dop853_step(fun, s, u, v, k0u, k0v, h, lam)
-            -> (u_new, v_new, err5_u, err5_v, err3_u, err3_v)
+def _unrolled_dop853_steps():
+    """The flow's _accepted_step and _crossing's _step_in_y, unrolled from the tableau above.
 
-    for (u, v)' = fun(s, (u, v), lam) from s to s + h, with (k0u, k0v) the
-    slope at s; the error estimates are per component and not yet
-    multiplied by h.  Unrolled, the stage sums live in local variables,
-    and the sweep benchmark's wall_s is about 40% lower than with loops
-    over the tableau; the coefficients' reprs round-trip, so the
-    arithmetic is that of the loops.
+        _accepted_step(t, u0, v0, k0u, k0v, h_abs, lam, t_bound, cfg)
+            -> (t_new, u, v, u', v', h_next)
+
+    is one step of the flow (x, y) = (u, v) from t, with (k0u, k0v) the
+    slope there and h_abs the step size to try, under scipy's step control
+    and error norm, retried until accepted; the step ends at t_bound if it
+    would pass it.  It returns the end of the step, the slope there and the
+    step size to try next, and raises StepFailure once the step falls below
+    _min_step(t).  The slope at each stage and at the step's end is
+    geometry.vector_field's own expression, read from its source and
+    written out over local floats (the field does not depend on time, so no
+    stage node is computed); nothing is called per stage.
+
+        _step_in_y(s, u0, v0, k0u, k0v, h, lam, cfg) -> (u, v, err)
+
+    is one DOP853 step of (u, v)' = _in_y(s, (u, v), lam) from s to s + h,
+    with its error norm (below 1 the step is accepted).
+
+    The stage sums live in local variables and the coefficients' reprs
+    round-trip, so the arithmetic is that of loops over the tableau.
     """
+    fu, fv = _field_source()
 
     def combination(row, component):
         return " + ".join(f"{a!r} * k{j}{component}" for j, a in row)
 
-    lines = ["def _dop853_step(fun, s, u, v, k0u, k0v, h, lam):"]
-    for i, (c, row) in enumerate(_STAGES, 1):
-        lines.append(
-            f"    k{i}u, k{i}v = fun(s + {c!r} * h, "
-            f"(u + h * ({combination(row, 'u')}), v + h * ({combination(row, 'v')})), lam)"
-        )
+    # per stage: its index, node and state
+    states = [
+        (i, c, f"u0 + h * ({combination(row, 'u')})", f"v0 + h * ({combination(row, 'v')})")
+        for i, (c, row) in enumerate(_STAGES, 1)
+    ]
+    flow_stages = [
+        line for i, _, u, v in states for line in (f"u = {u}", f"v = {v}", f"k{i}u = {fu}", f"k{i}v = {fv}")
+    ]
+    y_stages = [f"k{i}u, k{i}v = _in_y(s + {c!r} * h, ({u}, {v}), lam)" for i, c, u, v in states]
     b, e5, e3 = _WEIGHTS
-    results = [f"u + h * ({combination(b, 'u')})", f"v + h * ({combination(b, 'v')})"]
-    results += [combination(e, component) for e in (e5, e3) for component in "uv"]
-    lines.append(f"    return {', '.join(results)}")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
-    return namespace["_dop853_step"]
+    solution_and_error = [
+        f"u = u0 + h * ({combination(b, 'u')})",
+        f"v = v0 + h * ({combination(b, 'v')})",
+        "su = atol + max(abs(u0), abs(u)) * rtol",
+        "sv = atol + max(abs(v0), abs(v)) * rtol",
+        *(f"{e} = (({combination(w, 'u')}) / su) ** 2 + (({combination(w, 'v')}) / sv) ** 2"
+          for e, w in (("e5", e5), ("e3", e3))),
+        "err = 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)",
+    ]
+    loop = [
+        "t_new = min(t + h_abs, t_bound)",
+        "h = t_new - t",
+        *flow_stages,
+        *solution_and_error,
+        "if err < 1.0:",
+        "    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)",
+        f"    return t_new, u, v, {fu}, {fv}, h * (min(1.0, factor) if rejected else factor)",
+        "h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)",
+        "rejected = True",
+    ]
+    source = [
+        "def _accepted_step(t, u0, v0, k0u, k0v, h_abs, lam, t_bound, cfg):",
+        "    l1, l2, l3, l4 = lam",
+        "    rtol, atol = cfg.rel_tol, cfg.abs_tol",
+        "    min_step = _min_step(t)",
+        "    h_abs = max(h_abs, min_step)",
+        "    rejected = False",
+        "    while h_abs >= min_step:",
+        *(f"        {line}" for line in loop),
+        '    raise StepFailure(f"step size {h_abs:.3g} below {min_step:.3g} at t={t:.6g}")',
+        "def _step_in_y(s, u0, v0, k0u, k0v, h, lam, cfg):",
+        "    rtol, atol = cfg.rel_tol, cfg.abs_tol",
+        *(f"    {line}" for line in y_stages + solution_and_error),
+        "    return u, v, err",
+    ]
+    steps: dict = {}
+    exec(compile("\n".join(source), "<DOP853 steps>", "exec"), globals(), steps)
+    return steps["_accepted_step"], steps["_step_in_y"]
 
 
-_dop853_step = _unrolled_dop853_step()
+_accepted_step, _step_in_y = _unrolled_dop853_steps()
 
 
 def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> float:
@@ -222,39 +283,6 @@ def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> f
 
 def _min_step(t: float) -> float:
     return 10.0 * (math.nextafter(t, math.inf) - t)
-
-
-def _error(h, u, v, u_new, v_new, e5u, e5v, e3u, e3v, cfg: IntegratorConfig) -> float:
-    """scipy's DOP853 error norm of a step of length h on (u, v); below 1 the step is accepted."""
-    su = cfg.abs_tol + max(abs(u), abs(u_new)) * cfg.rel_tol
-    sv = cfg.abs_tol + max(abs(v), abs(v_new)) * cfg.rel_tol
-    e5 = (e5u / su) ** 2 + (e5v / sv) ** 2
-    e3 = (e3u / su) ** 2 + (e3v / sv) ** 2
-    return 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
-
-
-def _accepted_step(t, x, y, fx, fy, h_abs, lam, t_bound: float, cfg: IntegratorConfig):
-    """One step of the flow from (x, y) at t under scipy's step control, retried until accepted.
-
-    (fx, fy) is the slope at t and h_abs the step size to try; the step
-    ends at t_bound if it would pass it.  Returns t_new, x_new, y_new and
-    the step size to try next; StepFailure once the step falls below 10 ulp
-    of t.
-    """
-    min_step = _min_step(t)
-    h_abs = max(h_abs, min_step)
-    rejected = False
-    while h_abs >= min_step:
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-        x_new, y_new, *estimates = _dop853_step(vector_field, t, x, y, fx, fy, h, lam)
-        err = _error(h, x, y, x_new, y_new, *estimates, cfg)
-        if err < 1.0:
-            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-            return t_new, x_new, y_new, h * (min(1.0, factor) if rejected else factor)
-        h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-        rejected = True
-    raise StepFailure(f"step size {h_abs:.3g} below {min_step:.3g} at t={t:.6g}")
 
 
 def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
@@ -281,10 +309,9 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     states = np.empty((len(ts), 2))
     for i, t_out in enumerate(ts.tolist()):  # Python floats keep the step arithmetic off numpy scalars
         while t < t_out:
-            t, x, y, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, t_out, cfg)
+            t, x, y, fx, fy, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, t_out, cfg)
             if max(abs(x), abs(y)) >= ESCAPE_BOUND:
                 raise _escaped(t)
-            fx, fy = vector_field(t, (x, y), lam)
         states[i] = x, y
     return states
 
@@ -312,10 +339,10 @@ def _crossing(t, x, y, fy, t_new, lam, cfg: IntegratorConfig):
     if fy >= 0.0:
         return None
     try:
-        t_cross, x_cross, *estimates = _dop853_step(_in_y, y, t, x, 1.0 / fy, y / fy, -y, lam)
+        t_cross, x_cross, err = _step_in_y(y, t, x, 1.0 / fy, y / fy, -y, lam, cfg)
     except ZeroDivisionError:
         return None
-    if not t <= t_cross <= t_new or _error(-y, t, x, t_cross, x_cross, *estimates, cfg) >= 1.0:
+    if not t <= t_cross <= t_new or err >= 1.0:
         return None
     return t_cross, x_cross
 
@@ -342,7 +369,7 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     h_abs = _initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
     discarded = 0
     while t < cfg.max_time:
-        t_new, x_new, y_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg.max_time, cfg)
+        t_new, x_new, y_new, fx_new, fy_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg.max_time, cfg)
         if y > 0.0 >= y_new:
             crossing = _crossing(t, x, y, fy, t_new, lam, cfg)
             if crossing is None:
@@ -362,10 +389,9 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
                 raise TimeCap(
                     f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})"
                 )
-        t, x, y, h_abs = t_new, x_new, y_new, h_next
+        t, x, y, fx, fy, h_abs = t_new, x_new, y_new, fx_new, fy_new, h_next
         if max(abs(x), abs(y)) >= ESCAPE_BOUND:
             raise _escaped(t)
-        fx, fy = vector_field(t, (x, y), lam)
     raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
 
 

@@ -385,6 +385,15 @@ def test_cyclicity_sweep_outputs(tmp_path):
     assert (tmp_path / "plot_sweep_histogram.txt").read_text() == expected
 
 
+def test_a_failed_sweep_sample_has_no_count(tmp_path):
+    # at eps = 0.5 arcs 1, 2, 4 and 5 of the seed-6 sweep lose every grid return map to TimeCap
+    s = _scenario("cyclicity-sweep", {"eps": 0.5, "n_samples": 6}, seed=6, out=tmp_path)
+    assert cli.run(s) == 0
+    docs = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    assert [(d["count"], d["failed"]) for d in docs if d["failed"]] == [(None, True)] * 4
+    assert [(d["count"], d["failed"]) for d in docs if not d["failed"]] == [(0, False)] * 2
+
+
 def test_unknown_sweep_family_is_config_error(tmp_path):
     s = _scenario("cyclicity-sweep", {"family": "exotic", "n_samples": 1}, out=tmp_path)
     assert cli.run(s) == 2

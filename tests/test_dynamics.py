@@ -196,31 +196,83 @@ def _oracle_return_map(h_in, lam, cfg):
     raise el.TimeCap(f"orbit absorbed: {discarded} off-section crossings without a return")
 
 
+def _tableau_step(fun, s, u, v, k0, h, lam, cfg):
+    """One DOP853 step by plain loops over scipy's tableau: (u_new, v_new, scipy's error norm)."""
+    n, A, C = DOP853.n_stages, DOP853.A, DOP853.C
+    k = [k0]
+    for i in range(1, n):
+        du = dv = 0.0
+        for j in range(i):
+            if A[i, j]:
+                du += float(A[i, j]) * k[j][0]
+                dv += float(A[i, j]) * k[j][1]
+        k.append(fun(s + float(C[i]) * h, (u + h * du, v + h * dv), lam))
+
+    def combination(coeffs, component):
+        acc = 0.0
+        for j in range(n):
+            if coeffs[j]:
+                acc += float(coeffs[j]) * k[j][component]
+        return acc
+
+    u_new, v_new = u + h * combination(DOP853.B, 0), v + h * combination(DOP853.B, 1)
+    su = cfg.abs_tol + max(abs(u), abs(u_new)) * cfg.rel_tol
+    sv = cfg.abs_tol + max(abs(v), abs(v_new)) * cfg.rel_tol
+    e5 = (combination(DOP853.E5, 0) / su) ** 2 + (combination(DOP853.E5, 1) / sv) ** 2
+    e3 = (combination(DOP853.E3, 0) / su) ** 2 + (combination(DOP853.E3, 1) / sv) ** 2
+    err = 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+    return u_new, v_new, err
+
+
+def _tableau_accepted_step(t, x, y, h_abs, lam, t_bound, cfg):
+    """scipy's DOP853 step control around _tableau_step with el.vector_field: the accepted step and its tries."""
+    min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+    h_abs = max(h_abs, min_step)
+    tries = 0
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        x_new, y_new, err = _tableau_step(el.vector_field, t, x, y, el.vector_field(t, (x, y), lam), h, lam, cfg)
+        tries += 1
+        if err < 1.0:
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+            h_next = h * (min(1.0, factor) if tries > 1 else factor)
+            return (t_new, x_new, y_new, *el.vector_field(t_new, (x_new, y_new), lam), h_next), tries
+        h_abs = h * max(0.2, 0.9 * err ** -0.125)
+    raise el.StepFailure("step size collapsed")
+
+
 def test_unrolled_step_does_the_arithmetic_of_the_tableau():
-    """The DOP853 step equals, bit for bit, a plain loop over scipy's tableau."""
-    n, A, B, C = DOP853.n_stages, DOP853.A, DOP853.B, DOP853.C
-    lam = (0.02, -0.01, 0.03, 0.015)
+    """The flow step and the step in y equal, bit for bit, plain loops over scipy's tableau and step control."""
     rng = np.random.default_rng(3)
-    for s, u, v, h in rng.uniform(-1.5, 1.5, (20, 4)).tolist():
-        k = [el.vector_field(s, (u, v), lam)]
-        for i in range(1, n):
-            du = dv = 0.0
-            for j in range(i):
-                if A[i, j]:
-                    du += float(A[i, j]) * k[j][0]
-                    dv += float(A[i, j]) * k[j][1]
-            k.append(el.vector_field(s + float(C[i]) * h, (u + h * du, v + h * dv), lam))
+    tries = []
+    for cfg in (el.IntegratorConfig(), el.IntegratorConfig(1e-6, 1e-9)):
+        for _ in range(40):
+            t, x, y = rng.uniform(0.0, 10.0), *rng.uniform(-1.5, 1.5, 2)
+            lam = tuple(rng.uniform(-0.1, 0.1, 4))
+            h_abs, t_bound = 10.0 ** rng.uniform(-3.0, 0.5), t + rng.uniform(0.01, 3.0)
+            want, n = _tableau_accepted_step(t, x, y, h_abs, lam, t_bound, cfg)
+            tries.append(n)
+            fx, fy = el.vector_field(t, (x, y), lam)
+            assert dynamics._accepted_step(t, x, y, fx, fy, h_abs, lam, t_bound, cfg) == want
+            h = -y if y > 0.0 else 0.5 * rng.uniform(0.01, 0.1)
+            k0 = dynamics._in_y(y, (t, x), lam)
+            assert dynamics._step_in_y(y, t, x, *k0, h, lam, cfg) == _tableau_step(
+                dynamics._in_y, y, t, x, k0, h, lam, cfg
+            )
+    assert min(tries) == 1 and max(tries) > 1  # first tries accepted and rejected
 
-        def combination(coeffs, component):
-            acc = 0.0
-            for j in range(n):
-                if coeffs[j]:
-                    acc += float(coeffs[j]) * k[j][component]
-            return acc
 
-        want = (u + h * combination(B, 0), v + h * combination(B, 1), combination(DOP853.E5, 0),
-                combination(DOP853.E5, 1), combination(DOP853.E3, 0), combination(DOP853.E3, 1))
-        assert dynamics._dop853_step(el.vector_field, s, u, v, *k[0], h, lam) == want
+def test_return_map_is_pinned_bit_for_bit():
+    """Recorded return maps: a stepper change that moves a bit of them fails here."""
+    lam = (0.02, 0.01, -0.03, 0.015)
+    r = el.return_map(0.05, lam, el.IntegratorConfig())
+    assert (r.h_out.hex(), r.flow_time.hex(), r.crossings) == ("0x1.5b031f3ec9548p-3", "0x1.4a1a5641c8e28p+3", 0)
+    r = el.return_map(0.1, lam, el.IntegratorConfig(1e-12, 1e-14))
+    assert (r.h_out.hex(), r.flow_time.hex(), r.crossings) == ("0x1.e600ee1ab4248p-3", "0x1.25b5e777f3d29p+3", 0)
+    with pytest.raises(el.TimeCap) as info:
+        el.return_map(1e-3, (-1e-3, 0.0, 0.0, 0.0), el.IntegratorConfig())
+    assert str(info.value) == "no return within max_time=200.0 (h_in=0.001, discarded=26)"
 
 
 def _outcome(return_map, h, lam, cfg):
