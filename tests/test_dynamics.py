@@ -248,18 +248,15 @@ def test_unrolled_step_does_the_arithmetic_of_the_tableau():
     tries = []
     for cfg in (el.IntegratorConfig(), el.IntegratorConfig(1e-6, 1e-9)):
         for _ in range(40):
-            t, x, y = rng.uniform(0.0, 10.0), *rng.uniform(-1.5, 1.5, 2)
-            lam = tuple(rng.uniform(-0.1, 0.1, 4))
-            h_abs, t_bound = 10.0 ** rng.uniform(-3.0, 0.5), t + rng.uniform(0.01, 3.0)
-            want, n = _tableau_accepted_step(t, x, y, h_abs, lam, t_bound, cfg)
+            t, x, y, log_h, dt = rng.uniform((0.0, -1.5, -1.5, -3.0, 0.01), (10.0, 1.5, 1.5, 0.5, 3.0)).tolist()
+            lam = tuple(rng.uniform(-0.1, 0.1, 4).tolist())
+            want, n = _tableau_accepted_step(t, x, y, 10.0**log_h, lam, t + dt, cfg)
             tries.append(n)
             fx, fy = el.vector_field(t, (x, y), lam)
-            assert dynamics._accepted_step(t, x, y, fx, fy, h_abs, lam, t_bound, cfg) == want
-            h = -y if y > 0.0 else 0.5 * rng.uniform(0.01, 0.1)
-            k0 = dynamics._in_y(y, (t, x), lam)
-            assert dynamics._step_in_y(y, t, x, *k0, h, lam, cfg) == _tableau_step(
-                dynamics._in_y, y, t, x, k0, h, lam, cfg
-            )
+            assert dynamics._accepted_step(t, x, y, fx, fy, 10.0**log_h, lam, t + dt, cfg) == want
+            k0 = dynamics._in_y(y, (t, x), lam)  # the step in y runs from y to 0
+            want = _tableau_step(dynamics._in_y, y, t, x, k0, -y, lam, cfg)
+            assert dynamics._step_in_y(y, t, x, *k0, -y, lam, cfg) == want
     assert min(tries) == 1 and max(tries) > 1  # first tries accepted and rejected
 
 
