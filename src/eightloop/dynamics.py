@@ -15,12 +15,15 @@ the integration carries on from where it is, without a restart, and a run
 that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
 
-One ODE integrator serves both integrate and the return map: DOP853 stepped
-on Python floats, with scipy's tableau and step control but without the
-per-step array overhead of scipy's solvers on a two-dimensional state.
-Each accepted step is one function generated from the tableau, with
-geometry.vector_field's expression written out at every stage and at the
-step's end, so a step calls nothing per stage.  integrate ends a step
+One ODE driver serves both integrate and the return map: one DOP853 flow
+loop in C, with scipy's tableau, step control and error norm, and
+geometry.vector_field's return expression written out at every stage.
+The C is generated from the tableau and from that expression, compiled with
+the system's cc at the first flow call of a process, cached in the package's
+__pycache__ and loaded with ctypes (_kernel).  It does Python's float
+arithmetic operation for operation, so it returns what the same loop on
+Python floats would, bit for bit.  Python keeps the argument checks, the
+initial step and the exceptions and their messages.  integrate ends a step
 exactly at each output time, so no interpolant is needed.
 find_limit_cycles reads its cycles off the grid by the scan that
 count_zeros uses (melnikov._sign_changes).
@@ -33,15 +36,23 @@ across worker processes without coordinating generator state.
 from __future__ import annotations
 
 import ast
+import ctypes
+import errno
 import functools
+import hashlib
 import inspect
 import logging
 import math
 import os
+import string
+import subprocess
+import sysconfig
+import tempfile
 import textwrap
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -169,97 +180,345 @@ def _sparse(weights) -> tuple:
 _STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1, DOP853.n_stages))
 _WEIGHTS = tuple(_sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
 
+_C_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_C_NAMES = ("x", "y", "l1", "l2", "l3", "l4")
 
-def _field_source() -> tuple:
-    """geometry.vector_field's (x', y') expressions as source, in u, v for x, y and l1..l4 for lam."""
+
+def _c_expression(node: ast.expr) -> str:
+    """node, a term of geometry.vector_field's return expression, as fully parenthesized C on doubles.
+
+    Only the names x, y, l1..l4, numbers (an int as its float), negation,
+    +, - and * are translated: on doubles, C does exactly Python's float
+    arithmetic with them.  Anything else (a power or a call, say) raises
+    ValueError naming the node, rather than compile to other arithmetic.
+    """
+    if isinstance(node, ast.Name) and node.id in _C_NAMES:
+        return node.id
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value).hex()
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return f"(-{_c_expression(node.operand)})"
+    if isinstance(node, ast.BinOp) and type(node.op) in _C_OPERATORS:
+        return f"({_c_expression(node.left)} {_C_OPERATORS[type(node.op)]} {_c_expression(node.right)})"
+    raise ValueError(f"vector_field term {ast.unparse(node)!r} ({type(node).__name__}) has no C translation")
+
+
+def _field_c() -> tuple:
+    """geometry.vector_field's (x', y') expressions in C, in x, y and l1..l4 for lam."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(vector_field)))
     pair = next(node for node in ast.walk(tree) if isinstance(node, ast.Return)).value
-    for node in ast.walk(pair):
-        if isinstance(node, ast.Name):
-            node.id = {"x": "u", "y": "v"}.get(node.id, node.id)
-    return tuple(ast.unparse(component) for component in pair.elts)
+    return tuple(_c_expression(component) for component in pair.elts)
 
 
-def _unrolled_dop853_steps():
-    """The flow's _accepted_step and _crossing's _step_in_y, unrolled from the tableau above.
+# the flow kernel's outcomes, in the order of its C enum
+_STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "ABSORBED", "TIME_CAP", "ESCAPED", "OVERFLOW", "ZERO_DIVISION")
 
-        _accepted_step(t, u0, v0, k0u, k0v, h_abs, lam, t_bound, cfg)
-            -> (t_new, u, v, u', v', h_next)
+_KERNEL_C = string.Template(
+    r"""
+#include <math.h>
+#include <string.h>
 
-    is one step of the flow (x, y) = (u, v) from t, with (k0u, k0v) the
-    slope there and h_abs the step size to try, under scipy's step control
-    and error norm, retried until accepted; the step ends at t_bound if it
-    would pass it.  It returns the end of the step, the slope there and the
-    step size to try next, and raises StepFailure once the step falls below
-    _min_step(t).  The slope at each stage and at the step's end is
-    geometry.vector_field's own expression, read from its source and
-    written out over local floats (the field does not depend on time, so no
-    stage node is computed); nothing is called per stage.
+enum { $status };
+enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
 
-        _step_in_y(s, u0, v0, k0u, k0v, h, lam, cfg) -> (u, v, err)
+static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
+static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
+static const long MAX_DISCARD = $max_discard;
 
-    is one DOP853 step of (u, v)' = _in_y(s, (u, v), lam) from s to s + h,
-    with its error norm (below 1 the step is accepted).
+/* Python's min and max of two floats: the first argument on ties and NaN */
+static inline double py_min(double a, double b) { return b < a ? b : a; }
+static inline double py_max(double a, double b) { return b > a ? b : a; }
 
-    The stage sums live in local variables and the coefficients' reprs
-    round-trip, so the arithmetic is that of loops over the tableau.
+/* a ** b as Python computes it on floats; where Python raises OverflowError, *status becomes OVERFLOW */
+static inline double py_pow(double a, double b, int *status)
+{
+    double r = pow(a, b);
+    if (isinf(r) && isfinite(a) && *status == OK)
+        *status = OVERFLOW;
+    return r;
+}
+
+static inline double min_step(double t) { return 10.0 * (nextafter(t, INFINITY) - t); }
+
+/* geometry.vector_field */
+static inline double field_x(double x, double y, const double *p)
+{
+    double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
+    return $field_x;
+}
+
+static inline double field_y(double x, double y, const double *p)
+{
+    double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
+    return $field_y;
+}
+
+/* (dt/dy, dx/dy) = (1/y', y/y') at (x, y); ZERO_DIVISION where y' = 0 */
+static inline int in_y(const double *p, double y, double x, double *kt, double *kx)
+{
+    double dy = field_y(x, y, p);
+    if (dy == 0.0)
+        return ZERO_DIVISION;
+    *kt = 1.0 / dy;
+    *kx = y / dy;
+    return OK;
+}
+
+/* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and (du3, dv3) */
+static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
+                                double du5, double dv5, double du3, double dv3, int *status)
+{
+    double su = p[ATOL] + py_max(fabs(u0), fabs(u)) * p[RTOL];
+    double sv = p[ATOL] + py_max(fabs(v0), fabs(v)) * p[RTOL];
+    double e5 = py_pow(du5 / su, 2.0, status) + py_pow(dv5 / sv, 2.0, status);
+    double e3 = py_pow(du3 / su, 2.0, status) + py_pow(dv3 / sv, 2.0, status);
+    if (e5 == 0.0 && e3 == 0.0)
+        return 0.0;
+    double d = sqrt((e5 + 0.01 * e3) * 2.0);
+    if (d == 0.0 && *status == OK)
+        *status = ZERO_DIVISION;
+    return fabs(h) * e5 / d;
+}
+
+/* One step of the flow from s = (t, x, y, x', y', h_abs), with h_abs the step size to try, under scipy's
+   step control, retried until accepted; the step ends at t_bound if it would pass it.  s becomes
+   (t, x, y, x', y', h_abs) at the step's end, h_abs the size to try next.  STEP_FAILURE once the step
+   size falls below min_step(t), with s[5] the last size tried and s[6] min_step(t). */
+int dop853_step(const double *p, double *s, double t_bound)
+{
+    const double t = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], min_h = min_step(t);
+    double h_abs = py_max(s[5], min_h), u, v, $stage_slopes;
+    int rejected = 0;
+    while (h_abs >= min_h) {
+        double t_new = py_min(t + h_abs, t_bound);
+        double h = t_new - t;
+$flow_stages
+$step_end
+        if (status != OK)
+            return status;
+        if (err < 1.0) {
+            double factor = err == 0.0 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
+            s[0] = t_new;
+            s[1] = u;
+            s[2] = v;
+            s[3] = field_x(u, v, p);
+            s[4] = field_y(u, v, p);
+            s[5] = h * (rejected ? py_min(1.0, factor) : factor);
+            return OK;
+        }
+        h_abs = h * py_max(MIN_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
+        rejected = 1;
+    }
+    s[5] = h_abs;
+    s[6] = min_h;
+    return STEP_FAILURE;
+}
+
+/* One step of (t, x) as functions of y (dt/dy = 1/y', dx/dy = y/y') from s = (y, t, x, dt/dy, dx/dy, h)
+   to y + h.  s becomes (t, x, error norm) there; ZERO_DIVISION where y' = 0 at a stage. */
+int dop853_step_in_y(const double *p, double *s)
+{
+    const double y = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], h = s[5];
+    double u, v, $stage_slopes;
+$y_stages
+$step_end
+    s[0] = u;
+    s[1] = v;
+    s[2] = err;
+    return status;
+}
+
+/* (*tc, *xc) where the flow from (x, y > 0) at t, with y' = fy there, meets y = 0 before t_new: one step
+   in y from y to 0 (Henon's trick).  That needs y to fall monotonically over the step and the step in y
+   to pass the flow's error test, so a step that starts with y rising, meets y' = 0 at a stage, fails
+   the test or lands outside [t, t_new] is UNRESOLVED. */
+static int crossing(const double *p, double t, double x, double y, double fy, double t_new, double *tc, double *xc)
+{
+    if (fy >= 0.0)
+        return UNRESOLVED;
+    double s[6] = {y, t, x, 1.0 / fy, y / fy, -y};
+    int status = dop853_step_in_y(p, s);
+    if (status == ZERO_DIVISION)
+        return UNRESOLVED;
+    if (status != OK)
+        return status;
+    if (!(t <= s[0] && s[0] <= t_new) || s[2] >= 1.0)
+        return UNRESOLVED;
+    *tc = s[0];
+    *xc = s[1];
+    return OK;
+}
+
+/* The flow from s = (t, x, y, x', y', h_abs) by dop853_step; s holds the last accepted step throughout.
+
+   With n output times ts (non-decreasing, not before t), a step ends exactly at each, and out[2i],
+   out[2i + 1] is the state there; OK once all n are stored.
+
+   With ts NULL, the first return to Sigma = {y = 0, x > sqrt(2)} before t = max_time.  A step that takes
+   y from positive to non-positive holds a downward crossing, placed by crossing(); where that is
+   UNRESOLVED, the step is retried at half the length, and UNRESOLVED returned once that falls below
+   min_step(t).  The return is OK with out = (t, x) there; crossings inside the lobes are counted in
+   out[2] and discarded, and stepping goes on: ABSORBED once MAX_DISCARD are, TIME_CAP at max_time.
+
+   Either way ESCAPED once a step ends outside the box |x|, |y| < ESCAPE_BOUND, and STEP_FAILURE, OVERFLOW
+   or ZERO_DIVISION from a step. */
+int flow(const double *p, double *s, const double *ts, long n, double *out)
+{
+    long i = 0, discarded = 0;
+    double next[7], t_bound;
+    for (;;) {
+        if (ts) {
+            for (; i < n && !(s[0] < ts[i]); i++) {
+                out[2 * i] = s[1];
+                out[2 * i + 1] = s[2];
+            }
+            if (i == n)
+                return OK;
+            t_bound = ts[i];
+        } else {
+            out[2] = (double)discarded;
+            if (!(s[0] < p[MAX_TIME]))
+                return TIME_CAP;
+            t_bound = p[MAX_TIME];
+        }
+        memcpy(next, s, sizeof next);
+        int status = dop853_step(p, next, t_bound);
+        if (status != OK) {
+            s[5] = next[5];
+            s[6] = next[6];
+            return status;
+        }
+        if (!ts && s[2] > 0.0 && 0.0 >= next[2]) {
+            status = crossing(p, s[0], s[1], s[2], s[4], next[0], &out[0], &out[1]);
+            if (status == UNRESOLVED) {
+                /* a shorter step ends before the crossing or brings it within reach of an accurate step in y */
+                s[5] = 0.5 * (next[0] - s[0]);
+                if (s[5] < min_step(s[0]))
+                    return UNRESOLVED;
+                continue;
+            }
+            if (status != OK)
+                return status;
+            if (out[1] > SQRT2)
+                return OK;
+            out[2] = (double)++discarded;
+            if (discarded >= MAX_DISCARD)
+                return ABSORBED;
+        }
+        memcpy(s, next, 6 * sizeof *s);
+        if (py_max(fabs(s[1]), fabs(s[2])) >= ESCAPE_BOUND)
+            return ESCAPED;
+    }
+}
+"""
+)
+
+
+def _kernel_source() -> str:
+    """The flow kernel's C: the tableau, the field and the constants above, written into _KERNEL_C.
+
+    The stage sums are written out with the coefficients as exact
+    hexadecimal literals and summed left to right, so the arithmetic is
+    that of loops over the tableau, and each slope is vector_field's own
+    expression; nothing is called per stage.
     """
-    fu, fv = _field_source()
+    field_x, field_y = _field_c()
 
     def combination(row, component):
-        return " + ".join(f"{a!r} * k{j}{component}" for j, a in row)
+        return " + ".join(f"{a.hex()} * k{j}{component}" for j, a in row)
 
-    # per stage: its index, node and state
-    states = [
-        (i, c, f"u0 + h * ({combination(row, 'u')})", f"v0 + h * ({combination(row, 'v')})")
+    def stage(row, component):
+        return f"{component}0 + h * ({combination(row, component)})"
+
+    indent = "        "
+    flow_stages = [
+        f"{indent}u = {stage(row, 'u')};\n{indent}v = {stage(row, 'v')};\n"
+        f"{indent}k{i}u = field_x(u, v, p);\n{indent}k{i}v = field_y(u, v, p);"
+        for i, (_, row) in enumerate(_STAGES, 1)
+    ]
+    y_stages = [
+        f"    if (in_y(p, y + {c.hex()} * h, {stage(row, 'v')}, &k{i}u, &k{i}v) != OK)\n        return ZERO_DIVISION;"
         for i, (c, row) in enumerate(_STAGES, 1)
     ]
-    flow_stages = [
-        line for i, _, u, v in states for line in (f"u = {u}", f"v = {v}", f"k{i}u = {fu}", f"k{i}v = {fv}")
-    ]
-    y_stages = [f"k{i}u, k{i}v = _in_y(s + {c!r} * h, ({u}, {v}), lam)" for i, c, u, v in states]
     b, e5, e3 = _WEIGHTS
-    solution_and_error = [
-        f"u = u0 + h * ({combination(b, 'u')})",
-        f"v = v0 + h * ({combination(b, 'v')})",
-        "su = atol + max(abs(u0), abs(u)) * rtol",
-        "sv = atol + max(abs(v0), abs(v)) * rtol",
-        *(f"{e} = (({combination(w, 'u')}) / su) ** 2 + (({combination(w, 'v')}) / sv) ** 2"
-          for e, w in (("e5", e5), ("e3", e3))),
-        "err = 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)",
-    ]
-    loop = [
-        "t_new = min(t + h_abs, t_bound)",
-        "h = t_new - t",
-        *flow_stages,
-        *solution_and_error,
-        "if err < 1.0:",
-        "    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)",
-        f"    return t_new, u, v, {fu}, {fv}, h * (min(1.0, factor) if rejected else factor)",
-        "h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)",
-        "rejected = True",
-    ]
-    source = [
-        "def _accepted_step(t, u0, v0, k0u, k0v, h_abs, lam, t_bound, cfg):",
-        "    l1, l2, l3, l4 = lam",
-        "    rtol, atol = cfg.rel_tol, cfg.abs_tol",
-        "    min_step = _min_step(t)",
-        "    h_abs = max(h_abs, min_step)",
-        "    rejected = False",
-        "    while h_abs >= min_step:",
-        *(f"        {line}" for line in loop),
-        '    raise StepFailure(f"step size {h_abs:.3g} below {min_step:.3g} at t={t:.6g}")',
-        "def _step_in_y(s, u0, v0, k0u, k0v, h, lam, cfg):",
-        "    rtol, atol = cfg.rel_tol, cfg.abs_tol",
-        *(f"    {line}" for line in y_stages + solution_and_error),
-        "    return u, v, err",
-    ]
-    steps: dict = {}
-    exec(compile("\n".join(source), "<DOP853 steps>", "exec"), globals(), steps)
-    return steps["_accepted_step"], steps["_step_in_y"]
+    errors = ", ".join(combination(w, component) for w in (e5, e3) for component in "uv")
+    step_end = (
+        f"u = {stage(b, 'u')};\nv = {stage(b, 'v')};\nint status = OK;\n"
+        f"double err = error_norm(p, h, u0, v0, u, v, {errors}, &status);"
+    )
+    return _KERNEL_C.substitute(
+        status=", ".join(_STATUS),
+        safety=_SAFETY.hex(),
+        min_factor=_MIN_FACTOR.hex(),
+        max_factor=_MAX_FACTOR.hex(),
+        error_exponent=_ERROR_EXPONENT.hex(),
+        sqrt2=SQRT2.hex(),
+        escape_bound=float(ESCAPE_BOUND).hex(),
+        max_discard=MAX_DISCARD,
+        field_x=field_x,
+        field_y=field_y,
+        stage_slopes=", ".join(f"k{i}u, k{i}v" for i in range(1, len(_STAGES) + 1)),
+        flow_stages="\n".join(flow_stages),
+        y_stages="\n".join(y_stages),
+        step_end=textwrap.indent(step_end, indent),
+    )
 
 
-_accepted_step, _step_in_y = _unrolled_dop853_steps()
+# -ffp-contract=off keeps the compiler from fusing a multiply and an add
+# (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x: each double
+# operation is then the one Python does
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+
+
+def _library(source: str, directory: Path) -> Path:
+    """The shared library _CC compiles from source, in directory.
+
+    Its name holds the sha256 of the source, the compile command and the
+    platform, and a library of that name already there is reused.  The
+    compiler writes a temporary file that replaces into place, so processes
+    that build at once never load a half-written library.  RuntimeError,
+    naming cc, if there is no cc on PATH.
+    """
+    key = "\n".join((source, *_CC, sysconfig.get_platform()))
+    library = directory / f"dop853-{hashlib.sha256(key.encode()).hexdigest()}.so"
+    if library.exists():
+        return library
+    with tempfile.TemporaryDirectory(dir=directory) as work:
+        c_file, built = Path(work, "dop853.c"), Path(work, library.name)
+        c_file.write_text(source)
+        try:
+            subprocess.run([*_CC, "-o", str(built), str(c_file), "-lm"], check=True)
+        except FileNotFoundError as exc:
+            raise RuntimeError("the dynamics flow kernel is compiled with cc, and no cc is on PATH") from exc
+        os.replace(built, library)
+    return library
+
+
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled flow kernel, built at the first flow call of the process and kept in __pycache__.
+
+    A private temporary directory stands in where __pycache__ cannot be written.
+    """
+    source = _kernel_source()
+    try:
+        cache = Path(__file__).resolve().parent / "__pycache__"
+        cache.mkdir(exist_ok=True)
+        library = _library(source, cache)
+    except OSError:
+        library = _library(source, Path(tempfile.mkdtemp()))
+    kernel = ctypes.CDLL(str(library))
+    for name, argtypes in (
+        ("flow", (_DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
+        ("dop853_step", (_DOUBLES, _DOUBLES, ctypes.c_double)),
+        ("dop853_step_in_y", (_DOUBLES, _DOUBLES)),
+    ):
+        getattr(kernel, name).argtypes = argtypes
+        getattr(kernel, name).restype = ctypes.c_int
+    return kernel
 
 
 def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> float:
@@ -281,8 +540,36 @@ def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> f
     return min(100.0 * h0, h1, t_bound)
 
 
-def _min_step(t: float) -> float:
-    return 10.0 * (math.nextafter(t, math.inf) - t)
+def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, ts=None):
+    """The kernel's flow loop from (x, y) at t = 0 up to t_end: (status, the time it stopped at, outputs).
+
+    With output times ts (a contiguous float array ending at t_end) the
+    outputs are the states there, an array of shape (len(ts), 2); without,
+    the loop looks for the return to Sigma by t_end = cfg.max_time, and the
+    outputs are (t, x) at the return and the crossings discarded.  The
+    failures integrate and return_map share are raised here; the return
+    map's own come back as the status, a name in _STATUS.
+    """
+    fx, fy = vector_field(0.0, (x, y), lam)
+    h_abs = _initial_step(x, y, fx, fy, lam, t_end, cfg) if t_end > 0.0 else 0.0
+    params = (ctypes.c_double * 7)(*lam, cfg.rel_tol, cfg.abs_tol, cfg.max_time)
+    state = (ctypes.c_double * 7)(0.0, x, y, fx, fy, h_abs, 0.0)
+    if ts is None:
+        out = (ctypes.c_double * 3)()
+        status = _kernel().flow(params, state, None, 0, out)
+    else:
+        out = np.empty((len(ts), 2))
+        status = _kernel().flow(params, state, ts.ctypes.data_as(_DOUBLES), len(ts), out.ctypes.data_as(_DOUBLES))
+    status, t = _STATUS[status], state[0]
+    if status == "STEP_FAILURE":
+        raise StepFailure(f"step size {state[5]:.3g} below {state[6]:.3g} at t={t:.6g}")
+    if status == "ESCAPED":
+        raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
+    if status == "OVERFLOW":  # where Python's float ** raises
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    if status == "ZERO_DIVISION":
+        raise ZeroDivisionError("float division by zero")
+    return status, t, out
 
 
 def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
@@ -296,55 +583,13 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     if the step size collapses.
     """
     cfg = cfg or IntegratorConfig()
-    ts = np.asarray(ts, dtype=float)
+    ts = np.ascontiguousarray(ts, dtype=float)
     if not (np.all(ts >= 0.0) and np.all(np.diff(ts) >= 0.0)):
         raise ValueError("output times must be non-negative and non-decreasing")
     t_end = float(ts[-1]) if len(ts) else 0.0
     if t_end > cfg.max_time:
         raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    lam = tuple(lam)
-    t, x, y = 0.0, float(p0[0]), float(p0[1])
-    fx, fy = vector_field(t, (x, y), lam)
-    h_abs = _initial_step(x, y, fx, fy, lam, t_end, cfg) if t_end > 0.0 else 0.0
-    states = np.empty((len(ts), 2))
-    for i, t_out in enumerate(ts.tolist()):  # Python floats keep the step arithmetic off numpy scalars
-        while t < t_out:
-            t, x, y, fx, fy, h_abs = _accepted_step(t, x, y, fx, fy, h_abs, lam, t_out, cfg)
-            if max(abs(x), abs(y)) >= ESCAPE_BOUND:
-                raise _escaped(t)
-        states[i] = x, y
-    return states
-
-
-def _escaped(t: float) -> EscapedRegion:
-    return EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
-
-
-def _in_y(y, state, lam):
-    """(t, x) as functions of y along the flow: dt/dy = 1/y', dx/dy = x'/y' = y/y'."""
-    t, x = state
-    dy = vector_field(t, (x, y), lam)[1]
-    return 1.0 / dy, y / dy
-
-
-def _crossing(t, x, y, fy, t_new, lam, cfg: IntegratorConfig):
-    """(t, x) where the flow from (x, y > 0) at t, with y' = fy, meets y = 0 before t_new, or None.
-
-    One DOP853 step in the independent variable y, from y to 0 (Henon's
-    trick).  That needs y to fall monotonically over the step and the step
-    in y to pass the flow's error test, so a step that starts with y
-    rising, meets y' = 0 at a stage, fails the test or lands outside
-    [t, t_new] gives None.
-    """
-    if fy >= 0.0:
-        return None
-    try:
-        t_cross, x_cross, err = _step_in_y(y, t, x, 1.0 / fy, y / fy, -y, lam, cfg)
-    except ZeroDivisionError:
-        return None
-    if not t <= t_cross <= t_new or err >= 1.0:
-        return None
-    return t_cross, x_cross
+    return _flow(float(p0[0]), float(p0[1]), tuple(lam), cfg, t_end, ts)[2]
 
 
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
@@ -353,46 +598,26 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     Launches from (x_plus(h_in), 0) and steps with DOP853 under scipy's
     step control.  A step that takes y from positive to non-positive holds
     a downward crossing, located by one DOP853 step in y from the step's
-    start to y = 0 (Henon's trick); where that step is not valid (see
-    _crossing), the flow step is retried at half the length.  The first
-    crossing with x > sqrt(2) is the return; crossings inside the lobes are
-    counted and discarded, and stepping goes on.  TimeCap if the time
-    budget or the MAX_DISCARD budget runs out; EscapedRegion if the orbit
-    leaves the working box; StepFailure if the step size collapses.
+    start to y = 0 (Henon's trick); where that step is not valid, the flow
+    step is retried at half the length.  The first crossing with
+    x > sqrt(2) is the return; crossings inside the lobes are counted and
+    discarded, and stepping goes on.  TimeCap if the time budget or the
+    MAX_DISCARD budget runs out; EscapedRegion if the orbit leaves the
+    working box; StepFailure if the step size collapses.
     """
     cfg = cfg or IntegratorConfig()
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
     lam = tuple(lam)
-    t, x, y = 0.0, x_plus(h_in), 0.0
-    fx, fy = vector_field(t, (x, y), lam)
-    h_abs = _initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
-    discarded = 0
-    while t < cfg.max_time:
-        t_new, x_new, y_new, fx_new, fy_new, h_next = _accepted_step(t, x, y, fx, fy, h_abs, lam, cfg.max_time, cfg)
-        if y > 0.0 >= y_new:
-            crossing = _crossing(t, x, y, fy, t_new, lam, cfg)
-            if crossing is None:
-                # a shorter step ends before the crossing or brings it
-                # within reach of an accurate step in y
-                h_abs = 0.5 * (t_new - t)
-                if h_abs < _min_step(t):
-                    raise StepFailure(f"crossing of y = 0 not resolved at t={t:.6g} (h_in={h_in})")
-                continue
-            t_cross, x_cross = crossing
-            if x_cross > SQRT2:
-                return ReturnMapSample(
-                    h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded
-                )
-            discarded += 1
-            if discarded >= MAX_DISCARD:
-                raise TimeCap(
-                    f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})"
-                )
-        t, x, y, fx, fy, h_abs = t_new, x_new, y_new, fx_new, fy_new, h_next
-        if max(abs(x), abs(y)) >= ESCAPE_BOUND:
-            raise _escaped(t)
-    raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
+    status, t, (t_cross, x_cross, discarded) = _flow(x_plus(h_in), 0.0, lam, cfg, cfg.max_time)
+    discarded = int(discarded)
+    if status == "UNRESOLVED":
+        raise StepFailure(f"crossing of y = 0 not resolved at t={t:.6g} (h_in={h_in})")
+    if status == "ABSORBED":
+        raise TimeCap(f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})")
+    if status == "TIME_CAP":
+        raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
+    return ReturnMapSample(h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded)
 
 
 def displacement(h_in: float, lam, cfg: IntegratorConfig | None = None) -> float:
@@ -585,8 +810,8 @@ def cyclicity_sweep(
 
     Each sample gets its own counter-keyed generator, so results do not
     depend on worker scheduling.  threads > 1 distributes samples over
-    processes (the stepper is pure Python, so threads would serialize),
-    at most one per sample and one per CPU.
+    processes, each loading the compiled flow kernel from its cache, at
+    most one per sample and one per CPU.
     """
     one = functools.partial(_sweep_one, arc_family, seed, eps, tuple(h_window), grid_n, cfg, refine_tol)
     workers = min(threads, n_samples, os.cpu_count() or 1)

@@ -47,9 +47,12 @@ def vector_field(t, state, lam):
     """Right-hand side (x', y') of the perturbed system at state, with lam = (lam1, lam2, lam3, lam4).
 
     The signature is that of scipy's ODE solvers, fun(t, y, *args), with t
-    unused.  The DOP853 step of the dynamics module does not call it: it is
-    generated from the source of the return expression below, in x, y and
-    l1..l4, which is therefore the one place the field is written.
+    unused.  The compiled DOP853 flow loop of the dynamics module does not
+    call it: its C is generated from the source of the return expression
+    below, in x, y and l1..l4, which is therefore the one place the field
+    is written.  That expression may use only +, -, * and negation, whose
+    C on doubles is Python's float arithmetic; the generator refuses
+    anything else.
     """
     x, y = state
     l1, l2, l3, l4 = lam

@@ -1,8 +1,14 @@
 """Flow integration, the section return map, and cycle detection."""
 
+import ast
+import ctypes
+import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -242,8 +248,21 @@ def _tableau_accepted_step(t, x, y, h_abs, lam, t_bound, cfg):
     raise el.StepFailure("step size collapsed")
 
 
+def _in_y(y, state, lam):
+    """(t, x) as functions of y along the flow: dt/dy = 1/y', dx/dy = x'/y' = y/y'."""
+    t, x = state
+    dy = el.vector_field(t, (x, y), lam)[1]
+    return 1.0 / dy, y / dy
+
+
+def _params(lam, cfg):
+    """The compiled kernel's parameter block for lam and cfg."""
+    return (ctypes.c_double * 7)(*lam, cfg.rel_tol, cfg.abs_tol, cfg.max_time)
+
+
 def test_unrolled_step_does_the_arithmetic_of_the_tableau():
-    """The flow step and the step in y equal, bit for bit, plain loops over scipy's tableau and step control."""
+    """The compiled flow step and step in y equal, bit for bit, plain loops over scipy's tableau and step control."""
+    kernel = dynamics._kernel()
     rng = np.random.default_rng(3)
     tries = []
     for cfg in (el.IntegratorConfig(), el.IntegratorConfig(1e-6, 1e-9)):
@@ -252,12 +271,45 @@ def test_unrolled_step_does_the_arithmetic_of_the_tableau():
             lam = tuple(rng.uniform(-0.1, 0.1, 4).tolist())
             want, n = _tableau_accepted_step(t, x, y, 10.0**log_h, lam, t + dt, cfg)
             tries.append(n)
-            fx, fy = el.vector_field(t, (x, y), lam)
-            assert dynamics._accepted_step(t, x, y, fx, fy, 10.0**log_h, lam, t + dt, cfg) == want
-            k0 = dynamics._in_y(y, (t, x), lam)  # the step in y runs from y to 0
-            want = _tableau_step(dynamics._in_y, y, t, x, k0, -y, lam, cfg)
-            assert dynamics._step_in_y(y, t, x, *k0, -y, lam, cfg) == want
+            state = (ctypes.c_double * 7)(t, x, y, *el.vector_field(t, (x, y), lam), 10.0**log_h, 0.0)
+            assert dynamics._STATUS[kernel.dop853_step(_params(lam, cfg), state, t + dt)] == "OK"
+            assert tuple(state[:6]) == want
+            k0 = _in_y(y, (t, x), lam)  # the step in y runs from y to 0
+            want = _tableau_step(_in_y, y, t, x, k0, -y, lam, cfg)
+            state = (ctypes.c_double * 6)(y, t, x, *k0, -y)
+            assert dynamics._STATUS[kernel.dop853_step_in_y(_params(lam, cfg), state)] == "OK"
+            assert tuple(state[:3]) == want
     assert min(tries) == 1 and max(tries) > 1  # first tries accepted and rejected
+
+
+def _tableau_return_map(h_in, lam, cfg):
+    """return_map's loop over the plain tableau steps above: (the return, whether a crossing was retried shorter).
+
+    A reference for lanes that return without escaping or running out of
+    time or crossings.
+    """
+    t, x, y = 0.0, x_plus(h_in), 0.0
+    fx, fy = el.vector_field(t, (x, y), lam)
+    h_abs = dynamics._initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
+    discarded, retried = 0, False
+    while True:
+        (t_new, x_new, y_new, _, fy_new, h_next), _ = _tableau_accepted_step(t, x, y, h_abs, lam, cfg.max_time, cfg)
+        if y > 0.0 >= y_new:
+            t_cross, x_cross, err = math.nan, math.nan, math.nan
+            if fy < 0.0:
+                try:
+                    t_cross, x_cross, err = _tableau_step(_in_y, y, t, x, _in_y(y, (t, x), lam), -y, lam, cfg)
+                except ZeroDivisionError:
+                    pass
+            if not (t <= t_cross <= t_new and err < 1.0):
+                retried = True
+                h_abs = 0.5 * (t_new - t)
+                continue
+            if x_cross > el.SQRT2:
+                return el.ReturnMapSample(h_in=h_in, h_out=el.energy((x_cross, 0.0)), flow_time=t_cross,
+                                          crossings=discarded), retried
+            discarded += 1
+        t, x, y, fy, h_abs = t_new, x_new, y_new, fy_new, h_next
 
 
 def test_return_map_is_pinned_bit_for_bit():
@@ -319,7 +371,7 @@ def test_stepper_matches_solve_ivp_at_strict_tolerances():
     assert worst <= 1e-11
 
 
-def test_crossing_the_step_in_y_cannot_resolve_is_retried_shorter(monkeypatch, integ_cfg):
+def test_crossing_the_step_in_y_cannot_resolve_is_retried_shorter(integ_cfg):
     """At loose tolerances a flow step can hold a crossing that one step in y cannot locate.
 
     The step then starts with y still rising, or spans a stretch where y'
@@ -327,22 +379,15 @@ def test_crossing_the_step_in_y_cannot_resolve_is_retried_shorter(monkeypatch, i
     the crossing is wrong by a lot (h_out 0.28, 0.19 and 1.23 on these
     lanes, where the returns are at 0.050, 0.085 and 0.106); retried with
     shorter flow steps, it is within the loose tolerance's reach of the
-    reference at default tolerances.
+    reference at default tolerances.  The loop over the plain tableau takes
+    that retry on each lane, and the compiled loop returns what it does.
     """
-    crossing = dynamics._crossing
-    unresolved = []
-
-    def spy(*args):
-        found = crossing(*args)
-        unresolved.append(found is None)
-        return found
-
-    monkeypatch.setattr(dynamics, "_crossing", spy)
     loose = el.IntegratorConfig(1e-2, 1e-4)
     for h, lam in ((0.05, (0.0, 0.0, 0.05, 0.0)), (0.05, (0.01, 0.0, 0.1, 0.0)), (0.002, (0.0, 0.05, 0.1, -0.02))):
-        unresolved.clear()
-        new, ref = el.return_map(h, lam, loose), _oracle_return_map(h, lam, integ_cfg)
-        assert any(unresolved)
+        new, (plain, retried) = el.return_map(h, lam, loose), _tableau_return_map(h, lam, loose)
+        assert retried
+        assert new == plain
+        ref = _oracle_return_map(h, lam, integ_cfg)
         assert new.crossings == ref.crossings
         assert abs(new.h_out - ref.h_out) <= 2e-3
 
@@ -363,6 +408,97 @@ def test_time_cap_message_names_the_discarded_crossings(lanes_at_default_toleran
     with pytest.raises(el.TimeCap, match="absorbed") as info:
         el.return_map(h, lam, el.IntegratorConfig(max_time=1000.0))
     assert _discarded(info.value) == dynamics.MAX_DISCARD
+
+
+def _outcome_line(h, lam, cfg):
+    try:
+        r = el.return_map(h, lam, cfg)
+    except el.NumericalFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{r.h_out.hex()} {r.flow_time.hex()} {r.crossings}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_return_maps_and_integrate_keep_every_bit_of_the_python_stepper():
+    """Digests recorded with the DOP853 stepper in Python floats that the compiled kernel replaced.
+
+    1,152 return maps: the 16 seed-6 sweep arcs of both families at
+    eps = 1e-3, on the 24 sweep grid energies, at default, strict and loose
+    tolerances.  Then the eps = 0.5 arcs and two strongly pumped ones, whose
+    orbits run out of time, are absorbed or escape, with the failure
+    messages word for word; and a 501-point integrate.
+    """
+    grid = np.geomspace(H_FLOOR, 0.2, 24).tolist()
+    weak = [sampler(dynamics._sample_rng(6, i)).params_at(1e-3)
+            for sampler in (el.arc_sampler_general, el.arc_sampler_no_first_order) for i in range(8)]
+    tolerances = (el.IntegratorConfig(), el.IntegratorConfig(1e-12, 1e-14), el.IntegratorConfig(1e-6, 1e-9))
+    lanes = [_outcome_line(h, lam, cfg) for cfg in tolerances for lam in weak for h in grid]
+    assert sum(line.startswith("TimeCap: no return") for line in lanes) == 39
+    assert _digest(lanes) == "e901967d0791368f3cc2c9232380e171b0c526be1a3a7603ae90c135840ca35c"
+
+    strong = [el.arc_sampler_general(dynamics._sample_rng(6, i)).params_at(0.5) for i in range(6)]
+    pumped = [(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.3, 0.0)]
+    wide = grid + np.geomspace(0.3, 40.0, 6).tolist()
+    lanes = [_outcome_line(h, lam, el.IntegratorConfig()) for lam in strong + pumped for h in wide]
+    lanes += [_outcome_line(h, lam, el.IntegratorConfig(max_time=1000.0)) for lam in strong for h in grid[::4]]
+    kinds = Counter(re.match(r"(\w+: \w+ \w+)|", line).group(1) for line in lanes)
+    assert kinds == {None: 96, "TimeCap: no return": 169, "TimeCap: orbit absorbed": 5, "EscapedRegion: orbit left": 6}
+    assert _digest(lanes) == "4147f066e1a7bc554339c9e6469420222ad626f5b523aa6083a0411e94f65ffe"
+
+    states = el.integrate(_section_point(0.3), (0.02, 0.01, -0.03, 0.015), np.linspace(0.0, 50.0, 501))
+    assert _digest([" ".join(v.hex() for v in states.ravel().tolist())]) == (
+        "73154adc284c02b56fd3913d55c406397a50fa9e3ca28c427c1636897fd72e13"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernel
+# ---------------------------------------------------------------------------
+
+
+def test_the_field_translator_takes_only_float_exact_arithmetic():
+    """C does Python's float arithmetic for +, -, * and negation; a power, call or division is refused by name."""
+    def translate(source):
+        return dynamics._c_expression(ast.parse(source, mode="eval").body)
+
+    assert translate("-x * 2 + l1 * y") == "(((-x) * 0x1.0000000000000p+1) + (l1 * y))"
+    for source, node in (("x ** 3", "BinOp"), ("math.sin(x)", "Call"), ("x / y", "BinOp"), ("z * x", "Name")):
+        with pytest.raises(ValueError, match=rf"{re.escape(source.split()[0])}.*\({node}\)"):
+            translate(source)
+
+
+def test_kernel_libraries_are_named_by_their_source(tmp_path):
+    one = dynamics._library("int f(void) { return 1; }\n", tmp_path)
+    two = dynamics._library("int f(void) { return 2; }\n", tmp_path)
+    assert one != two and one.is_file() and two.is_file()
+
+
+def test_a_built_kernel_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
+    source = "int f(void) { return 1; }\n"
+    built = dynamics._library(source, tmp_path)
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran for a library already built")
+
+    monkeypatch.setattr(dynamics.subprocess, "run", no_compiler)
+    assert dynamics._library(source, tmp_path) == built
+    assert list(tmp_path.iterdir()) == [built]  # the build left no temporary files behind
+
+
+def test_without_cc_on_path_the_kernel_build_names_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    with pytest.raises(RuntimeError, match=r"\bcc\b"):
+        dynamics._library("int f(void) { return 1; }\n", tmp_path)
+
+
+def test_importing_the_package_builds_no_kernel():
+    probe = "import eightloop.dynamics as d; print(d._kernel.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
