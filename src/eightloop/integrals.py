@@ -33,6 +33,13 @@ values are only guaranteed for h >= 1e-4 — below that the series module is
 the intended tool.  These quadratures are the tests' oracle; M_k takes I_0,
 I_2 and I'_4 from their closed forms in K and E (_exterior_moments) instead.
 
+The three integrands are C in the package's one compiled library (native),
+which QUADPACK calls as scipy.LowLevelCallable with quad's args (a, s, i),
+so no call goes back into Python.  They do the arithmetic of the same
+expressions on Python floats (math's sin, cos and sqrt, and ** as pow) bit
+for bit.  The library is built and loaded at the first QUADPACK call of a
+process, so quadrature, like the flow, needs a cc on PATH.
+
 Values here are full-contour.  Consumers that want the per-lobe convention
 (in which I_0(0+) = 4/3) divide by the contour constant KAPPA = 2 of the
 series module.
@@ -40,13 +47,16 @@ series module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
+from scipy import LowLevelCallable
 from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
 
 from .geometry import SQRT2, NumericalFailure, x_plus
+from .native import _kernel
 
 _HALF_PI = 0.5 * math.pi
 
@@ -96,8 +106,18 @@ class IntegralTriple:
     err: dict = field(default_factory=dict)
 
 
-def _oval_quad(integrand, h: float, i: int, cfg: QuadratureConfig | None, label: str):
-    """(value, err) of the adaptive quadrature of integrand(theta, a, s, i) over [-pi/2, pi/2].
+@functools.cache
+def _integrand(name: str) -> LowLevelCallable:
+    """The compiled integrand name ('xiy', 'xi_over_y' or 'i0pp') of theta, a, s and i, as quad takes it.
+
+    Built at its first QUADPACK call of the process, so an import compiles
+    and loads nothing.
+    """
+    return LowLevelCallable(getattr(_kernel(), name))
+
+
+def _oval_quad(integrand: str, h: float, i: int, cfg: QuadratureConfig | None, label: str):
+    """(value, err) of the adaptive quadrature of the integrand named integrand over theta in [-pi/2, pi/2].
 
     a = x_plus(h) (which rejects a non-finite or non-positive h) and
     s = sqrt(1+4h) - 1 place the oval; cfg None means the default
@@ -109,10 +129,10 @@ def _oval_quad(integrand, h: float, i: int, cfg: QuadratureConfig | None, label:
     s = math.sqrt(1.0 + 4.0 * h) - 1.0
     cfg = cfg or QuadratureConfig()
     out = quad(
-        integrand,
+        _integrand(integrand),
         -_HALF_PI,
         _HALF_PI,
-        args=(a, s, i),
+        args=(a, s, float(i)),
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
         limit=cfg.max_subdivisions,
@@ -127,25 +147,6 @@ def _oval_quad(integrand, h: float, i: int, cfg: QuadratureConfig | None, label:
     return value, err
 
 
-# The integrands take one Python float theta at a time, so they use math.
-
-
-def _xiy(th, a, s, i):
-    x = a * math.sin(th)
-    return a * a * math.cos(th) ** 2 * x**i * math.sqrt((x * x + s) / 2.0)
-
-
-def _xi_over_y(th, a, s, i):
-    x = a * math.sin(th)
-    return x**i * math.sqrt(2.0 / (x * x + s))
-
-
-def _i0pp(th, a, s, _i):
-    sin_th = math.sin(th)
-    x = a * sin_th
-    return (1.0 + sin_th * sin_th) / (x * x + s) ** 1.5
-
-
 def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
     """Full-contour I_i(h) = oint x^i y dx for i in {0, 1, 2}.
 
@@ -154,7 +155,7 @@ def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 1, 2):
         raise ValueError(f"i must be one of 0, 1, 2 (got {i})")
-    v, e = _oval_quad(_xiy, h, i, cfg, f"I_{i}")
+    v, e = _oval_quad("xiy", h, i, cfg, f"I_{i}")
     return 2.0 * v, 2.0 * e
 
 
@@ -165,7 +166,7 @@ def integral_xi_over_y(h: float, i: int, cfg: QuadratureConfig | None = None):
     """
     if i not in (0, 2, 4):
         raise ValueError(f"i must be one of 0, 2, 4 (got {i})")
-    v, e = _oval_quad(_xi_over_y, h, i, cfg, f"I'_{i}")
+    v, e = _oval_quad("xi_over_y", h, i, cfg, f"I'_{i}")
     return 2.0 * v, 2.0 * e
 
 
@@ -175,7 +176,7 @@ def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     Returns (value, err).  Diverges like -2*kappa/h as h -> 0+ (consistent
     with 4h(4h+1) I''_0 = -3 I_0), so expect large magnitudes at small h.
     """
-    v, e = _oval_quad(_i0pp, h, 0, cfg, "I''_0")
+    v, e = _oval_quad("i0pp", h, 0, cfg, "I''_0")
     scale = 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + 4.0 * h)
     return -scale * v, scale * e
 

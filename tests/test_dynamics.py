@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 import eightloop as el
-from eightloop import dynamics
+from eightloop import dynamics, native
 from eightloop.dynamics import H_FLOOR
 from eightloop.geometry import x_plus
 from eightloop.series import KAPPA
@@ -165,7 +165,7 @@ _ev_down.terminal = 2
 
 
 def _ev_escape(t, state, lam):
-    return max(abs(state[0]), abs(state[1])) - dynamics.ESCAPE_BOUND
+    return max(abs(state[0]), abs(state[1])) - native.ESCAPE_BOUND
 
 
 _ev_escape.terminal = True
@@ -181,7 +181,7 @@ def _oracle_return_map(h_in, lam, cfg):
     lam = tuple(lam)
     t0 = 0.0
     discarded = 0
-    while t0 < cfg.max_time and discarded < dynamics.MAX_DISCARD:
+    while t0 < cfg.max_time and discarded < native.MAX_DISCARD:
         sol = solve_ivp(el.vector_field, (t0, cfg.max_time), state, args=(lam,), method="DOP853",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(_ev_down, _ev_escape))
         if sol.t_events[1].size:
@@ -264,7 +264,7 @@ def _params(lam, cfg):
 
 def test_unrolled_step_does_the_arithmetic_of_the_tableau():
     """The compiled flow step and step in y equal, bit for bit, plain loops over scipy's tableau and step control."""
-    kernel = dynamics._kernel()
+    kernel = native._kernel()
     rng = np.random.default_rng(3)
     tries = []
     for cfg in (el.IntegratorConfig(), el.IntegratorConfig(1e-6, 1e-9)):
@@ -274,12 +274,12 @@ def test_unrolled_step_does_the_arithmetic_of_the_tableau():
             want, n = _tableau_accepted_step(t, x, y, 10.0**log_h, lam, t + dt, cfg)
             tries.append(n)
             state = (ctypes.c_double * 7)(t, x, y, *el.vector_field(t, (x, y), lam), 10.0**log_h, 0.0)
-            assert dynamics._STATUS[kernel.dop853_step(_params(lam, cfg), state, t + dt)] == "OK"
+            assert native._STATUS[kernel.dop853_step(_params(lam, cfg), state, t + dt)] == "OK"
             assert tuple(state[:6]) == want
             k0 = _in_y(y, (t, x), lam)  # the step in y runs from y to 0
             want = _tableau_step(_in_y, y, t, x, k0, -y, lam, cfg)
             state = (ctypes.c_double * 6)(y, t, x, *k0, -y)
-            assert dynamics._STATUS[kernel.dop853_step_in_y(_params(lam, cfg), state)] == "OK"
+            assert native._STATUS[kernel.dop853_step_in_y(_params(lam, cfg), state)] == "OK"
             assert tuple(state[:3]) == want
     assert min(tries) == 1 and max(tries) > 1  # first tries accepted and rejected
 
@@ -409,7 +409,7 @@ def test_time_cap_message_names_the_discarded_crossings(lanes_at_default_toleran
     h, lam = float(np.geomspace(H_FLOOR, 0.2, 24)[i % 24]), _first_order_arcs(8)[i // 24]
     with pytest.raises(el.TimeCap, match="absorbed") as info:
         el.return_map(h, lam, el.IntegratorConfig(max_time=1000.0))
-    assert _discarded(info.value) == dynamics.MAX_DISCARD
+    assert _discarded(info.value) == native.MAX_DISCARD
 
 
 def _outcome_line(h, lam, cfg):
@@ -464,7 +464,7 @@ def test_return_maps_and_integrate_keep_every_bit_of_the_python_stepper():
 def test_the_field_translator_takes_only_float_exact_arithmetic():
     """C does Python's float arithmetic for +, -, * and negation; a power, call or division is refused by name."""
     def translate(source):
-        return dynamics._c_expression(ast.parse(source, mode="eval").body)
+        return native._c_expression(ast.parse(source, mode="eval").body)
 
     assert translate("-x * 2 + l1 * y") == "(((-x) * 0x1.0000000000000p+1) + (l1 * y))"
     for source, term in (("x ** 3", "'x ** 3' (BinOp)"), ("math.sin(x)", "'math.sin(x)' (Call)"),
@@ -474,50 +474,75 @@ def test_the_field_translator_takes_only_float_exact_arithmetic():
 
 
 def test_kernel_libraries_are_named_by_their_source(tmp_path):
-    one = dynamics._library("int f(void) { return 1; }\n", tmp_path)
-    two = dynamics._library("int f(void) { return 2; }\n", tmp_path)
+    one = native._library("int f(void) { return 1; }\n", tmp_path)
+    two = native._library("int f(void) { return 2; }\n", tmp_path)
     assert one != two and one.is_file() and two.is_file()
 
 
 def test_a_built_kernel_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
     source = "int f(void) { return 1; }\n"
-    built = dynamics._library(source, tmp_path)
+    built = native._library(source, tmp_path)
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran for a library already built")
 
-    monkeypatch.setattr(dynamics.subprocess, "run", no_compiler)
-    assert dynamics._library(source, tmp_path) == built
+    monkeypatch.setattr(native.subprocess, "run", no_compiler)
+    assert native._library(source, tmp_path) == built
     assert list(tmp_path.iterdir()) == [built]  # the build left no temporary files behind
 
 
 def test_without_cc_on_path_the_kernel_build_names_it(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-    with pytest.raises(RuntimeError, match=r"\bcc\b"):
-        dynamics._library("int f(void) { return 1; }\n", tmp_path)
+    with pytest.raises(RuntimeError, match=r"\bcc\b") as exc:
+        native._library("int f(void) { return 1; }\n", tmp_path)
+    assert "flow" in str(exc.value) and "quadrature" in str(exc.value)  # both users of the library
 
 
 def test_an_unwritable_cache_falls_back_to_a_private_directory(monkeypatch):
-    build = dynamics._library
+    build = native._library
 
     def unwritable_cache(source, directory):
         if directory.name == "__pycache__":
             raise PermissionError(13, "Permission denied", str(directory))
         return build(source, directory)
 
-    monkeypatch.setattr(dynamics, "_library", unwritable_cache)
-    private = Path(dynamics._kernel.__wrapped__()._name).parent
+    monkeypatch.setattr(native, "_library", unwritable_cache)
+    private = Path(native._kernel.__wrapped__()._name).parent
     try:
         assert private.name != "__pycache__" and private.is_dir()
     finally:
         shutil.rmtree(private)
 
 
-def test_importing_the_package_builds_no_kernel():
-    probe = "import eightloop.dynamics as d; print(d._kernel.cache_info().currsize)"
+def _fresh_process(probe: str) -> str:
+    """What probe, run in a new interpreter with this one's import path, prints."""
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert done.stdout.strip() == "0"
+    return done.stdout.strip()
+
+
+def test_importing_the_package_builds_no_kernel():
+    probe = ("import eightloop.integrals as i, eightloop.dynamics as d, eightloop.native as n; "
+             "print(n._kernel.cache_info().currsize, i._integrand.cache_info().currsize)")
+    assert _fresh_process(probe) == "0 0"
+
+
+def test_quadrature_and_flow_load_the_one_library():
+    """The first QUADPACK call builds and loads the library; a later return map reuses it."""
+    probe = "\n".join((
+        "import eightloop as el",
+        "from eightloop import native",
+        "el.integral_xiy(0.2, 0)",
+        "loaded = native._kernel.cache_info()",
+        "el.return_map(0.2, (0.0, 0.0, 0.0, 0.0))",
+        "print(loaded.misses, loaded.currsize, native._kernel.cache_info().currsize, native._kernel()._name)",
+    ))
+    quad_misses, quad_size, flow_size, name = _fresh_process(probe).split(" ", 3)
+    assert (quad_misses, quad_size, flow_size) == ("1", "1", "1")
+    library = Path(name)
+    source = native._kernel_source()
+    assert "int flow(" in source and "double xiy(" in source
+    assert native._library(source, library.parent) == library  # the library of the one source, one .so for it
 
 
 # ---------------------------------------------------------------------------

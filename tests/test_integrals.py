@@ -3,9 +3,12 @@
 The area-type moments are cross-checked with a plain midpoint rule in x
 (no shared substitution with the production quadrature); the 1/y and
 second-derivative moments are checked through finite-difference identities
-in h, which couple quadratures of different integrands.
+in h, which couple quadratures of different integrands.  The compiled
+integrands are checked against the same integrands on Python floats, value
+for value and QUADPACK call for QUADPACK call.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -13,10 +16,83 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from eightloop import integrals, native
+from eightloop.geometry import x_plus
 from eightloop.integrals import _exterior_moments, integral_I0pp, moment
 from eightloop.series import KAPPA
 
 TIGHT_QUAD = el.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
+
+
+# The three integrands of theta on the oval (a, s), with the moment's index
+# i, on Python floats: the oracles of the compiled ones.
+
+
+def _xiy(th, a, s, i):
+    x = a * math.sin(th)
+    return a * a * math.cos(th) ** 2 * x**i * math.sqrt((x * x + s) / 2.0)
+
+
+def _xi_over_y(th, a, s, i):
+    x = a * math.sin(th)
+    return x**i * math.sqrt(2.0 / (x * x + s))
+
+
+def _i0pp(th, a, s, _i):
+    sin_th = math.sin(th)
+    x = a * sin_th
+    return (1.0 + sin_th * sin_th) / (x * x + s) ** 1.5
+
+
+PYTHON_INTEGRANDS = {"xiy": _xiy, "xi_over_y": _xi_over_y, "i0pp": _i0pp}
+_INDICES = {"xiy": (0, 1, 2), "xi_over_y": (0, 2, 4), "i0pp": (0,)}
+
+
+def _oval(h):
+    return x_plus(h), math.sqrt(1.0 + 4.0 * h) - 1.0
+
+
+def test_compiled_integrands_equal_the_python_ones_pointwise():
+    rng = np.random.default_rng(18)
+    half_pi = 0.5 * math.pi
+    thetas = [0.0, -0.0, half_pi, -half_pi, *rng.uniform(-half_pi, half_pi, 200).tolist()]
+    energies = [1e-9, 1e-4, 3.0, *np.exp(rng.uniform(math.log(1e-9), math.log(10.0), 20)).tolist()]
+    kernel = native._kernel()
+    checked = 0
+    for name, python in PYTHON_INTEGRANDS.items():
+        compiled = getattr(kernel, name)
+        for i in _INDICES[name]:
+            for h in energies:
+                a, s = _oval(h)
+                for th in thetas:
+                    want = python(th, a, s, i)
+                    got = compiled(4, (ctypes.c_double * 4)(th, a, s, float(i)))
+                    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (name, th, h, i)
+                    checked += 1
+    assert checked == 7 * len(energies) * len(thetas)
+
+
+def _moments(grid, cfg):
+    """Every moment on grid under cfg: (value, err), or the ToleranceNotMet's (message, value, err)."""
+    results = []
+    for h in grid:
+        for name in ("I0", "I1", "I2", "I0p", "I2p", "I4p", "I0pp"):
+            try:
+                results.append(moment(name, h, cfg))
+            except el.ToleranceNotMet as exc:
+                results.append((str(exc), exc.value, exc.err))
+    return results
+
+
+@pytest.mark.parametrize("cfg", [None, el.QuadratureConfig(max_subdivisions=2)], ids=["default", "starved"])
+def test_quadpack_on_the_compiled_integrands_gives_what_it_gives_on_python_ones(cfg, monkeypatch):
+    """On pf-check's grid every (value, err) and every ToleranceNotMet message is the same, bit for bit."""
+    grid = np.geomspace(1e-4, 3.0, 50).tolist()
+    compiled = _moments(grid, cfg)
+    monkeypatch.setattr(integrals, "_integrand", PYTHON_INTEGRANDS.__getitem__)
+    assert compiled == _moments(grid, cfg)
+    failures = sum(len(result) == 3 for result in compiled)
+    assert (failures > 0) == (cfg is not None)
 
 
 def _midpoint_xiy(h, i, n=400_000):
