@@ -58,7 +58,6 @@ def test_compiled_integrands_equal_the_python_ones_pointwise():
     thetas = [0.0, -0.0, half_pi, -half_pi, *rng.uniform(-half_pi, half_pi, 200).tolist()]
     energies = [1e-9, 1e-4, 3.0, *np.exp(rng.uniform(math.log(1e-9), math.log(10.0), 20)).tolist()]
     kernel = native._kernel()
-    checked = 0
     for name, python in PYTHON_INTEGRANDS.items():
         compiled = getattr(kernel, name)
         for i in _INDICES[name]:
@@ -68,8 +67,6 @@ def test_compiled_integrands_equal_the_python_ones_pointwise():
                     want = python(th, a, s, i)
                     got = compiled(4, (ctypes.c_double * 4)(th, a, s, float(i)))
                     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (name, th, h, i)
-                    checked += 1
-    assert checked == 7 * len(energies) * len(thetas)
 
 
 def _moments(grid, cfg):
