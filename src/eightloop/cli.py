@@ -11,7 +11,9 @@ is strict — unknown flags, unknown top-level or parameter keys, wrongly
 typed values and non-finite numbers are rejected (exit 2) rather than
 ignored, so a typo cannot silently change a run; arguments the library
 rejects as out of range exit 2 as well.  Numerical failures (any
-NumericalFailure) exit 3 with partial outputs retained.  Every run, a
+NumericalFailure) exit 3 with partial outputs retained.  A compiled library
+that cannot be built (no cc on PATH, or a failed compile: native.BuildError)
+exits 4.  Every run, a
 rejected scenario or command line included, writes manifest.json
 recording the scenario hash, tool version, the seed, and wall time; every
 numeric table starts with a seed-stamped comment and a header row.
@@ -44,6 +46,7 @@ from .dynamics import (
 from .geometry import NumericalFailure, energy, x_plus
 from .integrals import integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
+from .native import BuildError
 from .series import fit_quadrature, pf_residuals
 
 
@@ -390,7 +393,7 @@ COMMANDS = {
 
 
 def run(scenario: Scenario, threads: int = 1) -> int:
-    """Execute a scenario; returns the process exit status (0, 2, or 3)."""
+    """Execute a scenario; returns the process exit status (0, 2, 3 or 4)."""
     t_start = time.monotonic()
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     status = 0
@@ -401,6 +404,8 @@ def run(scenario: Scenario, threads: int = 1) -> int:
         status, error = 2, str(exc)
     except NumericalFailure as exc:  # TimeCap, ToleranceNotMet, ... and pf-check's residual test
         status, error = 3, str(exc)
+    except BuildError as exc:  # no cc on PATH, or cc failed on the library's source
+        status, error = 4, str(exc)
     _write_manifest(
         scenario.output_dir,
         t_start,

@@ -16,9 +16,10 @@ that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
 
 One ODE driver serves both integrate and the return map: the DOP853 flow
-loop of the package's compiled C library (native), with scipy's tableau,
-step control and error norm, and geometry.vector_field's return expression
-written out at every stage.  It does Python's float arithmetic operation
+loop of the package's compiled C library (native), with DOP853's tableau
+(scipy's coefficients, written into native), scipy's step control and
+error norm, and geometry.vector_field's return expression written out at
+every stage.  It does Python's float arithmetic operation
 for operation, so it returns what the same loop on Python floats would, bit
 for bit.  Python keeps the argument checks, the initial step and the
 exceptions and their messages.  integrate ends a step exactly at each

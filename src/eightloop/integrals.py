@@ -28,17 +28,20 @@ boundary terms).  Using d(x^2+s)/dh = (1 + sin^2 theta) * 2/sqrt(1+4h):
     I''_0 = -(2 sqrt(2)/sqrt(1+4h)) * int (1+sin^2 theta)/(x^2+s)^{3/2} dtheta
 
 again smooth for h > 0.  All integrands develop a sharp (but integrable)
-feature at theta = 0 as h -> 0+, so 'points=[0]' hints the subdivision;
+feature at theta = 0 as h -> 0+, so 0 is a break point of the subdivision;
 values are only guaranteed for h >= 1e-4 — below that the series module is
 the intended tool.  These quadratures are the tests' oracle; M_k takes I_0,
 I_2 and I'_4 from their closed forms in K and E (_exterior_moments) instead.
 
-The three integrands are C in the package's one compiled library (native),
-which QUADPACK calls as scipy.LowLevelCallable with quad's args (a, s, i),
-so no call goes back into Python.  They do the arithmetic of the same
+QUADPACK's dqagpe, the three integrands and K and E are C in the package's
+one compiled library (native), so a quadrature is one ctypes call that
+never comes back into Python.  The integrands do the arithmetic of the same
 expressions on Python floats (math's sin, cos and sqrt, and ** as pow) bit
-for bit.  The library is built and loaded at the first QUADPACK call of a
-process, so quadrature, like the flow, needs a cc on PATH.
+for bit, and dqagpe, K and E give what scipy.integrate.quad (with
+points=[0]) and scipy.special's ellipkm1 and ellipe give, bit for bit, down
+to quad's messages.  The library is built and loaded at its first use in a
+process, so quadrature and the closed forms, like the flow, need a cc on
+PATH.
 
 Values here are full-contour.  Consumers that want the per-lobe convention
 (in which I_0(0+) = 4/3) divide by the contour constant KAPPA = 2 of the
@@ -47,18 +50,32 @@ series module.
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import math
 from dataclasses import dataclass, field
 
-from scipy import LowLevelCallable
-from scipy.integrate import quad
-from scipy.special import ellipe, ellipkm1
-
 from .geometry import SQRT2, NumericalFailure, x_plus
-from .native import _kernel
+from .native import _INTEGRANDS, _kernel
 
-_HALF_PI = 0.5 * math.pi
+# scipy.integrate.quad's messages for QUADPACK's ier 1 to 5, word for word
+_IER_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+    "If increasing the limit yields no improvement it is advised to "
+    "analyze \n  the integrand in order to determine the difficulties.  "
+    "If the position of a \n  local difficulty can be determined "
+    "(singularity, discontinuity) one will \n  probably gain from "
+    "splitting up the interval and calling the integrator \n  on the "
+    "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+    "the requested tolerance from being achieved.  "
+    "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+    "in the extrapolation table.  It is assumed that the requested "
+    "tolerance\n  cannot be achieved, and that the returned result "
+    "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
 
 
 class ToleranceNotMet(NumericalFailure):
@@ -106,45 +123,34 @@ class IntegralTriple:
     err: dict = field(default_factory=dict)
 
 
-@functools.cache
-def _integrand(name: str) -> LowLevelCallable:
-    """The compiled integrand name ('xiy', 'xi_over_y' or 'i0pp') of theta, a, s and i, as quad takes it.
-
-    Built at its first QUADPACK call of the process, so an import compiles
-    and loads nothing.
-    """
-    return LowLevelCallable(getattr(_kernel(), name))
-
-
 def _oval_quad(integrand: str, h: float, i: int, cfg: QuadratureConfig | None, label: str):
     """(value, err) of the adaptive quadrature of the integrand named integrand over theta in [-pi/2, pi/2].
 
     a = x_plus(h) (which rejects a non-finite or non-positive h) and
     s = sqrt(1+4h) - 1 place the oval; cfg None means the default
-    QuadratureConfig.  One QUADPACK call; raises ToleranceNotMet when the
-    subdivision cap is hit before the requested tolerance (the exception
-    still carries the best value and its honest error bound).
+    QuadratureConfig.  One call of the library's QUADPACK dqagpe, with the
+    break point 0; raises ToleranceNotMet, with quad's message, when it
+    stops short of the requested tolerance (the exception still carries
+    the best value and its honest error bound), ValueError, with quad's
+    message, for max_subdivisions 1, and MemoryError where the workspace of
+    max_subdivisions subintervals cannot be allocated.
     """
     a = x_plus(h)
     s = math.sqrt(1.0 + 4.0 * h) - 1.0
     cfg = cfg or QuadratureConfig()
-    out = quad(
-        _integrand(integrand),
-        -_HALF_PI,
-        _HALF_PI,
-        args=(a, s, float(i)),
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        points=[0.0],
-        full_output=1,
+    limit = cfg.max_subdivisions
+    out = (ctypes.c_double * 2)()
+    ier = _kernel().dqagpe(
+        _INTEGRANDS.index(integrand), (ctypes.c_double * 3)(a, s, float(i)), cfg.abs_tol, cfg.rel_tol, limit, out
     )
-    value, err = out[0], out[1]
-    if len(out) > 3:  # QUADPACK gave up: message appended
-        raise ToleranceNotMet(
-            f"{label} at h={h}: {out[3]}", value=value, err=err
-        )
-    return value, err
+    value, err = out
+    if ier == 0:
+        return value, err
+    if ier in _IER_MESSAGES:
+        raise ToleranceNotMet(f"{label} at h={h}: {_IER_MESSAGES[ier].format(limit=limit)}", value=value, err=err)
+    if ier == 6:
+        raise ValueError(f"Number of break points (1) must be less than subinterval limit ({limit})")
+    raise MemoryError(f"no memory for the QUADPACK workspace of {limit} subintervals")
 
 
 def integral_xiy(h: float, i: int, cfg: QuadratureConfig | None = None):
@@ -187,15 +193,17 @@ def _exterior_moments(h: float):
     With r = sqrt(1+4h), s = 4h/(r+1) = r - 1, a^2 = x_plus^2 = 2 + s, c^2 = 2r
     and m = a^2/c^2, x = a cos(phi) makes each moment a sum of the integrals
     S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over [0, pi/2]: S_0 = K(m) (by
-    ellipkm1 at 1 - m = s/c^2), S_1 = (K - E)/m, (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}.
+    the library's ellpk at 1 - m = s/c^2), S_1 = (K - E)/m, E(m) by its ellpe, and
+    (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}.
     """
     x_plus(h)
     r = math.sqrt(1.0 + 4.0 * h)
     s = 4.0 * h / (r + 1.0)
     a2, c2 = 2.0 + s, 2.0 * r
     m = a2 / c2
-    s0 = float(ellipkm1(s / c2))
-    s1 = (s0 - float(ellipe(m))) / m
+    kernel = _kernel()
+    s0 = kernel.ellpk(s / c2)
+    s1 = (s0 - kernel.ellpe(m)) / m
     s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m)
     s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m)
     w = 2.0 * SQRT2 * a2 * math.sqrt(c2)

@@ -1,18 +1,23 @@
-"""The package's one compiled C library: the DOP853 flow loop and the quadrature integrands.
+"""The package's one compiled C library: the DOP853 flow loop, QUADPACK with its integrands, and K and E.
 
 dynamics runs its one ODE driver here: a DOP853 flow loop with scipy's
-tableau, step control and error norm, and geometry.vector_field's return
-expression written out at every stage, generated from the tableau and from
-that expression.  integrals hands the three oval integrands to QUADPACK from
-here, as scipy.LowLevelCallable, so quad runs without calling back into
-Python.  Both do Python's float arithmetic operation for operation (libm's
-sin, cos and pow stand for math's and for **), so they return what the same
-code on Python floats would, bit for bit.
+step control and error norm, and geometry.vector_field's return expression
+written out at every stage, generated from DOP853's tableau (_STAGES and
+_WEIGHTS, scipy's coefficients as exact float literals) and from that
+expression.  integrals runs QUADPACK's dqagpe here (with dqk21, dqpsrt and
+dqelg, as scipy.integrate.quad runs them for one break point) on the three
+oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
+scipy.special's ellipkm1 and ellipe compute).  The flow and the integrands
+do Python's float arithmetic operation for operation (libm's sin, cos and
+pow stand for math's and for **), so they return what the same code on
+Python floats would, bit for bit; QUADPACK and K and E return what scipy's
+do, bit for bit.  No module of the package imports scipy.
 
-The source is compiled with the system's cc at the first flow or QUADPACK
-call of a process, cached in the package's __pycache__ under the sha256 of
-the source and the compile command, and loaded with ctypes (_kernel); an
-import compiles and loads nothing.
+The source is compiled with the system's cc at the first use of the
+library in a process, cached in the package's __pycache__ under the sha256
+of the source and the compile command, and loaded with ctypes (_kernel); an
+import compiles and loads nothing.  Without a cc, or where the compile
+fails, that first use raises BuildError.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import ctypes
 import functools
 import hashlib
 import inspect
+import math
 import os
 import string
 import subprocess
@@ -29,8 +35,6 @@ import sysconfig
 import tempfile
 import textwrap
 from pathlib import Path
-
-from scipy.integrate import DOP853
 
 from .geometry import SQRT2, vector_field
 
@@ -42,15 +46,58 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the embedded error estimators are of order 7
 
 
-def _sparse(weights) -> tuple:
-    return tuple((j, float(w)) for j, w in enumerate(weights) if w)
+# DOP853's tableau (Hairer, Norsett and Wanner) as scipy.integrate.DOP853 holds it, which the tests check,
+# with its zero entries dropped: per stage after the first, its node and the (j, a_ij) it sums; then the
+# weights of the solution and of the two error estimators, whose last (FSAL) entries are 0
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792))),
+    (0.3333333333333333, ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242))),
+    (0.25, ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125))),
+    (0.3076923076923077, (
+        (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+        (5, -0.015319437748624402), (6, 0.008273789163814023)
+    )),
+    (0.6512820512820513, (
+        (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726), (5, 27.59209969944671),
+        (6, 20.154067550477894), (7, -43.48988418106996)
+    )),
+    (0.6, (
+        (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843), (5, 21.230051448181193),
+        (6, 15.279233632882423), (7, -33.28821096898486), (8, -0.020331201708508627)
+    )),
+    (0.8571428571428571, (
+        (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295), (5, -8.149787010746927),
+        (6, -18.52006565999696), (7, 22.739487099350505), (8, 2.4936055526796523), (9, -3.0467644718982196)
+    )),
+    (1.0, (
+        (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625), (5, -17.9589318631188),
+        (6, 27.94888452941996), (7, -2.8589982771350235), (8, -8.87285693353063), (9, 12.360567175794303),
+        (10, 0.6433927460157636)
+    )),
+)
+_WEIGHTS = (
+    (
+        (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003), (7, -5.801203960010585),
+        (8, 0.3111643669578199), (9, -0.1521609496625161), (10, 0.20136540080403034),
+        (11, 0.04471061572777259)
+    ),
+    (
+        (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502), (7, 1.6643771824549864),
+        (8, -0.35032884874997366), (9, 0.3341791187130175), (10, 0.08192320648511571),
+        (11, -0.022355307863886294)
+    ),
+    (
+        (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003), (7, -5.801203960010585),
+        (8, -0.4226823213237919), (9, -0.1521609496625161), (10, 0.20136540080403034),
+        (11, 0.02265179219836082)
+    ),
+)
 
-
-# scipy's DOP853 tableau with its zero entries dropped: per stage after
-# the first, its node and the (j, a_ij) it sums; then the weights of the
-# solution and of the two error estimators, whose last (FSAL) entries are 0
-_STAGES = tuple((float(DOP853.C[i]), _sparse(DOP853.A[i, :i])) for i in range(1, DOP853.n_stages))
-_WEIGHTS = tuple(_sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
+# integrals' quadrature integrands, in the order of dqagpe's integrand numbers
+_INTEGRANDS = ("xiy", "xi_over_y", "i0pp")
 
 _C_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 _C_NAMES = ("x", "y", "l1", "l2", "l3", "l4")
@@ -87,14 +134,18 @@ _STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "ABSORBED", "TIME_CAP", "ESCAPED"
 
 _KERNEL_C = string.Template(
     r"""
+#include <float.h>
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum { $status };
+enum { NO_MEMORY = -1 }; /* dqagpe's status where its workspace could not be allocated */
 enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
 
 static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
 static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
+static const double HALF_PI = $half_pi;
 static const long MAX_DISCARD = $max_discard;
 
 /* Python's min and max of two floats: the first argument on ties and NaN */
@@ -283,25 +334,573 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
     }
 }
 
-/* integrals' three integrands of theta = xx[0] on the oval (a, s) = (xx[1], xx[2]), with the moment's index
-   i = xx[3]: quad's args (a, s, i) behind scipy.LowLevelCallable's double (int, double *).  Python's ** on
-   floats is pow. */
-double xiy(int n, double *xx)
+/* integrals' three integrands of theta on the oval (a, s) = (p[0], p[1]), with the moment's index i = p[2].
+   Python's ** on floats is pow. */
+double xiy(double theta, const double *p)
 {
-    double a = xx[1], s = xx[2], x = a * sin(xx[0]);
-    return a * a * pow(cos(xx[0]), 2.0) * pow(x, xx[3]) * sqrt((x * x + s) / 2.0);
+    double a = p[0], s = p[1], x = a * sin(theta);
+    return a * a * pow(cos(theta), 2.0) * pow(x, p[2]) * sqrt((x * x + s) / 2.0);
 }
 
-double xi_over_y(int n, double *xx)
+double xi_over_y(double theta, const double *p)
 {
-    double s = xx[2], x = xx[1] * sin(xx[0]);
-    return pow(x, xx[3]) * sqrt(2.0 / (x * x + s));
+    double s = p[1], x = p[0] * sin(theta);
+    return pow(x, p[2]) * sqrt(2.0 / (x * x + s));
 }
 
-double i0pp(int n, double *xx)
+double i0pp(double theta, const double *p)
 {
-    double sin_th = sin(xx[0]), x = xx[1] * sin_th;
-    return (1.0 + sin_th * sin_th) / pow(x * x + xx[2], 1.5);
+    double sin_th = sin(theta), x = p[0] * sin_th;
+    return (1.0 + sin_th * sin_th) / pow(x * x + p[1], 1.5);
+}
+
+/* the integrands by number, in the order of native._INTEGRANDS */
+typedef double (*integrand_t)(double, const double *);
+static const integrand_t INTEGRANDS[] = {$integrands};
+
+/* QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, 1983; public domain): dqagpe with its
+   helpers dqk21, dqpsrt and dqelg, statement for statement as in the Fortran, d1mach(4), (1) and (2) being
+   DBL_EPSILON, DBL_MIN and DBL_MAX.  Arrays are indexed from 1, as there.  This is the routine
+   scipy.integrate.quad runs for points=[0.0]. */
+
+static const double XGK[11] = {
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493, 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720, 0.000000000000000000000000000000000,
+};
+static const double WGK[11] = {
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190, 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068, 0.149445554002916905664936468389821,
+};
+static const double WG[5] = {
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697, 0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469, 0.295524224714752870173892994651338,
+};
+
+/* dqk21: the 21-point Gauss-Kronrod rule for f over [a, b], with the 10-point Gauss rule's error estimate */
+static void dqk21(integrand_t f, const double *p, double a, double b, double *result, double *abserr,
+                  double *resabs, double *resasc)
+{
+    double fv1[11], fv2[11];
+    double centr = 0.5 * (a + b), hlgth = 0.5 * (b - a), dhlgth = fabs(hlgth);
+    double resg = 0.0, fc = f(centr, p), resk = WGK[10] * fc;
+    *resabs = fabs(resk);
+    for (int j = 1; j <= 5; j++) {
+        int jtw = 2 * j;
+        double absc = hlgth * XGK[jtw - 1];
+        double fval1 = f(centr - absc, p), fval2 = f(centr + absc, p);
+        fv1[jtw] = fval1;
+        fv2[jtw] = fval2;
+        double fsum = fval1 + fval2;
+        resg = resg + WG[j - 1] * fsum;
+        resk = resk + WGK[jtw - 1] * fsum;
+        *resabs = *resabs + WGK[jtw - 1] * (fabs(fval1) + fabs(fval2));
+    }
+    for (int j = 1; j <= 5; j++) {
+        int jtwm1 = 2 * j - 1;
+        double absc = hlgth * XGK[jtwm1 - 1];
+        double fval1 = f(centr - absc, p), fval2 = f(centr + absc, p);
+        fv1[jtwm1] = fval1;
+        fv2[jtwm1] = fval2;
+        double fsum = fval1 + fval2;
+        resk = resk + WGK[jtwm1 - 1] * fsum;
+        *resabs = *resabs + WGK[jtwm1 - 1] * (fabs(fval1) + fabs(fval2));
+    }
+    double reskh = resk * 0.5;
+    *resasc = WGK[10] * fabs(fc - reskh);
+    for (int j = 1; j <= 10; j++)
+        *resasc = *resasc + WGK[j - 1] * (fabs(fv1[j] - reskh) + fabs(fv2[j] - reskh));
+    *result = resk * hlgth;
+    *resabs = *resabs * dhlgth;
+    *resasc = *resasc * dhlgth;
+    *abserr = fabs((resk - resg) * hlgth);
+    if (*resasc != 0.0 && *abserr != 0.0)
+        *abserr = *resasc * fmin(1.0, pow(200.0 * *abserr / *resasc, 1.5));
+    if (*resabs > DBL_MIN / (50.0 * DBL_EPSILON))
+        *abserr = fmax((DBL_EPSILON * 50.0) * *resabs, *abserr);
+}
+
+/* dqpsrt: keeps iord[1..] the subintervals in descending order of error estimate, as far as the limit can
+   still need; *maxerr and *ermax become the interval with the nrmax-th largest error and its error */
+static void dqpsrt(long limit, long last, long *maxerr, double *ermax, const double *elist, long *iord, long *nrmax)
+{
+    long i, isucc, j, k, jupbn, jbnd;
+    double errmax, errmin;
+    if (last <= 2) {
+        iord[1] = 1;
+        iord[2] = 2;
+        goto done;
+    }
+    errmax = elist[*maxerr];
+    if (*nrmax != 1) {
+        long ido = *nrmax - 1;
+        for (i = 1; i <= ido; i++) {
+            isucc = iord[*nrmax - 1];
+            if (errmax <= elist[isucc])
+                break;
+            iord[*nrmax] = isucc;
+            *nrmax = *nrmax - 1;
+        }
+    }
+    jupbn = last;
+    if (last > limit / 2 + 2)
+        jupbn = limit + 3 - last;
+    errmin = elist[last];
+    jbnd = jupbn - 1;
+    /* insert errmax by traversing the list top-down */
+    for (i = *nrmax + 1; i <= jbnd; i++) {
+        isucc = iord[i];
+        if (errmax >= elist[isucc]) {
+            /* insert errmin by traversing the list bottom-up */
+            iord[i - 1] = *maxerr;
+            k = jbnd;
+            for (j = i; j <= jbnd; j++) {
+                isucc = iord[k];
+                if (errmin < elist[isucc]) {
+                    iord[k + 1] = last;
+                    goto done;
+                }
+                iord[k + 1] = isucc;
+                k = k - 1;
+            }
+            iord[i] = last;
+            goto done;
+        }
+        iord[i - 1] = isucc;
+    }
+    iord[jbnd] = *maxerr;
+    iord[jupbn] = last;
+done:
+    *maxerr = iord[*nrmax];
+    *ermax = elist[*maxerr];
+}
+
+/* dqelg: the epsilon algorithm on epstab[1..*n], the sequence of integral estimates; *result the
+   extrapolated value, *abserr its error estimate from the last three results (res3la) */
+static void dqelg(long *n, double *epstab, double *result, double *abserr, double *res3la, long *nres)
+{
+    const long limexp = 50;
+    long i, ib, ie, indx, k1, k2, k3, newelm, num;
+    double delta1, delta2, delta3, e0, e1, e1abs, e2, e3, epsinf, error, err1, err2, err3, res, ss, tol1, tol2, tol3;
+    *nres = *nres + 1;
+    *abserr = DBL_MAX;
+    *result = epstab[*n];
+    if (*n < 3)
+        goto done;
+    epstab[*n + 2] = epstab[*n];
+    newelm = (*n - 1) / 2;
+    epstab[*n] = DBL_MAX;
+    num = *n;
+    k1 = *n;
+    for (i = 1; i <= newelm; i++) {
+        k2 = k1 - 1;
+        k3 = k1 - 2;
+        res = epstab[k1 + 2];
+        e0 = epstab[k3];
+        e1 = epstab[k2];
+        e2 = res;
+        e1abs = fabs(e1);
+        delta2 = e2 - e1;
+        err2 = fabs(delta2);
+        tol2 = fmax(fabs(e2), e1abs) * DBL_EPSILON;
+        delta3 = e1 - e0;
+        err3 = fabs(delta3);
+        tol3 = fmax(e1abs, fabs(e0)) * DBL_EPSILON;
+        if (!(err2 > tol2 || err3 > tol3)) {
+            /* e0, e1 and e2 are equal to within machine accuracy: convergence is assumed */
+            *result = res;
+            *abserr = err2 + err3;
+            goto done;
+        }
+        e3 = epstab[k1];
+        epstab[k1] = e1;
+        delta1 = e1 - e3;
+        err1 = fabs(delta1);
+        tol1 = fmax(e1abs, fabs(e3)) * DBL_EPSILON;
+        /* two elements very close to each other, or irregular behaviour: omit a part of the table */
+        if (err1 <= tol1 || err2 <= tol2 || err3 <= tol3) {
+            *n = i + i - 1;
+            break;
+        }
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3;
+        epsinf = fabs(ss * e1);
+        if (!(epsinf > 1e-4)) {
+            *n = i + i - 1;
+            break;
+        }
+        res = e1 + 1.0 / ss;
+        epstab[k1] = res;
+        k1 = k1 - 2;
+        error = err2 + fabs(res - e2) + err3;
+        if (error > *abserr)
+            continue;
+        *abserr = error;
+        *result = res;
+    }
+    /* shift the table */
+    if (*n == limexp)
+        *n = 2 * (limexp / 2) - 1;
+    ib = (num / 2) * 2 == num ? 2 : 1;
+    ie = newelm + 1;
+    for (i = 1; i <= ie; i++) {
+        epstab[ib] = epstab[ib + 2];
+        ib = ib + 2;
+    }
+    if (num != *n) {
+        indx = num - *n + 1;
+        for (i = 1; i <= *n; i++) {
+            epstab[i] = epstab[indx];
+            indx = indx + 1;
+        }
+    }
+    if (*nres < 4) {
+        res3la[*nres] = *result;
+        *abserr = DBL_MAX;
+    } else {
+        *abserr = fabs(*result - res3la[3]) + fabs(*result - res3la[2]) + fabs(*result - res3la[1]);
+        res3la[1] = res3la[2];
+        res3la[2] = res3la[3];
+        res3la[3] = *result;
+    }
+done:
+    *abserr = fmax(*abserr, 5.0 * DBL_EPSILON * fabs(*result));
+}
+
+/* dqagpe for integrand number integrand (with its p) over [-pi/2, pi/2] with the one break point 0, to
+   max(epsabs, epsrel |I|), in at most limit subintervals: out = (result, abserr) and QUADPACK's ier, 0 on
+   success, 1 to 5 where the tolerance was not met and 6 for invalid input (limit <= 1); NO_MEMORY where
+   the workspace of limit subintervals could not be allocated.  The break points need no sorting, and the
+   sign of the result, for b > a, is +1. */
+int dqagpe(int integrand, const double *p, double epsabs, double epsrel, long limit, double *out)
+{
+    const integrand_t f = INTEGRANDS[integrand];
+    const double pts[4] = {0.0, -HALF_PI, 0.0, HALF_PI}, epmach = DBL_EPSILON, uflow = DBL_MIN, oflow = DBL_MAX;
+    const long npts = 1, npts2 = 3, nint = 2;
+    double *alist, *blist, *rlist, *elist, rlist2[53], res3la[4];
+    double a1, a2, b1, b2, area, area1, area2, area12, abseps, correc = 0.0, defabs, defab1, defab2, dres, erlarg;
+    double erlast, errbnd, errmax, error1, error2, erro12, errsum, ertest, resa, resabs, reseps;
+    double result = 0.0, abserr = 0.0;
+    long *iord, *level, i, id, ierro, iroff1, iroff2, iroff3, j, jupbnd, k, ksgn, ktmin, last, levcur, levmax;
+    long maxerr, nres, nrmax, numrl2;
+    int ier = 0, ndin[3], extrap, noext;
+    out[0] = result;
+    out[1] = abserr;
+    if (limit <= npts || (epsabs <= 0.0 && epsrel < fmax(50.0 * epmach, 0.5e-28)))
+        return 6;
+    double *reals = calloc(limit + 1, 4 * sizeof *reals);
+    long *counts = calloc(limit + 1, 2 * sizeof *counts);
+    if (!reals || !counts) {
+        free(reals);
+        free(counts);
+        return NO_MEMORY;
+    }
+    alist = reals, blist = alist + limit + 1, rlist = blist + limit + 1, elist = rlist + limit + 1;
+    iord = counts, level = iord + limit + 1;
+
+    /* compute first integral and error approximations */
+    resabs = 0.0;
+    a1 = pts[1];
+    for (i = 1; i <= nint; i++) {
+        b1 = pts[i + 1];
+        dqk21(f, p, a1, b1, &area1, &error1, &defabs, &resa);
+        abserr = abserr + error1;
+        result = result + area1;
+        ndin[i] = 0;
+        if (error1 == resa && error1 != 0.0)
+            ndin[i] = 1;
+        resabs = resabs + defabs;
+        level[i] = 0;
+        elist[i] = error1;
+        alist[i] = a1;
+        blist[i] = b1;
+        rlist[i] = area1;
+        iord[i] = i;
+        a1 = b1;
+    }
+    errsum = 0.0;
+    for (i = 1; i <= nint; i++) {
+        if (ndin[i] == 1)
+            elist[i] = abserr;
+        errsum = errsum + elist[i];
+    }
+
+    /* test on accuracy */
+    last = nint;
+    dres = fabs(result);
+    errbnd = fmax(epsabs, epsrel * dres);
+    if (abserr <= 100.0 * epmach * resabs && abserr > errbnd)
+        ier = 2;
+    for (i = 1; i <= npts; i++) {
+        long ind1 = iord[i];
+        k = 0;
+        for (j = i + 1; j <= nint; j++) {
+            long ind2 = iord[j];
+            if (elist[ind1] > elist[ind2])
+                continue;
+            ind1 = ind2;
+            k = j;
+        }
+        if (ind1 == iord[i])
+            continue;
+        iord[k] = iord[i];
+        iord[i] = ind1;
+    }
+    if (limit < npts2)
+        ier = 1;
+    if (ier != 0 || abserr <= errbnd)
+        goto end;
+
+    /* initialization */
+    rlist2[1] = result;
+    maxerr = iord[1];
+    errmax = elist[maxerr];
+    area = result;
+    nrmax = 1;
+    nres = 0;
+    numrl2 = 1;
+    ktmin = 0;
+    extrap = 0;
+    noext = 0;
+    erlarg = errsum;
+    ertest = errbnd;
+    levmax = 1;
+    iroff1 = 0;
+    iroff2 = 0;
+    iroff3 = 0;
+    ierro = 0;
+    abserr = oflow;
+    ksgn = -1;
+    if (dres >= (1.0 - 50.0 * epmach) * resabs)
+        ksgn = 1;
+
+    /* main loop: bisect the subinterval with the nrmax-th largest error estimate */
+    for (last = npts2; last <= limit; last++) {
+        levcur = level[maxerr] + 1;
+        a1 = alist[maxerr];
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr]);
+        a2 = b1;
+        b2 = blist[maxerr];
+        erlast = errmax;
+        dqk21(f, p, a1, b1, &area1, &error1, &resa, &defab1);
+        dqk21(f, p, a2, b2, &area2, &error2, &resa, &defab2);
+
+        /* improve previous approximations to integral and error and test for accuracy */
+        area12 = area1 + area2;
+        erro12 = error1 + error2;
+        errsum = errsum + erro12 - errmax;
+        area = area + area12 - rlist[maxerr];
+        if (!(defab1 == error1 || defab2 == error2)) {
+            if (!(fabs(rlist[maxerr] - area12) > 1e-5 * fabs(area12) || erro12 < 0.99 * errmax)) {
+                if (extrap)
+                    iroff2 = iroff2 + 1;
+                else
+                    iroff1 = iroff1 + 1;
+            }
+            if (last > 10 && erro12 > errmax)
+                iroff3 = iroff3 + 1;
+        }
+        level[maxerr] = levcur;
+        level[last] = levcur;
+        rlist[maxerr] = area1;
+        rlist[last] = area2;
+        errbnd = fmax(epsabs, epsrel * fabs(area));
+
+        /* roundoff, the limit and bad integrand behaviour at a point set the error flag */
+        if (iroff1 + iroff2 >= 10 || iroff3 >= 20)
+            ier = 2;
+        if (iroff2 >= 5)
+            ierro = 3;
+        if (last == limit)
+            ier = 1;
+        if (fmax(fabs(a1), fabs(b2)) <= (1.0 + 100.0 * epmach) * (fabs(a2) + 1000.0 * uflow))
+            ier = 4;
+
+        /* append the newly-created intervals to the list */
+        if (error2 > error1) {
+            alist[maxerr] = a2;
+            alist[last] = a1;
+            blist[last] = b1;
+            rlist[maxerr] = area2;
+            rlist[last] = area1;
+            elist[maxerr] = error2;
+            elist[last] = error1;
+        } else {
+            alist[last] = a2;
+            blist[maxerr] = b1;
+            blist[last] = b2;
+            elist[maxerr] = error1;
+            elist[last] = error2;
+        }
+        dqpsrt(limit, last, &maxerr, &errmax, elist, iord, &nrmax);
+        if (errsum <= errbnd)
+            goto sum;
+        if (ier != 0)
+            goto final;
+        if (noext)
+            continue;
+        erlarg = erlarg - erlast;
+        if (levcur + 1 <= levmax)
+            erlarg = erlarg + erro12;
+        if (!extrap) {
+            /* test whether the interval to be bisected next is the smallest interval */
+            if (level[maxerr] + 1 <= levmax)
+                continue;
+            extrap = 1;
+            nrmax = 2;
+        }
+        if (!(ierro == 3 || erlarg <= ertest)) {
+            /* the smallest interval has the largest error: before bisecting, decrease the sum of the
+               errors over the larger intervals (erlarg) and perform extrapolation */
+            id = nrmax;
+            jupbnd = last;
+            if (last > 2 + limit / 2)
+                jupbnd = limit + 3 - last;
+            for (k = id; k <= jupbnd; k++) {
+                maxerr = iord[nrmax];
+                errmax = elist[maxerr];
+                if (level[maxerr] + 1 <= levmax)
+                    goto next;
+                nrmax = nrmax + 1;
+            }
+        }
+
+        /* perform extrapolation */
+        numrl2 = numrl2 + 1;
+        rlist2[numrl2] = area;
+        if (numrl2 > 2) {
+            dqelg(&numrl2, rlist2, &reseps, &abseps, res3la, &nres);
+            ktmin = ktmin + 1;
+            if (ktmin > 5 && abserr < 1e-3 * errsum)
+                ier = 5;
+            if (!(abseps >= abserr)) {
+                ktmin = 0;
+                abserr = abseps;
+                result = reseps;
+                correc = erlarg;
+                ertest = fmax(epsabs, epsrel * fabs(reseps));
+                if (abserr < ertest)
+                    goto final;
+            }
+            /* prepare bisection of the smallest interval */
+            if (numrl2 == 1)
+                noext = 1;
+            if (ier >= 5)
+                goto final;
+        }
+        maxerr = iord[1];
+        errmax = elist[maxerr];
+        nrmax = 1;
+        extrap = 0;
+        levmax = levmax + 1;
+        erlarg = errsum;
+    next:;
+    }
+
+final: /* set the final result */
+    if (abserr == oflow)
+        goto sum;
+    if (ier + ierro != 0) {
+        if (ierro == 3)
+            abserr = abserr + correc;
+        if (ier == 0)
+            ier = 3;
+        if (result != 0.0 && area != 0.0) {
+            if (abserr / fabs(result) > errsum / fabs(area))
+                goto sum;
+        } else {
+            if (abserr > errsum)
+                goto sum;
+            if (area == 0.0)
+                goto end;
+        }
+    }
+    /* test on divergence */
+    if (!(ksgn == -1 && fmax(fabs(result), fabs(area)) <= resabs * 0.01))
+        if (0.01 > result / area || result / area > 100.0 || errsum > fabs(area))
+            ier = 6;
+    goto end;
+
+sum: /* compute global integral sum */
+    result = 0.0;
+    for (k = 1; k <= last; k++)
+        result = result + rlist[k];
+    abserr = errsum;
+
+end:
+    if (ier > 2)
+        ier = ier - 1;
+    out[0] = result;
+    out[1] = abserr;
+    free(reals);
+    free(counts);
+    return ier;
+}
+
+/* Cephes (Moshier, 1984-1992; the ellpk and ellpe that scipy.special's ellipkm1 and ellipe run): K(1 - x)
+   and E(m), complete elliptic integrals of the first and second kind, by their polynomial pairs and polevl */
+static const double ELLPK_P[11] = {
+    1.37982864606273237150E-4, 2.28025724005875567385E-3, 7.97404013220415179367E-3, 9.85821379021226008714E-3,
+    6.87489687449949877925E-3, 6.18901033637687613229E-3, 8.79078273952743772254E-3, 1.49380448916805252718E-2,
+    3.08851465246711995998E-2, 9.65735902811690126535E-2, 1.38629436111989062502E0,
+};
+static const double ELLPK_Q[11] = {
+    2.94078955048598507511E-5, 9.14184723865917226571E-4, 5.94058303753167793257E-3, 1.54850516649762399335E-2,
+    2.39089602715924892727E-2, 3.01204715227604046988E-2, 3.73774314173823228969E-2, 4.88280347570998239232E-2,
+    7.03124996963957469739E-2, 1.24999999999870820058E-1, 4.99999999999999999821E-1,
+};
+static const double ELLPK_C1 = 1.3862943611198906188E0; /* log(4) */
+static const double ELLPE_P[11] = {
+    1.53552577301013293365E-4, 2.50888492163602060990E-3, 8.68786816565889628429E-3, 1.07350949056076193403E-2,
+    7.77395492516787092951E-3, 7.58395289413514708519E-3, 1.15688436810574127319E-2, 2.18317996015557253103E-2,
+    5.68051945617860553470E-2, 4.43147180560990850618E-1, 1.00000000000000000299E0,
+};
+static const double ELLPE_Q[10] = {
+    3.27954898576485872656E-5, 1.00962792679356715133E-3, 6.50609489976927491433E-3, 1.68862163993311317300E-2,
+    2.61769742454493659583E-2, 3.34833904888224918614E-2, 4.27180926518931511717E-2, 5.85936634471101055642E-2,
+    9.37499997197644278445E-2, 2.49999999999888314361E-1,
+};
+static const double MACHEP = 0x1p-53;
+
+/* the polynomial of degree n with coefficients coef (highest first) at x, by Horner's rule */
+static double polevl(double x, const double *coef, int n)
+{
+    double ans = *coef++;
+    do
+        ans = ans * x + *coef++;
+    while (--n);
+    return ans;
+}
+
+double ellpk(double x)
+{
+    if (x < 0.0)
+        return NAN;
+    if (x > 1.0) {
+        if (isinf(x))
+            return 0.0;
+        return ellpk(1 / x) / sqrt(x);
+    }
+    if (x > MACHEP)
+        return polevl(x, ELLPK_P, 10) - log(x) * polevl(x, ELLPK_Q, 10);
+    if (x == 0.0)
+        return INFINITY;
+    return ELLPK_C1 - 0.5 * log(x);
+}
+
+double ellpe(double x)
+{
+    x = 1.0 - x;
+    if (x <= 0.0) {
+        if (x == 0.0)
+            return 1.0;
+        return NAN;
+    }
+    if (x > 1.0)
+        return ellpe(1.0 - 1 / x) * sqrt(x);
+    return polevl(x, ELLPE_P, 10) - log(x) * (x * polevl(x, ELLPE_Q, 9));
 }
 """
 )
@@ -346,6 +945,7 @@ def _kernel_source() -> str:
         max_factor=_MAX_FACTOR.hex(),
         error_exponent=_ERROR_EXPONENT.hex(),
         sqrt2=SQRT2.hex(),
+        half_pi=(0.5 * math.pi).hex(),
         escape_bound=float(ESCAPE_BOUND).hex(),
         max_discard=MAX_DISCARD,
         field_x=field_x,
@@ -353,14 +953,20 @@ def _kernel_source() -> str:
         stage_slopes=", ".join(f"k{i}u, k{i}v" for i in range(1, len(_STAGES) + 1)),
         flow_stages="\n".join(flow_stages),
         y_stages="\n".join(y_stages),
+        integrands=", ".join(_INTEGRANDS),
         step_end=textwrap.indent(step_end, indent),
     )
 
 
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add
 # (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x or replacing
-# libm's sin, cos and pow: each double operation is then the one Python does
+# libm's sin, cos, pow and log: each double operation is then the one Python
+# (or scipy's QUADPACK and Cephes) does
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+
+
+class BuildError(RuntimeError):
+    """The library could not be built: there is no cc on PATH, or cc failed on the source."""
 
 
 def _library(source: str, directory: Path) -> Path:
@@ -369,22 +975,23 @@ def _library(source: str, directory: Path) -> Path:
     Its name holds the sha256 of the source, the compile command and the
     platform, and a library of that name already there is reused.  The
     compiler writes a temporary file that replaces into place, so processes
-    that build at once never load a half-written library.  RuntimeError,
-    naming cc, if there is no cc on PATH.
+    that build at once never load a half-written library.  BuildError,
+    naming cc, if there is no cc on PATH or the compile fails.
     """
     key = "\n".join((source, *_CC, sysconfig.get_platform()))
     library = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.so"
     if library.exists():
         return library
+    what = "the C kernel of the flow, the quadrature and K and E"
     with tempfile.TemporaryDirectory(dir=directory) as work:
         c_file, built = Path(work, "kernel.c"), Path(work, library.name)
         c_file.write_text(source)
         try:
-            subprocess.run([*_CC, "-o", str(built), str(c_file), "-lm"], check=True)
+            subprocess.run([*_CC, "-o", str(built), str(c_file), "-lm"], check=True, capture_output=True, text=True)
         except FileNotFoundError as exc:
-            raise RuntimeError(
-                "the C kernel of the flow and of the quadrature integrands is compiled with cc, and no cc is on PATH"
-            ) from exc
+            raise BuildError(f"{what} is compiled with cc, and no cc is on PATH") from exc
+        except subprocess.CalledProcessError as exc:
+            raise BuildError(f"cc failed to compile {what}: {exc.stderr.strip()}") from exc
         os.replace(built, library)
     return library
 
@@ -394,7 +1001,7 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The compiled library, built at the first flow or QUADPACK call of the process and kept in __pycache__.
+    """The compiled library, built at its first use in the process and kept in __pycache__.
 
     A private temporary directory stands in where __pycache__ cannot be written.
     """
@@ -410,7 +1017,10 @@ def _kernel() -> ctypes.CDLL:
         ("flow", ctypes.c_int, (_DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("dop853_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
         ("dop853_step_in_y", ctypes.c_int, (_DOUBLES, _DOUBLES)),
-        *((integrand, ctypes.c_double, (ctypes.c_int, _DOUBLES)) for integrand in ("xiy", "xi_over_y", "i0pp")),
+        ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
+        ("ellpk", ctypes.c_double, (ctypes.c_double,)),
+        ("ellpe", ctypes.c_double, (ctypes.c_double,)),
+        *((integrand, ctypes.c_double, (ctypes.c_double, _DOUBLES)) for integrand in _INTEGRANDS),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = restype

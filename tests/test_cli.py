@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 import eightloop as el
 import eightloop.cli as cli
+from eightloop import native
 
 
 def _scenario(command, params=None, seed=0, out="out"):
@@ -509,3 +513,56 @@ def test_bad_flags_exit_2_with_a_manifest(flags, message, tmp_path):
     assert manifest["status"] == f"error: {message}"
     assert manifest["scenario_sha256"] is None and manifest["command"] is None
     assert not (out / "pf_residuals.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# What a run needs at run time
+# ---------------------------------------------------------------------------
+
+README_PF_CHECK = {"command": "pf-check", "parameters": {"h_min": 1e-4, "h_max": 3.0, "n": 50}}
+
+
+def test_without_a_compiler_a_run_exits_4_with_a_manifest(tmp_path, monkeypatch):
+    """With no cc on PATH and no library built yet, a run stops with exit 4 and a manifest that names cc."""
+    build, cache = native._library, tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(native, "_library", lambda source, _directory: build(source, cache))
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    config, out = tmp_path / "scenario.json", tmp_path / "run"
+    config.write_text(json.dumps(README_PF_CHECK))
+    native._kernel.cache_clear()
+    try:
+        assert cli.main(["--config", str(config), "--out", str(out)]) == 4
+    finally:
+        native._kernel.cache_clear()  # the next use loads the package's own library again
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: ") and "no cc is on PATH" in manifest["status"]
+    assert manifest["command"] == "pf-check" and len(manifest["scenario_sha256"]) == 64
+    assert list(cache.iterdir()) == []
+
+
+def test_no_run_loads_scipy(tmp_path):
+    """A fresh interpreter imports eightloop, fits the default constants and runs commands without scipy."""
+    scenarios = {
+        "pf": README_PF_CHECK,
+        "sweep": {"command": "cyclicity-sweep", "parameters": {"n_samples": 1}},
+        "zeros": {"command": "melnikov-zeros", "parameters": {"k": 2, "lam4k": 5.0, "lam2": [0.0, 1.0],
+                                                              "lam3": [0.0, -3.0], "interval": [1e-3, 0.3],
+                                                              "backend": "quadrature"}},
+        "simulate": {"command": "simulate", "parameters": {"h0": 1.0, "t_end": 20.0}},
+    }
+    runs = []
+    for name, doc in scenarios.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        runs.append(["--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+    probe = "\n".join((
+        "import sys",
+        "import eightloop",
+        "from eightloop import cli",
+        "eightloop.default_constants()",
+        f"codes = [cli.main(argv) for argv in {runs!r}]",
+        "print(codes, sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))",
+    ))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"

@@ -473,6 +473,16 @@ def test_the_field_translator_takes_only_float_exact_arithmetic():
             translate(source)
 
 
+def test_the_literal_tableau_is_scipys_dop853():
+    """native's stage and weight tables are scipy's DOP853 tableau with its zero entries dropped, bit for bit."""
+    def sparse(weights):
+        return tuple((j, float(w)) for j, w in enumerate(weights) if w)
+
+    stages = tuple((float(DOP853.C[i]), sparse(DOP853.A[i, :i])) for i in range(1, DOP853.n_stages))
+    weights = tuple(sparse(w) for w in (DOP853.B, DOP853.E5, DOP853.E3))
+    assert repr(native._STAGES) == repr(stages) and repr(native._WEIGHTS) == repr(weights)
+
+
 def test_kernel_libraries_are_named_by_their_source(tmp_path):
     one = native._library("int f(void) { return 1; }\n", tmp_path)
     two = native._library("int f(void) { return 2; }\n", tmp_path)
@@ -496,6 +506,13 @@ def test_without_cc_on_path_the_kernel_build_names_it(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match=r"\bcc\b") as exc:
         native._library("int f(void) { return 1; }\n", tmp_path)
     assert "flow" in str(exc.value) and "quadrature" in str(exc.value)  # both users of the library
+
+
+def test_a_failed_compile_is_a_build_error_with_the_compilers_message(tmp_path):
+    with pytest.raises(native.BuildError, match=r"(?s)cc failed to compile .*error") as exc:
+        native._library("int f(void) { return 1 }\n", tmp_path)
+    assert "quadrature" in str(exc.value)
+    assert list(tmp_path.iterdir()) == []  # no library, and no temporary files, left behind
 
 
 def test_an_unwritable_cache_falls_back_to_a_private_directory(monkeypatch):
@@ -522,9 +539,8 @@ def _fresh_process(probe: str) -> str:
 
 
 def test_importing_the_package_builds_no_kernel():
-    probe = ("import eightloop.integrals as i, eightloop.dynamics as d, eightloop.native as n; "
-             "print(n._kernel.cache_info().currsize, i._integrand.cache_info().currsize)")
-    assert _fresh_process(probe) == "0 0"
+    probe = "import eightloop, eightloop.native as n; print(n._kernel.cache_info().currsize)"
+    assert _fresh_process(probe) == "0"
 
 
 def test_quadrature_and_flow_load_the_one_library():

@@ -5,7 +5,9 @@ The area-type moments are cross-checked with a plain midpoint rule in x
 second-derivative moments are checked through finite-difference identities
 in h, which couple quadratures of different integrands.  The compiled
 integrands are checked against the same integrands on Python floats, value
-for value and QUADPACK call for QUADPACK call.
+for value, and the library's QUADPACK and K and E against scipy's, which
+are computed here too: scipy.integrate.quad on the Python integrands, and
+scipy.special's ellipkm1 and ellipe.
 """
 
 import ctypes
@@ -14,6 +16,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import quad
+from scipy.special import ellipe, ellipkm1
 
 import eightloop as el
 from eightloop import integrals, native
@@ -65,8 +69,18 @@ def test_compiled_integrands_equal_the_python_ones_pointwise():
                 a, s = _oval(h)
                 for th in thetas:
                     want = python(th, a, s, i)
-                    got = compiled(4, (ctypes.c_double * 4)(th, a, s, float(i)))
+                    got = compiled(th, (ctypes.c_double * 3)(a, s, float(i)))
                     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (name, th, h, i)
+
+
+def _scipy_oval_quad(integrand, h, i, cfg, label):
+    """integrals._oval_quad by scipy.integrate.quad on the Python integrand, with quad's message in ToleranceNotMet."""
+    cfg = cfg or el.QuadratureConfig()
+    out = quad(PYTHON_INTEGRANDS[integrand], -0.5 * math.pi, 0.5 * math.pi, args=(*_oval(h), float(i)),
+               epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, points=[0.0], full_output=1)
+    if len(out) > 3:  # QUADPACK gave up: message appended
+        raise el.ToleranceNotMet(f"{label} at h={h}: {out[3]}", value=out[0], err=out[1])
+    return out[0], out[1]
 
 
 def _moments(grid, cfg):
@@ -81,15 +95,69 @@ def _moments(grid, cfg):
     return results
 
 
-@pytest.mark.parametrize("cfg", [None, el.QuadratureConfig(max_subdivisions=2)], ids=["default", "starved"])
-def test_quadpack_on_the_compiled_integrands_gives_what_it_gives_on_python_ones(cfg, monkeypatch):
-    """On pf-check's grid every (value, err) and every ToleranceNotMet message is the same, bit for bit."""
+@pytest.mark.parametrize(
+    "cfg",
+    [None, el.QuadratureConfig(max_subdivisions=2), TIGHT_QUAD, el.QuadratureConfig(1e-16, 1e-16, 7)],
+    ids=["default", "starved", "tight", "1e-16-7"],
+)
+def test_compiled_quadpack_equals_scipy_quad(cfg, monkeypatch):
+    """On pf-check's grid every (value, err) and every ToleranceNotMet message is scipy's, bit for bit."""
     grid = np.geomspace(1e-4, 3.0, 50).tolist()
     compiled = _moments(grid, cfg)
-    monkeypatch.setattr(integrals, "_integrand", PYTHON_INTEGRANDS.__getitem__)
-    assert compiled == _moments(grid, cfg)
+    monkeypatch.setattr(integrals, "_oval_quad", _scipy_oval_quad)
+    assert [tuple(map(repr, r)) for r in compiled] == [tuple(map(repr, r)) for r in _moments(grid, cfg)]
     failures = sum(len(result) == 3 for result in compiled)
-    assert (failures > 0) == (cfg is not None)
+    assert (failures > 0) == (cfg is not None and cfg is not TIGHT_QUAD)
+
+
+def test_one_subinterval_is_quads_value_error():
+    one = el.QuadratureConfig(max_subdivisions=1)
+    with pytest.raises(ValueError) as compiled:
+        el.integral_xiy(0.5, 0, one)
+    with pytest.raises(ValueError) as scipy:
+        _scipy_oval_quad("xiy", 0.5, 0, one, "I_0")
+    assert str(compiled.value) == str(scipy.value) == "Number of break points (1) must be less than subinterval limit (1)"
+
+
+def test_a_large_subdivision_limit_gives_quads_result():
+    cfg = el.QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=100_000)
+    for h in (1e-4, 0.05, 3.0):
+        for name, i in (("xiy", 2), ("i0pp", 0)):
+            try:
+                got = integrals._oval_quad(name, h, i, cfg, "I")
+            except el.ToleranceNotMet as exc:
+                got = (str(exc), exc.value, exc.err)
+            try:
+                want = _scipy_oval_quad(name, h, i, cfg, "I")
+            except el.ToleranceNotMet as exc:
+                want = (str(exc), exc.value, exc.err)
+            assert repr(got) == repr(want), (name, h)
+
+
+def test_a_workspace_that_cannot_be_allocated_is_a_memory_error():
+    # 2**62 subintervals of 48 bytes overflow the allocation's size, so nothing is allocated
+    with pytest.raises(MemoryError, match="4611686018427387904 subintervals"):
+        el.integral_xiy(0.5, 0, el.QuadratureConfig(max_subdivisions=2**62))
+
+
+def test_k_and_e_are_scipys():
+    """The library's ellpk and ellpe are scipy.special's ellipkm1 and ellipe, bit for bit."""
+    rng = np.random.default_rng(19)
+    h = np.geomspace(1e-12, 1e3, 2_000)
+    r = np.sqrt(1.0 + 4.0 * h)
+    s = 4.0 * h / (r + 1.0)
+    args = np.concatenate([
+        [0.0, 1e-300, 5e-324, 1.0, 2.0**-53, np.nextafter(2.0**-53, 1.0), 0.5],
+        rng.uniform(0.0, 1.0, 50_000),
+        np.exp(rng.uniform(math.log(1e-320), 0.0, 50_000)),
+        s / (2.0 * r),  # the moments' own arguments: 1 - m for K and m for E
+        (2.0 + s) / (2.0 * r),
+    ])
+    kernel = native._kernel()
+    k = np.array([kernel.ellpk(x) for x in args.tolist()])
+    e = np.array([kernel.ellpe(x) for x in args.tolist()])
+    assert np.array_equal(k.view(np.int64), ellipkm1(args).view(np.int64))
+    assert np.array_equal(e.view(np.int64), ellipe(args).view(np.int64))
 
 
 def _midpoint_xiy(h, i, n=400_000):
