@@ -35,13 +35,11 @@ across worker processes without coordinating generator state.
 from __future__ import annotations
 
 import ctypes
-import errno
 import functools
 import logging
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -196,12 +194,10 @@ def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, t
     status, t = _STATUS[status], state[0]
     if status == "STEP_FAILURE":
         raise StepFailure(f"step size {state[5]:.3g} below {state[6]:.3g} at t={t:.6g}")
+    if status == "NON_FINITE_ERROR":
+        raise StepFailure(f"non-finite error estimate at t={t:.6g}")
     if status == "ESCAPED":
         raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
-    if status == "OVERFLOW":  # where Python's float ** raises
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    if status == "ZERO_DIVISION":
-        raise ZeroDivisionError("float division by zero")
     return status, t, out
 
 
@@ -213,7 +209,7 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     Negative, decreasing or NaN times and a last time beyond cfg.max_time
     are out-of-range arguments and raise ValueError up front; EscapedRegion
     if a step ends outside the working box, as in return_map; StepFailure
-    if the step size collapses.
+    if the step size collapses or a step's error estimate is not finite.
     """
     cfg = cfg or IntegratorConfig()
     ts = np.ascontiguousarray(ts, dtype=float)
@@ -234,9 +230,9 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     start to y = 0 (Henon's trick); where that step is not valid, the flow
     step is retried at half the length.  The first crossing with
     x > sqrt(2) is the return; crossings inside the lobes are counted and
-    discarded, and stepping goes on.  TimeCap if the time budget or the
-    native.MAX_DISCARD budget runs out; EscapedRegion if the orbit leaves the
-    working box; StepFailure if the step size collapses.
+    discarded, and stepping goes on.  TimeCap if the time budget runs out;
+    EscapedRegion if the orbit leaves the working box; StepFailure if the
+    step size collapses or a step's error estimate is not finite.
     """
     cfg = cfg or IntegratorConfig()
     if h_in < H_FLOOR:
@@ -246,8 +242,6 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     discarded = int(discarded)
     if status == "UNRESOLVED":
         raise StepFailure(f"crossing of y = 0 not resolved at t={t:.6g} (h_in={h_in})")
-    if status == "ABSORBED":
-        raise TimeCap(f"orbit absorbed: {discarded} off-section crossings without a return (h_in={h_in}, lam={lam})")
     if status == "TIME_CAP":
         raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
     return ReturnMapSample(h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded)
@@ -332,12 +326,20 @@ def melnikov_convergence(
     column is NaN — the scaled-displacement column is the story there.
     M_k takes the quadrature backend (exact closed-form moments, any h > 0),
     once per probe energy.  eps may be negative (the expansion holds on
-    both sides of the arc's origin); eps = 0 is a ValueError, raised
-    before anything is integrated.
+    both sides of the arc's origin); eps = 0, and an eps whose eps^k
+    underflows to 0.0 or overflows, is a ValueError, raised before anything
+    is integrated.
     """
     if 0.0 in eps_seq:
         raise ValueError("eps = 0 is the unperturbed system, whose displacement/eps^k is undefined")
     k = arc.leading_order() or 1
+    for eps in eps_seq:
+        try:
+            in_range = eps**k != 0.0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"eps = {eps!r} has no float eps^{k} (0.0 or an overflow), so displacement/eps^k is undefined")
     spec = arc.melnikov_spec(k)
     m_probe = [KAPPA * mk(h, spec, backend="quadrature") for h in h_probe]
     rows = []
@@ -380,9 +382,12 @@ def arc_sampler_no_first_order(rng: np.random.Generator) -> ArcSpec:
 class SweepSample:
     index: int
     arc: ArcSpec
-    count: int
+    count: int | None  # None for a failed sample: an arc with no return map on its grid has no count
     bound: int
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return self.count is None
 
     @property
     def anomaly(self) -> bool:
@@ -424,7 +429,7 @@ def _sweep_one(sampler, seed, eps, h_window, grid_n, cfg, refine_tol, index) -> 
         )
     except NumericalFailure as exc:  # per-sample failure, logged, never aborts the sweep
         logger.warning("sweep sample %d failed: %s", index, exc)
-        return SweepSample(index=index, arc=arc, count=0, bound=bound, failed=True)
+        return SweepSample(index=index, arc=arc, count=None, bound=bound)
     return SweepSample(index=index, arc=arc, count=len(records), bound=bound)
 
 
@@ -435,8 +440,9 @@ def cyclicity_sweep(
     n_samples: int,
     cfg: IntegratorConfig | None = None,
     seed: int = 0,
-    grid_n: int = 24,
-    refine_tol: float = 1e-4,
+    *,
+    grid_n: int,
+    refine_tol: float,
     threads: int = 1,
 ) -> SweepResult:
     """Histogram of limit-cycle counts over random arcs from arc_family.
@@ -449,6 +455,8 @@ def cyclicity_sweep(
     one = functools.partial(_sweep_one, arc_family, seed, eps, tuple(h_window), grid_n, cfg, refine_tol)
     workers = min(threads, n_samples, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a one-process sweep never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(one, range(n_samples), chunksize=max(1, n_samples // (4 * workers))))
     else:

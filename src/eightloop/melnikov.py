@@ -66,10 +66,9 @@ class MelnikovSpec:
     def cross_coefficient(self) -> float:
         """c_k = (1/3) sum_{i+j=k} lam2_i lam3_j (zero when k == 1)."""
         total = 0.0
-        for i in range(0, self.k + 1):
-            j = self.k - i
-            if i < len(self.lam2) and j < len(self.lam3):
-                total += self.lam2[i] * self.lam3[j]
+        for i, lam2_i in enumerate(self.lam2[: self.k + 1]):  # at most len(lam2) terms, however large k is
+            if self.k - i < len(self.lam3):
+                total += lam2_i * self.lam3[self.k - i]
         return total / 3.0
 
     @property

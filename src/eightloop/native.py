@@ -30,16 +30,13 @@ import inspect
 import math
 import os
 import string
-import subprocess
 import sysconfig
-import tempfile
 import textwrap
 from pathlib import Path
 
 from .geometry import SQRT2, vector_field
 
 ESCAPE_BOUND = 10.0
-MAX_DISCARD = 64  # off-section crossings a return map may discard before TimeCap
 
 # scipy's step-control constants for DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -130,7 +127,7 @@ def _field_c() -> tuple:
 
 
 # the flow loop's outcomes, in the order of its C enum
-_STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "ABSORBED", "TIME_CAP", "ESCAPED", "OVERFLOW", "ZERO_DIVISION")
+_STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "TIME_CAP", "ESCAPED", "NON_FINITE_ERROR")
 
 _KERNEL_C = string.Template(
     r"""
@@ -146,20 +143,10 @@ enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time)
 static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
 static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
 static const double HALF_PI = $half_pi;
-static const long MAX_DISCARD = $max_discard;
 
 /* Python's min and max of two floats: the first argument on ties and NaN */
 static inline double py_min(double a, double b) { return b < a ? b : a; }
 static inline double py_max(double a, double b) { return b > a ? b : a; }
-
-/* a ** b as Python computes it on floats; where Python raises OverflowError, *status becomes OVERFLOW */
-static inline double py_pow(double a, double b, int *status)
-{
-    double r = pow(a, b);
-    if (isinf(r) && isfinite(a) && *status == OK)
-        *status = OVERFLOW;
-    return r;
-}
 
 static inline double min_step(double t) { return 10.0 * (nextafter(t, INFINITY) - t); }
 
@@ -176,37 +163,38 @@ static inline double field_y(double x, double y, const double *p)
     return $field_y;
 }
 
-/* (dt/dy, dx/dy) = (1/y', y/y') at (x, y); ZERO_DIVISION where y' = 0 */
+/* (dt/dy, dx/dy) = (1/y', y/y') at (x, y); UNRESOLVED where y' = 0 */
 static inline int in_y(const double *p, double y, double x, double *kt, double *kx)
 {
     double dy = field_y(x, y, p);
     if (dy == 0.0)
-        return ZERO_DIVISION;
+        return UNRESOLVED;
     *kt = 1.0 / dy;
     *kx = y / dy;
     return OK;
 }
 
-/* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and (du3, dv3) */
+/* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and
+   (du3, dv3); NaN where the sum of their squares is not finite, so no error test passes */
 static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
-                                double du5, double dv5, double du3, double dv3, int *status)
+                                double du5, double dv5, double du3, double dv3)
 {
     double su = p[ATOL] + py_max(fabs(u0), fabs(u)) * p[RTOL];
     double sv = p[ATOL] + py_max(fabs(v0), fabs(v)) * p[RTOL];
-    double e5 = py_pow(du5 / su, 2.0, status) + py_pow(dv5 / sv, 2.0, status);
-    double e3 = py_pow(du3 / su, 2.0, status) + py_pow(dv3 / sv, 2.0, status);
-    if (e5 == 0.0 && e3 == 0.0)
+    double e5 = pow(du5 / su, 2.0) + pow(dv5 / sv, 2.0);
+    double e3 = pow(du3 / su, 2.0) + pow(dv3 / sv, 2.0);
+    if (!isfinite(e5 + e3))
+        return NAN;
+    if (e5 == 0.0)
         return 0.0;
-    double d = sqrt((e5 + 0.01 * e3) * 2.0);
-    if (d == 0.0 && *status == OK)
-        *status = ZERO_DIVISION;
-    return fabs(h) * e5 / d;
+    return fabs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2.0);
 }
 
 /* One step of the flow from s = (t, x, y, x', y', h_abs), with h_abs the step size to try, under scipy's
    step control, retried until accepted; the step ends at t_bound if it would pass it.  s becomes
    (t, x, y, x', y', h_abs) at the step's end, h_abs the size to try next.  STEP_FAILURE once the step
-   size falls below min_step(t), with s[5] the last size tried and s[6] min_step(t). */
+   size falls below min_step(t), with s[5] the last size tried and s[6] min_step(t); NON_FINITE_ERROR, with
+   s unchanged, once a try's error norm is NaN. */
 int dop853_step(const double *p, double *s, double t_bound)
 {
     const double t = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], min_h = min_step(t);
@@ -217,8 +205,8 @@ int dop853_step(const double *p, double *s, double t_bound)
         double h = t_new - t;
 $flow_stages
 $step_end
-        if (status != OK)
-            return status;
+        if (isnan(err))
+            return NON_FINITE_ERROR;
         if (err < 1.0) {
             double factor = err == 0.0 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
             s[0] = t_new;
@@ -238,7 +226,7 @@ $step_end
 }
 
 /* One step of (t, x) as functions of y (dt/dy = 1/y', dx/dy = y/y') from s = (y, t, x, dt/dy, dx/dy, h)
-   to y + h.  s becomes (t, x, error norm) there; ZERO_DIVISION where y' = 0 at a stage. */
+   to y + h.  s becomes (t, x, error norm) there; UNRESOLVED where y' = 0 at a stage. */
 int dop853_step_in_y(const double *p, double *s)
 {
     const double y = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], h = s[5];
@@ -248,24 +236,19 @@ $step_end
     s[0] = u;
     s[1] = v;
     s[2] = err;
-    return status;
+    return OK;
 }
 
 /* (*tc, *xc) where the flow from (x, y > 0) at t, with y' = fy there, meets y = 0 before t_new: one step
    in y from y to 0 (Henon's trick).  That needs y to fall monotonically over the step and the step in y
    to pass the flow's error test, so a step that starts with y rising, meets y' = 0 at a stage, fails
-   the test or lands outside [t, t_new] is UNRESOLVED. */
+   the test (a NaN error norm among them) or lands outside [t, t_new] is UNRESOLVED. */
 static int crossing(const double *p, double t, double x, double y, double fy, double t_new, double *tc, double *xc)
 {
     if (fy >= 0.0)
         return UNRESOLVED;
     double s[6] = {y, t, x, 1.0 / fy, y / fy, -y};
-    int status = dop853_step_in_y(p, s);
-    if (status == ZERO_DIVISION)
-        return UNRESOLVED;
-    if (status != OK)
-        return status;
-    if (!(t <= s[0] && s[0] <= t_new) || s[2] >= 1.0)
+    if (dop853_step_in_y(p, s) != OK || !(t <= s[0] && s[0] <= t_new) || !(s[2] < 1.0))
         return UNRESOLVED;
     *tc = s[0];
     *xc = s[1];
@@ -281,10 +264,10 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
    y from positive to non-positive holds a downward crossing, placed by crossing(); where that is
    UNRESOLVED, the step is retried at half the length, and UNRESOLVED returned once that falls below
    min_step(t).  The return is OK with out = (t, x) there; crossings inside the lobes are counted in
-   out[2] and discarded, and stepping goes on: ABSORBED once MAX_DISCARD are, TIME_CAP at max_time.
+   out[2] and discarded, and stepping goes on until TIME_CAP at max_time.
 
-   Either way ESCAPED once a step ends outside the box |x|, |y| < ESCAPE_BOUND, and STEP_FAILURE, OVERFLOW
-   or ZERO_DIVISION from a step. */
+   Either way ESCAPED once a step ends outside the box |x|, |y| < ESCAPE_BOUND, and STEP_FAILURE or
+   NON_FINITE_ERROR from a step. */
 int flow(const double *p, double *s, const double *ts, long n, double *out)
 {
     long i = 0, discarded = 0;
@@ -312,21 +295,16 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
             return status;
         }
         if (!ts && s[2] > 0.0 && 0.0 >= next[2]) {
-            status = crossing(p, s[0], s[1], s[2], s[4], next[0], &out[0], &out[1]);
-            if (status == UNRESOLVED) {
+            if (crossing(p, s[0], s[1], s[2], s[4], next[0], &out[0], &out[1]) != OK) {
                 /* a shorter step ends before the crossing or brings it within reach of an accurate step in y */
                 s[5] = 0.5 * (next[0] - s[0]);
                 if (s[5] < min_step(s[0]))
                     return UNRESOLVED;
                 continue;
             }
-            if (status != OK)
-                return status;
             if (out[1] > SQRT2)
                 return OK;
             out[2] = (double)++discarded;
-            if (discarded >= MAX_DISCARD)
-                return ABSORBED;
         }
         memcpy(s, next, 6 * sizeof *s);
         if (py_max(fabs(s[1]), fabs(s[2])) >= ESCAPE_BOUND)
@@ -929,14 +907,13 @@ def _kernel_source() -> str:
         for i, (_, row) in enumerate(_STAGES, 1)
     ]
     y_stages = [
-        f"    if (in_y(p, y + {c.hex()} * h, {stage(row, 'v')}, &k{i}u, &k{i}v) != OK)\n        return ZERO_DIVISION;"
+        f"    if (in_y(p, y + {c.hex()} * h, {stage(row, 'v')}, &k{i}u, &k{i}v) != OK)\n        return UNRESOLVED;"
         for i, (c, row) in enumerate(_STAGES, 1)
     ]
     b, e5, e3 = _WEIGHTS
     errors = ", ".join(combination(w, component) for w in (e5, e3) for component in "uv")
     step_end = (
-        f"u = {stage(b, 'u')};\nv = {stage(b, 'v')};\nint status = OK;\n"
-        f"double err = error_norm(p, h, u0, v0, u, v, {errors}, &status);"
+        f"u = {stage(b, 'u')};\nv = {stage(b, 'v')};\ndouble err = error_norm(p, h, u0, v0, u, v, {errors});"
     )
     return _KERNEL_C.substitute(
         status=", ".join(_STATUS),
@@ -947,7 +924,6 @@ def _kernel_source() -> str:
         sqrt2=SQRT2.hex(),
         half_pi=(0.5 * math.pi).hex(),
         escape_bound=float(ESCAPE_BOUND).hex(),
-        max_discard=MAX_DISCARD,
         field_x=field_x,
         field_y=field_y,
         stage_slopes=", ".join(f"k{i}u, k{i}v" for i in range(1, len(_STAGES) + 1)),
@@ -982,6 +958,9 @@ def _library(source: str, directory: Path) -> Path:
     library = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.so"
     if library.exists():
         return library
+    import subprocess  # only a build needs these two, so a run on a cached library never loads them
+    import tempfile
+
     what = "the C kernel of the flow, the quadrature and K and E"
     with tempfile.TemporaryDirectory(dir=directory) as work:
         c_file, built = Path(work, "kernel.c"), Path(work, library.name)
@@ -1011,6 +990,8 @@ def _kernel() -> ctypes.CDLL:
         cache.mkdir(exist_ok=True)
         library = _library(source, cache)
     except OSError:
+        import tempfile
+
         library = _library(source, Path(tempfile.mkdtemp()))
     kernel = ctypes.CDLL(str(library))
     for name, restype, argtypes in (

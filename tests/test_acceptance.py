@@ -240,7 +240,7 @@ def test_criterion_09_cyclicity_sweeps_respect_the_bounds():
     ):
         res = el.cyclicity_sweep(
             sampler, eps=1e-3, h_window=(1e-3, 0.2), n_samples=200,
-            cfg=cfg, seed=20250822, threads=4,
+            cfg=cfg, seed=20250822, grid_n=24, refine_tol=1e-4, threads=4,
         )
         survivors = []
         for sample in res.anomalies:

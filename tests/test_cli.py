@@ -347,6 +347,36 @@ def test_convergence_at_eps_zero_is_config_error(tmp_path):
     assert not (tmp_path / "run" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("lam1, eps", [([0, 0, 1], 1e-200), ([0] * 40 + [1e-323], 1e8)])
+def test_convergence_at_an_eps_whose_power_is_no_float_is_config_error(lam1, eps, tmp_path):
+    doc = {"command": "convergence", "parameters": {"coeff_table": {"lam1": lam1}, "eps_seq": [eps], "h_probe": [0.2]}}
+    status, manifest = _main_on(doc, tmp_path)
+    assert status == 2 and manifest.startswith(f"error: eps = {eps!r} has no float eps^{len(lam1) - 1} ")
+    assert not (tmp_path / "run" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, params", [("simulate", {"lam": [0, 0, 0, 1e200]}), ("convergence", {"eps_seq": [1e150]})]
+)
+def test_a_non_finite_error_estimate_exits_3_with_a_manifest(command, params, tmp_path):
+    status, manifest = _main_on({"command": command, "parameters": params}, tmp_path)
+    assert status == 3 and manifest.startswith("error: non-finite error estimate at t=")
+
+
+def test_a_sweep_whose_orbits_overflow_fails_each_sample(tmp_path):
+    status, manifest = _main_on({"command": "cyclicity-sweep", "parameters": {"eps": 1e150, "n_samples": 2}}, tmp_path)
+    assert status == 0 and manifest == "ok"
+    summary = json.loads((tmp_path / "run" / "sweep_summary.json").read_text())
+    assert summary["n_failed"] == 2 and summary["histogram"] == {}
+
+
+def test_melnikov_zeros_of_a_huge_order_runs(tmp_path):
+    params = {"k": 10**12, "lam1k": 1.0, "lam4k": -1.3, "interval": [1e-3, 0.2], "backend": "series"}
+    status, manifest = _main_on({"command": "melnikov-zeros", "parameters": params}, tmp_path)
+    assert status == 0 and manifest == "ok"
+    assert json.loads((tmp_path / "run" / "zero_count.json").read_text())["count"] == 1
+
+
 def test_melnikov_zeros_of_an_identically_zero_function_is_config_error(tmp_path):
     status, manifest = _main_on({"command": "melnikov-zeros"}, tmp_path)
     assert status == 2 and manifest.startswith("error: M_k is identically zero")

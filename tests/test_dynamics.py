@@ -1,6 +1,7 @@
 """Flow integration, the section return map, and cycle detection."""
 
 import ast
+import concurrent.futures
 import ctypes
 import hashlib
 import math
@@ -83,6 +84,14 @@ def test_integrate_fails_numerically_from_an_overflowing_slope(integ_cfg):
         el.integrate((1e155, 0.0), LAM0, [1.0], integ_cfg)
 
 
+def test_a_non_finite_error_estimate_is_a_step_failure(integ_cfg):
+    """A step whose error estimate overflows stops the flow at once, rather than shrink toward a zero step."""
+    with pytest.raises(el.StepFailure, match=r"^non-finite error estimate at t=0$"):
+        el.integrate((1000.0, 0.0), (0.0, 0.0, 0.0, 1e200), [1.0], integ_cfg)
+    with pytest.raises(el.StepFailure, match=r"^non-finite error estimate at t="):
+        el.return_map(1e-3, (1e150, 0.0, 0.0, 0.0), integ_cfg)
+
+
 def test_energy_balance_along_perturbed_orbit(integ_cfg):
     """dH/dt = y*(l1 y + l2 x^2 + l3 xy + l4 x^2 y) integrates to the
     observed energy change."""
@@ -151,7 +160,7 @@ def test_orbit_captured_by_the_inner_lobes_raises(integ_cfg):
 # ---------------------------------------------------------------------------
 
 # the TimeCap wording perfbench/tracing.py reads the discarded crossings from
-DISCARDED = re.compile(r"discarded=(\d+)|absorbed: (\d+) off-section")
+DISCARDED = re.compile(r"discarded=(\d+)")
 
 
 def _ev_down(t, state, lam):
@@ -181,7 +190,7 @@ def _oracle_return_map(h_in, lam, cfg):
     lam = tuple(lam)
     t0 = 0.0
     discarded = 0
-    while t0 < cfg.max_time and discarded < native.MAX_DISCARD:
+    while t0 < cfg.max_time:
         sol = solve_ivp(el.vector_field, (t0, cfg.max_time), state, args=(lam,), method="DOP853",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(_ev_down, _ev_escape))
         if sol.t_events[1].size:
@@ -201,7 +210,7 @@ def _oracle_return_map(h_in, lam, cfg):
             t0 = te
         if sol.status == 0:
             break
-    raise el.TimeCap(f"orbit absorbed: {discarded} off-section crossings without a return")
+    raise el.TimeCap(f"no return within max_time={cfg.max_time} (discarded={discarded})")
 
 
 def _tableau_step(fun, s, u, v, k0, h, lam, cfg):
@@ -397,19 +406,20 @@ def test_crossing_the_step_in_y_cannot_resolve_is_retried_shorter(integ_cfg):
 def _discarded(exc):
     m = DISCARDED.search(str(exc))
     assert m, str(exc)
-    return int(m.group(1) or m.group(2))
+    return int(m.group(1))
 
 
 def test_time_cap_message_names_the_discarded_crossings(lanes_at_default_tolerances):
     lanes = lanes_at_default_tolerances
     counts = [(_discarded(lanes[i][0]), _discarded(lanes[i][1])) for i in sorted(_capped(lanes, 0))]
     assert all(new == ref > 0 for new, ref in counts), counts
-    # with a longer budget the lobe crossings run out first
+    # with a five times longer budget the lane still runs out of time, with the reference's lobe crossings
     i = min(_capped(lanes, 0))
     h, lam = float(np.geomspace(H_FLOOR, 0.2, 24)[i % 24]), _first_order_arcs(8)[i // 24]
-    with pytest.raises(el.TimeCap, match="absorbed") as info:
-        el.return_map(h, lam, el.IntegratorConfig(max_time=1000.0))
-    assert _discarded(info.value) == native.MAX_DISCARD
+    longer = el.IntegratorConfig(max_time=1000.0)
+    with pytest.raises(el.TimeCap, match=r"^no return within max_time=1000\.0 ") as info:
+        el.return_map(h, lam, longer)
+    assert _discarded(info.value) == _discarded(_outcome(_oracle_return_map, h, lam, longer)) == 191
 
 
 def _outcome_line(h, lam, cfg):
@@ -430,8 +440,10 @@ def test_return_maps_and_integrate_keep_every_bit_of_the_python_stepper():
     1,152 return maps: the 16 seed-6 sweep arcs of both families at
     eps = 1e-3, on the 24 sweep grid energies, at default, strict and loose
     tolerances.  Then the eps = 0.5 arcs and two strongly pumped ones, whose
-    orbits run out of time, are absorbed or escape, with the failure
-    messages word for word; and a 501-point integrate.
+    orbits run out of time or escape, with the failure messages word for
+    word; the same eps = 0.5 arcs with five times the time budget, recorded
+    by the compiled kernel once the time cap became its only budget; and a
+    501-point integrate.
     """
     grid = np.geomspace(H_FLOOR, 0.2, 24).tolist()
     weak = [sampler(dynamics._sample_rng(6, i)).params_at(1e-3)
@@ -445,10 +457,14 @@ def test_return_maps_and_integrate_keep_every_bit_of_the_python_stepper():
     pumped = [(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.3, 0.0)]
     wide = grid + np.geomspace(0.3, 40.0, 6).tolist()
     lanes = [_outcome_line(h, lam, el.IntegratorConfig()) for lam in strong + pumped for h in wide]
-    lanes += [_outcome_line(h, lam, el.IntegratorConfig(max_time=1000.0)) for lam in strong for h in grid[::4]]
     kinds = Counter(re.match(r"(\w+: \w+ \w+)|", line).group(1) for line in lanes)
-    assert kinds == {None: 96, "TimeCap: no return": 169, "TimeCap: orbit absorbed": 5, "EscapedRegion: orbit left": 6}
-    assert _digest(lanes) == "4147f066e1a7bc554339c9e6469420222ad626f5b523aa6083a0411e94f65ffe"
+    assert kinds == {None: 91, "TimeCap: no return": 143, "EscapedRegion: orbit left": 6}
+    assert _digest(lanes) == "f44a593a549654f999759f6acaf5e6795e27719b1777b805c6b4c00728b1b964"
+
+    lanes = [_outcome_line(h, lam, el.IntegratorConfig(max_time=1000.0)) for lam in strong for h in grid[::4]]
+    kinds = Counter(re.match(r"(\w+: \w+ \w+)|", line).group(1) for line in lanes)
+    assert kinds == {None: 5, "TimeCap: no return": 31}
+    assert _digest(lanes) == "f3d490cfc52a00e0c3faaee83412fcd2c9c0718ff33eb849b8fe867fea2dd34d"
 
     states = el.integrate(_section_point(0.3), (0.02, 0.01, -0.03, 0.015), np.linspace(0.0, 50.0, 501))
     assert _digest([" ".join(v.hex() for v in states.ravel().tolist())]) == (
@@ -496,7 +512,7 @@ def test_a_built_kernel_library_is_reused_without_the_compiler(tmp_path, monkeyp
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran for a library already built")
 
-    monkeypatch.setattr(native.subprocess, "run", no_compiler)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
     assert native._library(source, tmp_path) == built
     assert list(tmp_path.iterdir()) == [built]  # the build left no temporary files behind
 
@@ -689,6 +705,17 @@ def test_convergence_table_tracks_the_first_order_function(integ_cfg):
     assert rows[1].ratio < 1.01
 
 
+@pytest.mark.parametrize("coeffs, eps", [((0.0, 0.0, 1.0), 1e-200), ((0.0,) * 40 + (1e-323,), 1e8)])
+def test_convergence_table_rejects_an_eps_whose_power_is_no_float(coeffs, eps, monkeypatch):
+    """eps^k underflows to 0.0 or overflows (where lam itself stays small): rejected before any return map."""
+    def never(*args, **kwargs):
+        raise AssertionError("a return map ran before the eps ladder was checked")
+
+    monkeypatch.setattr(dynamics, "displacement", never)
+    with pytest.raises(ValueError, match=rf"^eps = {eps!r} has no float eps\^{len(coeffs) - 1} "):
+        el.melnikov_convergence(el.ArcSpec({"lam1": coeffs}), (0.2,), (1e-2, eps))
+
+
 def test_convergence_table_evaluates_the_bifurcation_function_once_per_energy(
     quadpack_calls, closed_form_calls, integ_cfg
 ):
@@ -738,7 +765,8 @@ def test_sweep_samples_record_bound_and_anomaly():
 
 def test_sweep_records_numerical_failures_and_propagates_other_errors(monkeypatch):
     # at eps = 0.5 arcs 1, 2, 4 and 5 lose every grid return map to TimeCap: failed samples, not counts of 0
-    res = el.cyclicity_sweep(el.arc_sampler_general, eps=0.5, h_window=(1e-3, 0.2), n_samples=6, seed=6)
+    res = el.cyclicity_sweep(el.arc_sampler_general, eps=0.5, h_window=(1e-3, 0.2), n_samples=6, seed=6,
+                             grid_n=24, refine_tol=1e-4)
     assert [s.failed for s in res.samples] == [False, True, True, False, True, True]
     assert res.histogram == {0: 2}
 
@@ -747,7 +775,8 @@ def test_sweep_records_numerical_failures_and_propagates_other_errors(monkeypatc
 
     monkeypatch.setattr(dynamics, "find_limit_cycles", broken)
     with pytest.raises(TypeError):
-        el.cyclicity_sweep(el.arc_sampler_general, eps=1e-3, h_window=(0.05, 0.2), n_samples=1, grid_n=12)
+        el.cyclicity_sweep(el.arc_sampler_general, eps=1e-3, h_window=(0.05, 0.2), n_samples=1, grid_n=12,
+                           refine_tol=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -771,10 +800,10 @@ def test_sweep_pool_is_capped_at_the_samples_and_the_cpus(monkeypatch, n_samples
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(dynamics, "find_limit_cycles", lambda *args, **kwargs: [])
     res = el.cyclicity_sweep(el.arc_sampler_general, eps=1e-3, h_window=(0.05, 0.2), n_samples=n_samples,
-                             threads=10**6)
+                             grid_n=24, refine_tol=1e-4, threads=10**6)
     assert made == pools
     assert [s.index for s in res.samples] == list(range(n_samples))

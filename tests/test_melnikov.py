@@ -47,6 +47,20 @@ def test_cross_coefficient_is_the_order_k_convolution():
     assert first.cross_coefficient == 0.0
 
 
+def test_cross_coefficient_sums_over_the_given_coefficients_only():
+    """The same terms in the same order as the sum over all i + j = k, so equal bit for bit, at any k."""
+    lam2, lam3 = (0.0, 0.3, -1.1, 0.7, 0.1), (0.0, 0.5, 0.25, -2.0)
+    for k in range(1, 10):
+        total = 0.0
+        for i in range(k + 1):
+            if i < len(lam2) and k - i < len(lam3):
+                total += lam2[i] * lam3[k - i]
+        assert el.MelnikovSpec(k=k, lam1k=0.0, lam4k=0.0, lam2=lam2, lam3=lam3).cross_coefficient == total / 3.0
+    # an order far beyond both sequences has no term, and costs no loop over its k + 1 splits
+    huge = el.MelnikovSpec(k=10**12, lam1k=1.0, lam4k=0.0, lam2=lam2, lam3=lam3)
+    assert huge.cross_coefficient == 0.0 and not huge.vanishes
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
