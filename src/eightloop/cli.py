@@ -32,8 +32,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .dynamics import (
     ArcSpec,
@@ -43,7 +41,7 @@ from .dynamics import (
     integrate,
     melnikov_convergence,
 )
-from .geometry import NumericalFailure, energy, x_plus
+from .geometry import NumericalFailure, energy, geomspace, linspace, x_plus
 from .integrals import integral_triple
 from .melnikov import MelnikovSpec, count_zeros, mk
 from .native import BuildError
@@ -189,7 +187,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _h_grid(p: dict):
-    return list(np.geomspace(p["h_min"], p["h_max"], p["n"]))
+    return geomspace(p["h_min"], p["h_max"], p["n"])
 
 
 def _run_integrals(s: Scenario, threads: int) -> None:
@@ -250,9 +248,9 @@ def _run_simulate(s: Scenario, threads: int) -> None:
         raise ConfigError("lam must have four entries")
     if p["t_end"] < 0.0:  # a grid of one point or none holds no negative time for integrate to reject
         raise ConfigError(f"output times must be non-negative and non-decreasing, got t_end={p['t_end']:g}")
-    ts = np.linspace(0.0, p["t_end"], p["n_points"])
+    ts = linspace(0.0, p["t_end"], p["n_points"])
     states = integrate(p0, p["lam"], ts)
-    rows = [(t, x, y, energy((x, y))) for t, (x, y) in zip(ts.tolist(), states.tolist())]
+    rows = [(t, x, y, energy((x, y))) for t, (x, y) in zip(ts, states.tolist())]
     _write_csv(s, "trajectory.csv", ("t", "x", "y", "H"), rows)
 
 

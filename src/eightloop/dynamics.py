@@ -41,14 +41,15 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .geometry import SQRT2, NumericalFailure, energy, vector_field, x_plus
+from .geometry import SQRT2, NumericalFailure, energy, geomspace, vector_field, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
 from .native import _DOUBLES, _STATUS, ESCAPE_BOUND, _kernel
 from .series import KAPPA
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -171,11 +172,12 @@ def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> f
     return min(100.0 * h0, h1, t_bound)
 
 
-def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, ts=None):
+def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, ts=None, out=None):
     """The kernel's flow loop from (x, y) at t = 0 up to t_end: (status, the time it stopped at, outputs).
 
     With output times ts (a contiguous float array ending at t_end) the
-    outputs are the states there, an array of shape (len(ts), 2); without,
+    outputs are the states there, written into out, a contiguous float
+    array of shape (len(ts), 2); without,
     the loop looks for the return to Sigma by t_end = cfg.max_time, and the
     outputs are (t, x) at the return and the crossings discarded.  The
     failures integrate and return_map share are raised here; the return
@@ -189,7 +191,6 @@ def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, t
         out = (ctypes.c_double * 3)()
         status = _kernel().flow(params, state, None, 0, out)
     else:
-        out = np.empty((len(ts), 2))
         status = _kernel().flow(params, state, ts.ctypes.data_as(_DOUBLES), len(ts), out.ctypes.data_as(_DOUBLES))
     status, t = _STATUS[status], state[0]
     if status == "STEP_FAILURE":
@@ -211,6 +212,8 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     if a step ends outside the working box, as in return_map; StepFailure
     if the step size collapses or a step's error estimate is not finite.
     """
+    import numpy as np  # imported here: only integrate's array output needs it
+
     cfg = cfg or IntegratorConfig()
     ts = np.ascontiguousarray(ts, dtype=float)
     if not (np.all(ts >= 0.0) and np.all(np.diff(ts) >= 0.0)):
@@ -218,7 +221,7 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     t_end = float(ts[-1]) if len(ts) else 0.0
     if t_end > cfg.max_time:
         raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    return _flow(float(p0[0]), float(p0[1]), tuple(lam), cfg, t_end, ts)[2]
+    return _flow(float(p0[0]), float(p0[1]), tuple(lam), cfg, t_end, ts, np.empty((len(ts), 2)))[2]
 
 
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
@@ -274,7 +277,13 @@ def find_limit_cycles(
     bracket is bisected to a width below refine_tol, stopping where the
     return map fails, and carries the secant-slope stability sign.
     epsilon is carried through to the records for bookkeeping only.
+    ValueError for a grid_n below 2 or an h_range that is not increasing.
     """
+    h_min, h_max = float(h_range[0]), float(h_range[1])
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if not h_min < h_max:
+        raise ValueError(f"h_range must be increasing, got ({h_min!r}, {h_max!r})")
     failures = []
 
     def disp(h):
@@ -285,7 +294,7 @@ def find_limit_cycles(
             failures.append(exc)
             return math.nan
 
-    samples = [(h, disp(h)) for h in np.geomspace(float(h_range[0]), float(h_range[1]), grid_n)]
+    samples = [(h, disp(h)) for h in geomspace(h_min, h_max, grid_n)]
     if failures and len(failures) == len(samples):
         raise failures[-1]  # an arc with no return map on its grid has no count, not a count of 0
     return [
@@ -417,6 +426,8 @@ class SweepResult:
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np  # imported here: only a sweep's arc sampling needs it
+
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 

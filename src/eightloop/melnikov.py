@@ -32,8 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .geometry import linspace
 from .integrals import _exterior_moments
 from .series import A1, I0_CONST, I2_CONST, I4P_CONST, KAPPA, LINEAR_COEFF, series_eval
 
@@ -206,15 +205,15 @@ def count_zeros(
         raise ValueError("interval must satisfy b > a")
     if grid_n < 32:
         raise ValueError("grid_n must be at least 32")
-    hs = np.linspace(a, b, grid_n)
-    vals = np.array([f(h) for h in hs], dtype=float)
-    samples = tuple(zip(hs.tolist(), vals.tolist()))
-    nan = np.isnan(vals)
-    if nan.any():
+    hs = linspace(a, b, grid_n)
+    vals = [float(f(h)) for h in hs]
+    samples = tuple(zip(hs, vals))
+    n_nan = sum(map(math.isnan, vals))
+    if n_nan:
         logging.getLogger(__name__).warning(
-            "count_zeros: %d of %d samples are NaN; zeros between them are not counted", nan.sum(), grid_n
+            "count_zeros: %d of %d samples are NaN; zeros between them are not counted", n_nan, grid_n
         )
-    scale = float(np.max(np.abs(vals), initial=0.0, where=~nan))
+    scale = max((abs(v) for v in vals if not math.isnan(v)), default=0.0)
     zeros = tuple((0.5 * (lo + hi), hi - lo) for lo, hi, _, _ in _sign_changes(f, samples, refine_tol))
     suspects = []
     for i in range(1, grid_n - 1):
@@ -232,7 +231,7 @@ def count_zeros(
             else:
                 vmin = y1
             if scale > 0.0 and abs(vmin) < SUSPECT_REL * scale:
-                suspects.append(float(hs[i]))
+                suspects.append(hs[i])
     return ZeroCount(
         interval=(a, b),
         zeros=zeros,

@@ -56,11 +56,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
-import numpy as np
-from numpy.polynomial import chebyshev as npcheb
-
-from .geometry import NumericalFailure
+from .geometry import NumericalFailure, geomspace
 from .integrals import IntegralTriple, QuadratureConfig, moment
 
 TRUST_REGION_MAX = 0.2
@@ -259,64 +258,155 @@ def measure_kappa(cfg: QuadratureConfig | None = None) -> float:
 # --------------------------------------------------------------------------
 
 
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _chebvander(x: float, degree: int) -> list:
+    """[T_0(x), ..., T_degree(x)] by numpy's chebvander recurrence T_i = T_{i-1}*2x - T_{i-2}."""
+    row = [1.0, x][: degree + 1]
+    for _ in range(2, degree + 1):
+        row.append(row[-1] * (2.0 * x) - row[-2])
+    return row
+
+
+def _householder(rows: list, g: list):
+    """Householder QR of the m x n matrix rows, m >= n: (R's n columns, each cut to its first n entries, and Q^T g)."""
+    n = len(rows[0])
+    cols = [[row[j] for row in rows] for j in range(n)]
+    qg = list(g)
+    for k in range(n):
+        v = cols[k][k:]
+        alpha = -math.copysign(math.hypot(*v), v[0])
+        v[0] -= alpha
+        vv = _dot(v, v)
+        if vv == 0.0:  # the column is already zero below the diagonal
+            continue
+        for c in cols[k:] + [qg]:
+            s = 2.0 * _dot(v, c[k:]) / vv
+            c[k:] = [ci - s * vi for ci, vi in zip(c[k:], v)]
+    return [c[:n] for c in cols], qg
+
+
+def _condition(r_cols: list) -> float:
+    """2-norm condition of R from its singular values, by one-sided (Hestenes) Jacobi rotations of its columns.
+
+    R's singular values are those of the matrix it was factored from, as Q
+    is orthogonal; inf where R is singular.
+    """
+    u = [list(c) for c in r_cols]
+    norms = [_dot(c, c) for c in u]
+    for _ in range(60):  # a cap only: the rotations converge quadratically (7 sweeps at degree 8, 10 at 20)
+        rotated = False
+        for i in range(len(u) - 1):
+            for j in range(i + 1, len(u)):
+                gamma = _dot(u[i], u[j])
+                if abs(gamma) <= 1e-15 * math.sqrt(norms[i] * norms[j]):
+                    continue
+                zeta = (norms[j] - norms[i]) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                u[i], u[j] = [c * a - s * b for a, b in zip(u[i], u[j])], [s * a + c * b for a, b in zip(u[i], u[j])]
+                norms[i], norms[j] = _dot(u[i], u[i]), _dot(u[j], u[j])
+                rotated = True
+        if not rotated:
+            break
+    sigma = [math.hypot(*c) for c in u]
+    return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
+
+
+def _chebyshev_to_power(coef: list, off: float, scl: float) -> list:
+    """Power coefficients in h of sum_k coef[k] T_k(off + scl*h).
+
+    numpy's Chebyshev.convert to a Polynomial, operation for operation:
+    Clenshaw's three-term recurrence run on polynomials in h.
+    """
+
+    def times_u(p, a, b):  # p * (a + b*h)
+        return [x * a + y * b for x, y in zip(p + [0.0], [0.0] + p)]
+
+    def plus(p, q, sign=1.0):
+        return [x + sign * y for x, y in zip_longest(p, q, fillvalue=0.0)]
+
+    c0, c1 = (coef[:1], []) if len(coef) == 1 else (coef[-2:-1], coef[-1:])
+    for ck in reversed(coef[:-2]):
+        c0, c1 = plus([ck], c1, -1.0), plus(c0, times_u(c1, 2.0 * off, 2.0 * scl))
+    return plus(c0, times_u(c1, off, scl))
+
+
 def fit_series_tail(hs, residual_values, degree: int):
     """Fit a smooth remainder R(h) = h * (c0 + c1 h + ...) on a window.
 
     The remainder is divided by h and fitted in a Chebyshev basis on
-    [min(hs), max(hs)] (well-conditioned), then converted to power-series
-    coefficients of h; returns (power_coeffs_of_h, rms_residual) where
-    power_coeffs_of_h[n] multiplies h^{n+1}.  IllConditionedFit if the
-    normal-system condition, the square of the design matrix's, exceeds 1e10.
+    [min(hs), max(hs)] (well-conditioned), by Householder QR, then
+    converted to power-series coefficients of h; returns
+    (power_coeffs_of_h, rms_residual) where power_coeffs_of_h[n]
+    multiplies h^{n+1}.  IllConditionedFit if the normal-system condition,
+    the square of the design matrix's, exceeds 1e10: infinite where the
+    samples are fewer than the degree + 1 coefficients or all at one
+    energy.  ValueError for a negative degree.
     """
-    hs = np.asarray(hs, dtype=float)
-    g = np.asarray(residual_values, dtype=float) / hs
-    lo, hi = hs.min(), hs.max()
-    design = npcheb.chebvander(2.0 * (hs - lo) / (hi - lo) - 1.0, degree)
-    cond = np.linalg.cond(design)
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    hs = [float(h) for h in hs]
+    g = [float(r) / h for r, h in zip(residual_values, hs)]
+    lo, hi = min(hs), max(hs)
+    if len(hs) <= degree or not hi > lo:  # the normal system is singular
+        raise IllConditionedFit(
+            f"normal-system condition inf exceeds 1e10: {len(hs)} samples on [{lo!r}, {hi!r}] for {degree + 1} coefficients"
+        )
+    design = [_chebvander(2.0 * (h - lo) / (hi - lo) - 1.0, degree) for h in hs]
+    r_cols, qg = _householder(design, g)
+    cond = _condition(r_cols)
     if cond * cond > 1e10:
         raise IllConditionedFit(
             f"normal-system condition {cond * cond:.2e} exceeds 1e10"
         )
-    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-    rms = float(np.sqrt(np.mean((design @ coef - g) ** 2)))
-    # convert to power coefficients in h on the original axis
-    series = npcheb.Chebyshev(coef, domain=[lo, hi])
-    power = series.convert(kind=np.polynomial.Polynomial)
-    return np.asarray(power.coef, dtype=float), rms
+    coef = [0.0] * (degree + 1)
+    for i in reversed(range(degree + 1)):  # back-substitution in R coef = (Q^T g)[:degree + 1]
+        coef[i] = (qg[i] - _dot([c[i] for c in r_cols[i + 1 :]], coef[i + 1 :])) / r_cols[i][i]
+    rms = math.sqrt(sum((_dot(row, coef) - gi) ** 2 for row, gi in zip(design, g)) / len(g))
+    # convert to power coefficients in h on the original axis, where the
+    # Chebyshev variable is off + scl*h (numpy's mapparms of [lo, hi] onto [-1, 1])
+    return _chebyshev_to_power(coef, (-hi - lo) / (hi - lo), 2.0 / (hi - lo)), rms
 
 
 def fit_constants(hs, i0, i2, kappa: float, degree: int) -> FittedConstants:
     """Recover (a1, a2, b2) from full-contour I0 and I2 sampled at energies hs.
 
-    At least 8 energies must lie inside [0.01, 0.15]; kappa is the contour
+    At least 8 energies must lie inside [0.01, 0.15], and the degree must
+    be at least 1, as a2 and b2 are h^2 coefficients; kappa is the contour
     normalization measured with the same quadrature as the samples.  The
     exactly-known terms (limit constants, linear terms, full log parts) are
     subtracted from the kappa-normalized values and the smooth remainders
     are fitted; a1, a2 come from the I0 remainder, b2 from the I2 remainder.
     The reported residual is the RMS over both fits.
     """
-    order = np.argsort(hs, kind="stable")
-    hs = np.asarray(hs, dtype=float)[order]
-    inside = (hs >= 0.01) & (hs <= 0.15)
-    if int(inside.sum()) < 8:
+    order = sorted(range(len(hs)), key=lambda i: hs[i])
+    hs = [float(hs[i]) for i in order]
+    if sum(0.01 <= h <= 0.15 for h in hs) < 8:
         raise ValueError("need at least 8 samples with h in [0.01, 0.15]")
-    i0 = np.asarray(i0, dtype=float)[order] / kappa
-    i2 = np.asarray(i2, dtype=float)[order] / kappa
-    logs0 = np.array([_poly_eval(_LOG_FLOATS["I0"], h) for h in hs])
-    logs2 = np.array([_poly_eval(_LOG_FLOATS["I2"], h) for h in hs])
-    ln = np.log(hs)
-    g0 = i0 - logs0 * ln - float(I0_CONST)
-    g2 = i2 - logs2 * ln - float(I2_CONST) - float(LINEAR_COEFF) * hs
+    if degree < 1:
+        raise ValueError(f"the fit needs degree >= 1, as a2 and b2 are h^2 coefficients; got {degree}")
+    g0 = [
+        float(i0[i]) / kappa - _poly_eval(_LOG_FLOATS["I0"], h) * math.log(h) - float(I0_CONST)
+        for i, h in zip(order, hs)
+    ]
+    g2 = [
+        float(i2[i]) / kappa - _poly_eval(_LOG_FLOATS["I2"], h) * math.log(h) - float(I2_CONST) - float(LINEAR_COEFF) * h
+        for i, h in zip(order, hs)
+    ]
     c0, rms0 = fit_series_tail(hs, g0, degree)
     c2, rms2 = fit_series_tail(hs, g2, degree)
     # g2 has no linear term left, so its leading fitted coefficient (of h)
     # should be ~0; b2 is the h^2 entry
     return FittedConstants(
-        a1=float(c0[0]),
-        a2=float(c0[1]),
-        b2=float(c2[1]),
-        residual=float(math.sqrt(0.5 * (rms0**2 + rms2**2))),
-        window=(float(hs.min()), float(hs.max())),
+        a1=c0[0],
+        a2=c0[1],
+        b2=c2[1],
+        residual=math.sqrt(0.5 * (rms0**2 + rms2**2)),
+        window=(hs[0], hs[-1]),
         kappa=float(kappa),
     )
 
@@ -334,4 +424,4 @@ def default_constants() -> FittedConstants:
 
     Cached for the process.
     """
-    return fit_quadrature(np.geomspace(0.01, 0.15, 24), 8)
+    return fit_quadrature(geomspace(0.01, 0.15, 24), 8)

@@ -439,6 +439,16 @@ def test_unknown_sweep_family_is_config_error(tmp_path):
         ("cyclicity-sweep", {"h_window": [1e-4, 0.2], "n_samples": 1}),
         ("simulate", {"h0": -1.0}),
         ("melnikov-zeros", {"k": 0, "lam1k": 1.0}),
+        # grid sizes below 0, and a geometric grid that reaches h = 0
+        ("pf-check", {"n": -2}),
+        ("simulate", {"n_points": -3}),
+        ("cyclicity-sweep", {"grid_n": -1, "n_samples": 1}),
+        ("pf-check", {"h_min": 0.0}),
+        # a grid with no return map on it, and a reversed window, have no count (not a count of 0)
+        ("cyclicity-sweep", {"grid_n": 0, "n_samples": 1}),
+        ("cyclicity-sweep", {"h_window": [0.2, 0.01], "n_samples": 1}),
+        # a fit without an h^2 coefficient has no a2 or b2
+        ("series-fit", {"degree": 0}),
     ],
 )
 def test_arguments_the_library_rejects_are_config_errors(command, params, tmp_path):
@@ -572,13 +582,18 @@ def test_without_a_compiler_a_run_exits_4_with_a_manifest(tmp_path, monkeypatch)
 
 
 def test_no_run_loads_scipy(tmp_path):
-    """A fresh interpreter imports eightloop, fits the default constants and runs commands without scipy."""
+    """A fresh interpreter imports eightloop, fits the default constants and runs commands without scipy.
+
+    Up to the sweep it loads no numpy either: only the sweep's arc sampler
+    and integrate's array output import it.
+    """
     scenarios = {
         "pf": README_PF_CHECK,
-        "sweep": {"command": "cyclicity-sweep", "parameters": {"n_samples": 1}},
+        "fit": {"command": "series-fit"},
         "zeros": {"command": "melnikov-zeros", "parameters": {"k": 2, "lam4k": 5.0, "lam2": [0.0, 1.0],
                                                               "lam3": [0.0, -3.0], "interval": [1e-3, 0.3],
                                                               "backend": "quadrature"}},
+        "sweep": {"command": "cyclicity-sweep", "parameters": {"n_samples": 1}},
         "simulate": {"command": "simulate", "parameters": {"h0": 1.0, "t_end": 20.0}},
     }
     runs = []
@@ -587,12 +602,15 @@ def test_no_run_loads_scipy(tmp_path):
         runs.append(["--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
     probe = "\n".join((
         "import sys",
+        "loaded = lambda top: sorted(name for name in sys.modules if name.partition('.')[0] == top)",
         "import eightloop",
         "from eightloop import cli",
         "eightloop.default_constants()",
-        f"codes = [cli.main(argv) for argv in {runs!r}]",
-        "print(codes, sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))",
+        f"codes = [cli.main(argv) for argv in {runs[:3]!r}]",
+        "numpy = loaded('numpy')",
+        f"codes += [cli.main(argv) for argv in {runs[3:]!r}]",
+        "print(codes, numpy, loaded('scipy'))",
     ))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert done.stdout.strip() == "[0, 0, 0, 0] []"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0] [] []"

@@ -13,8 +13,11 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import polynomial as nppoly
 
 import eightloop as el
+from eightloop import series
 from eightloop.series import (
     A1,
     A2,
@@ -201,6 +204,93 @@ def test_fit_recovers_synthetic_constants():
     npt.assert_allclose(fc.a1, 3.7, atol=1e-6)
     npt.assert_allclose(fc.a2, 0.02, atol=1e-6)
     npt.assert_allclose(fc.b2, -0.13, atol=1e-6)
+
+
+def _numpy_fit_series_tail(hs, residual_values, degree):
+    """The oracle of fit_series_tail: numpy's chebvander, cond, lstsq and Chebyshev.convert."""
+    hs = np.asarray(hs, dtype=float)
+    g = np.asarray(residual_values, dtype=float) / hs
+    lo, hi = hs.min(), hs.max()
+    design = npcheb.chebvander(2.0 * (hs - lo) / (hi - lo) - 1.0, degree)
+    cond = np.linalg.cond(design)
+    if cond * cond > 1e10:
+        raise el.IllConditionedFit(f"normal-system condition {cond * cond:.2e} exceeds 1e10")
+    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+    rms = float(np.sqrt(np.mean((design @ coef - g) ** 2)))
+    power = npcheb.Chebyshev(coef, domain=[lo, hi]).convert(kind=np.polynomial.Polynomial)
+    return power.coef, rms
+
+
+def _fit_samples(kind, quad_cfg):
+    if kind == "synthetic":
+        return _synthetic_samples(3.7, 0.02, -0.13, KAPPA)
+    return _quadrature_samples(np.geomspace(0.01, 0.15, 24), quad_cfg)
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "quadrature"])
+def test_fit_series_tail_agrees_with_numpy(kind, quad_cfg):
+    hs, i0, i2 = _fit_samples(kind, quad_cfg)
+    lo, hi = min(hs), max(hs)
+    logs = {which: np.array([_poly_eval(log_coefficients(which, 10), h) for h in hs]) * np.log(hs) for which in MOMENTS}
+    # the smooth tails fit_constants fits: I0 and I2 less their known terms
+    tails = (
+        np.asarray(i0) / KAPPA - logs["I0"] - 4.0 / 3.0,
+        np.asarray(i2) / KAPPA - logs["I2"] - 16.0 / 15.0 - 4.0 * hs,
+    )
+    for remainder in tails:
+        g = (remainder / hs).tolist()
+        coeffs, rms = fit_series_tail(hs, remainder, 8)
+        ref, ref_rms = _numpy_fit_series_tail(hs, remainder, 8)
+        # the same design, and its condition from R's singular values
+        design = [series._chebvander(2.0 * (h - lo) / (hi - lo) - 1.0, 8) for h in hs]
+        assert design == npcheb.chebvander(2.0 * (hs - lo) / (hi - lo) - 1.0, 8).tolist()
+        cond = series._condition(series._householder(design, g)[0])
+        npt.assert_allclose(cond, np.linalg.cond(np.array(design)), rtol=1e-6)
+        # the same fitted remainder on the window; its power coefficients of
+        # high order differ more, as the conversion from [-1, 1] amplifies
+        # the last bits of the Chebyshev coefficients by ~(2/(hi - lo))^n
+        fitted, ref_fitted = (nppoly.polyval(hs, np.concatenate(([0.0], c))) for c in (coeffs, ref))
+        npt.assert_allclose(fitted, ref_fitted, rtol=0.0, atol=1e-12 * np.max(np.abs(remainder)))
+        assert abs(rms - ref_rms) < 1e-14
+        npt.assert_allclose(coeffs[0], ref[0], rtol=0.0, atol=1e-12 * np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "quadrature"])
+def test_fit_constants_agree_with_the_numpy_fit(kind, quad_cfg, monkeypatch):
+    samples = _fit_samples(kind, quad_cfg)
+    fc = el.fit_constants(*samples, KAPPA, 8)
+    monkeypatch.setattr(series, "fit_series_tail", _numpy_fit_series_tail)
+    ref = el.fit_constants(*samples, KAPPA, 8)
+    npt.assert_allclose(fc.a1, ref.a1, rtol=1e-12)
+    npt.assert_allclose(fc.b2, ref.b2, rtol=1e-12)
+    npt.assert_allclose(fc.a2, ref.a2, rtol=1e-8)  # the h^2 entry of the I0 tail: ~3e-10 measured
+    assert abs(fc.residual - ref.residual) < 1e-14 and fc.window == ref.window and fc.kappa == ref.kappa
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("degree", [0, 1, 2, 8])
+def test_chebyshev_to_power_is_numpys_convert_bit_for_bit(seed, degree):
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=degree + 1) * 10.0 ** rng.uniform(-8, 2, size=degree + 1)
+    lo, hi = sorted(rng.uniform(1e-3, 1.0, size=2))
+    ref = npcheb.Chebyshev(coef, domain=[lo, hi]).convert(kind=np.polynomial.Polynomial).coef
+    assert series._chebyshev_to_power(coef.tolist(), (-hi - lo) / (hi - lo), 2.0 / (hi - lo)) == ref.tolist()
+
+
+@pytest.mark.parametrize(
+    "hs",
+    [np.geomspace(0.01, 0.15, 8), np.full(24, 0.05)],
+    ids=["fewer-samples-than-coefficients", "one-energy"],
+)
+def test_a_fit_the_samples_cannot_determine_is_ill_conditioned(hs):
+    with pytest.raises(el.IllConditionedFit, match="condition inf"):
+        fit_series_tail(hs, np.sin(10.0 * hs), 8)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_fit_constants_needs_an_h2_coefficient(degree):
+    with pytest.raises(ValueError, match="degree"):
+        el.fit_constants(*_synthetic_samples(3.7, 0.02, -0.13, KAPPA), KAPPA, degree)
 
 
 def test_fit_on_real_samples(consts):
