@@ -166,11 +166,13 @@ def _write_rows(path: Path, rows, sep: str = " ", head=()) -> None:
     With the default separator this is a plot-ready file of whitespace-separated
     columns (no plotting in-process).
     """
+    between = sep.replace("%", "%%")
     with open(path, "w") as f:
         for line in head:
             f.write(line + "\n")
         for row in rows:
-            f.write(sep.join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+            row = tuple(row)
+            f.write(between.join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row + "\n")
 
 
 def _write_csv(s: Scenario, name: str, header, rows) -> None:

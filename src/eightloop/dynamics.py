@@ -20,9 +20,10 @@ loop of the package's compiled C library (native), with DOP853's tableau
 (scipy's coefficients, written into native), scipy's step control and
 error norm, and geometry.vector_field's return expression written out at
 every stage.  It does Python's float arithmetic operation
-for operation, so it returns what the same loop on Python floats would, bit
-for bit.  Python keeps the argument checks, the initial step and the
-exceptions and their messages.  integrate ends a step exactly at each
+for operation (its squares in the error norm are a * a only where glibc's
+pow, within 0.54 ulp, must return that double), so it returns what the same
+loop on Python floats would, bit for bit.  Python keeps the argument checks,
+the initial step and the exceptions and their messages.  integrate ends a step exactly at each
 output time, so no interpolant is needed.
 find_limit_cycles reads its cycles off the grid by the scan that
 count_zeros uses (melnikov._sign_changes).
@@ -80,6 +81,9 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_time <= 0:
             raise ValueError("max_time must be positive")
+
+
+_DEFAULT_CONFIG = IntegratorConfig()  # what a None cfg stands for, built once rather than per return map
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     """
     import numpy as np  # imported here: only integrate's array output needs it
 
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     ts = np.ascontiguousarray(ts, dtype=float)
     if not (np.all(ts >= 0.0) and np.all(np.diff(ts) >= 0.0)):
         raise ValueError("output times must be non-negative and non-decreasing")
@@ -237,7 +241,7 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     EscapedRegion if the orbit leaves the working box; StepFailure if the
     step size collapses or a step's error estimate is not finite.
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
     lam = tuple(lam)

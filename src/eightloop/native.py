@@ -11,7 +11,10 @@ scipy.special's ellipkm1 and ellipe compute).  The flow and the integrands
 do Python's float arithmetic operation for operation (libm's sin, cos and
 pow stand for math's and for **), so they return what the same code on
 Python floats would, bit for bit; QUADPACK and K and E return what scipy's
-do, bit for bit.  No module of the package imports scipy.
+do, bit for bit.  A square, a ** 2.0, is square(a): a * a where glibc's pow,
+whose error is at most 0.54 ulp, must return that same double, and pow
+otherwise (and on any other libc), so it too is Python's value bit for bit.
+No module of the package imports scipy.
 
 The source is compiled with the system's cc at the first use of the
 library in a process, cached in the package's __pycache__ under the sha256
@@ -150,16 +153,17 @@ static inline double py_max(double a, double b) { return b > a ? b : a; }
 
 static inline double min_step(double t) { return 10.0 * (nextafter(t, INFINITY) - t); }
 
-/* geometry.vector_field */
-static inline double field_x(double x, double y, const double *p)
+/* geometry.vector_field, whose components need not use every one of x, y and l1..l4 */
+#define MAYBE_UNUSED __attribute__((unused))
+static inline double field_x(MAYBE_UNUSED double x, MAYBE_UNUSED double y, const double *p)
 {
-    double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
+    MAYBE_UNUSED double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
     return $field_x;
 }
 
-static inline double field_y(double x, double y, const double *p)
+static inline double field_y(MAYBE_UNUSED double x, MAYBE_UNUSED double y, const double *p)
 {
-    double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
+    MAYBE_UNUSED double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
     return $field_y;
 }
 
@@ -174,6 +178,26 @@ static inline int in_y(const double *p, double y, double x, double *kt, double *
     return OK;
 }
 
+/* pow(a, 2.0), Python's a ** 2.0, as a * a where that is certain to be what glibc's pow returns.  glibc's
+   pow (2.28 on, sysdeps/ieee754/dbl-64/e_pow.c) errs by at most 0.54 ulp.  Where p = a * a is normal and
+   far from overflow, the fma residual a * a - p is exact; where it is below 0.46 ulp(p) and p is not a
+   power of two (so both neighbours of p lie a whole ulp(p) away), every double but p is more than 0.54
+   ulp from the exact square, so pow must return p.  Any other case, and any other libc, calls pow. */
+static inline double square(double a)
+{
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 28)
+    union { double d; unsigned long long u; } p = {a * a}, unit = p;
+    unit.u &= 0x7ff0000000000000ULL; /* 2^floor(log2 p) */
+    if (0x1p-900 < p.d && p.d < 0x1p900 && unit.d != p.d
+        && __builtin_fabs(__builtin_fma(a, a, -p.d)) < 0.46 * 0x1p-52 * unit.d)
+        return p.d;
+#endif
+    return pow(a, 2.0);
+}
+
+/* square, exported for the tests */
+double kernel_square(double a) { return square(a); }
+
 /* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and
    (du3, dv3); NaN where the sum of their squares is not finite, so no error test passes */
 static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
@@ -181,8 +205,8 @@ static inline double error_norm(const double *p, double h, double u0, double v0,
 {
     double su = p[ATOL] + py_max(fabs(u0), fabs(u)) * p[RTOL];
     double sv = p[ATOL] + py_max(fabs(v0), fabs(v)) * p[RTOL];
-    double e5 = pow(du5 / su, 2.0) + pow(dv5 / sv, 2.0);
-    double e3 = pow(du3 / su, 2.0) + pow(dv3 / sv, 2.0);
+    double e5 = square(du5 / su) + square(dv5 / sv);
+    double e3 = square(du3 / su) + square(dv3 / sv);
     if (!isfinite(e5 + e3))
         return NAN;
     if (e5 == 0.0)
@@ -204,7 +228,7 @@ int dop853_step(const double *p, double *s, double t_bound)
         double t_new = py_min(t + h_abs, t_bound);
         double h = t_new - t;
 $flow_stages
-$step_end
+$flow_step_end
         if (isnan(err))
             return NON_FINITE_ERROR;
         if (err < 1.0) {
@@ -232,7 +256,7 @@ int dop853_step_in_y(const double *p, double *s)
     const double y = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], h = s[5];
     double u, v, $stage_slopes;
 $y_stages
-$step_end
+$y_step_end
     s[0] = u;
     s[1] = v;
     s[2] = err;
@@ -313,11 +337,11 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
 }
 
 /* integrals' three integrands of theta on the oval (a, s) = (p[0], p[1]), with the moment's index i = p[2].
-   Python's ** on floats is pow. */
+   Python's ** on floats is pow, and square where the exponent is 2.0. */
 double xiy(double theta, const double *p)
 {
     double a = p[0], s = p[1], x = a * sin(theta);
-    return a * a * pow(cos(theta), 2.0) * pow(x, p[2]) * sqrt((x * x + s) / 2.0);
+    return a * a * square(cos(theta)) * pow(x, p[2]) * sqrt((x * x + s) / 2.0);
 }
 
 double xi_over_y(double theta, const double *p)
@@ -930,14 +954,18 @@ def _kernel_source() -> str:
         flow_stages="\n".join(flow_stages),
         y_stages="\n".join(y_stages),
         integrands=", ".join(_INTEGRANDS),
-        step_end=textwrap.indent(step_end, indent),
+        flow_step_end=textwrap.indent(step_end, indent),
+        y_step_end=textwrap.indent(step_end, "    "),
     )
 
 
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add
-# (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x or replacing
-# libm's sin, cos, pow and log: each double operation is then the one Python
-# (or scipy's QUADPACK and Cephes) does
+# (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x (not always
+# pow's double: square takes it only where glibc's 0.54-ulp bound on pow
+# certifies it, by __builtin_fma and __builtin_fabs, which the flag leaves
+# alone) or replacing libm's sin, cos, pow and log (fusing sin and cos into
+# sincos, say): each double operation is then the one Python (or scipy's
+# QUADPACK and Cephes) does
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
 
@@ -998,6 +1026,7 @@ def _kernel() -> ctypes.CDLL:
         ("flow", ctypes.c_int, (_DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("dop853_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
         ("dop853_step_in_y", ctypes.c_int, (_DOUBLES, _DOUBLES)),
+        ("kernel_square", ctypes.c_double, (ctypes.c_double,)),
         ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
         ("ellpk", ctypes.c_double, (ctypes.c_double,)),
         ("ellpe", ctypes.c_double, (ctypes.c_double,)),

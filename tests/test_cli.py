@@ -165,6 +165,24 @@ def test_integrals_outputs_are_deterministic(tmp_path):
     assert (a / "integrals.csv").read_text().splitlines()[0] == "# command=integrals seed=3"
 
 
+def test_write_rows_writes_the_bytes_of_per_value_formatting(tmp_path):
+    """Each row is one % operation: the bytes of formatting each value, floats as %.17g and the rest by str."""
+    rows = [
+        (0.1, -2.5e-300, 1e300, 5e-324, 2.0),
+        (math.nan, math.inf, -math.inf, -0.0, 0.0),
+        (3, -7, 2**70, True, None),
+        ["a string", "100% sure", 0.30000000000000004, np.float64(1 / 3), np.int64(5)],
+        (),
+        ("%s %d", 1.5),
+    ]
+    for sep in (" ", ",", "%"):
+        cli._write_rows(tmp_path / "rows.txt", rows, sep, ("# head",))
+        want = "# head\n" + "".join(
+            sep.join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows
+        )
+        assert (tmp_path / "rows.txt").read_bytes() == want.encode()
+
+
 def test_melnikov_zeros_positive_combination(tmp_path):
     params = {
         "k": 2,

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,58 @@ def test_unrolled_step_does_the_arithmetic_of_the_tableau():
             assert native._STATUS[kernel.dop853_step_in_y(_params(lam, cfg), state)] == "OK"
             assert tuple(state[:3]) == want
     assert min(tries) == 1 and max(tries) > 1  # first tries accepted and rejected
+
+
+def _libm_pow_squares(values):
+    """libm's pow(a, 2.0) and the kernel's square(a) for each a in values, as two arrays of their bits."""
+    libm_pow = ctypes.CDLL("libm.so.6").pow  # math.pow raises on overflow where pow returns inf
+    libm_pow.argtypes, libm_pow.restype = (ctypes.c_double, ctypes.c_double), ctypes.c_double
+    square = native._kernel().kernel_square
+    want = np.array([libm_pow(a, 2.0) for a in values]).view(np.uint64)
+    got = np.array([square(a) for a in values]).view(np.uint64)
+    return want, got
+
+
+def test_square_is_libms_pow_on_random_and_edge_doubles():
+    """The flow's square returns pow(a, 2.0) bit for bit over binades -460..460 and at the edges of its certificate."""
+    rng = np.random.default_rng(23)
+    n = 100_000
+    random = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-460, 461, n)) * rng.choice((-1.0, 1.0), n)
+    edges = [
+        0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022, -(2.0**-1022), 2.0**-450, 2.0**450,
+        math.nextafter(2.0**-450, 0.0), math.nextafter(2.0**450, math.inf), 1e200, -1e200,
+        math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max, math.sqrt(2.0),
+        1.0, 3.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53,
+    ]
+    want, got = _libm_pow_squares(random.tolist() + edges)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_square_is_libms_pow_near_rounding_midpoints():
+    """Where a * a lies 0.40 ulp or more from the exact square, square still returns pow's double.
+
+    There glibc's pow, within 0.54 ulp, may round the other way; some of
+    these cases do, and square's certificate must send each of them to pow.
+    """
+    rng = np.random.default_rng(29)
+    near = []
+    while len(near) < 10_000:
+        for a in (np.ldexp(rng.uniform(1.0, 2.0, 10_000), rng.integers(-460, 461, 10_000))).tolist():
+            if abs(Fraction(a) ** 2 - Fraction(a * a)) >= 0.40 * Fraction(math.ulp(a * a)):
+                near.append(a)
+    want, got = _libm_pow_squares(near[:10_000])
+    np.testing.assert_array_equal(got, want)
+    products = np.array([a * a for a in near[:10_000]]).view(np.uint64)
+    assert np.count_nonzero(want != products) >= 1  # the fallback to pow is exercised
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_the_library_source_compiles_without_warnings():
+    done = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+        input=native._kernel_source(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _tableau_return_map(h_in, lam, cfg):
