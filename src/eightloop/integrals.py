@@ -33,9 +33,10 @@ values are only guaranteed for h >= 1e-4 — below that the series module is
 the intended tool.  These quadratures are the tests' oracle; M_k takes I_0,
 I_2 and I'_4 from their closed forms in K and E (_exterior_moments) instead.
 
-QUADPACK's dqagpe, the three integrands and K and E are C in the package's
-one compiled library (native), so a quadrature is one ctypes call that
-never comes back into Python.  The integrands do the arithmetic of the same
+QUADPACK's dqagpe, the three integrands, K and E and the closed forms are C
+in the package's one compiled library (native), so a quadrature, or the
+closed forms at one energy, is one ctypes call that never comes back into
+Python.  The integrands and the closed forms do the arithmetic of the same
 expressions on Python floats (math's sin, cos and sqrt, and ** as pow) bit
 for bit, and dqagpe, K and E give what scipy.integrate.quad (with
 points=[0]) and scipy.special's ellipkm1 and ellipe give, bit for bit, down
@@ -54,8 +55,8 @@ import ctypes
 import math
 from dataclasses import dataclass, field
 
-from .geometry import SQRT2, NumericalFailure, x_plus
-from .native import _INTEGRANDS, _kernel
+from .geometry import NumericalFailure, x_plus
+from .native import _INTEGRANDS, _kernel, _moments
 
 # scipy.integrate.quad's messages for QUADPACK's ier 1 to 5, word for word
 _IER_MESSAGES = {
@@ -104,6 +105,9 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
 
 
+_DEFAULT_CONFIG = QuadratureConfig()  # what a None cfg stands for, built once rather than per quadrature
+
+
 @dataclass(frozen=True)
 class IntegralTriple:
     """All moments at a single energy, with per-entry absolute error bounds.
@@ -137,7 +141,7 @@ def _oval_quad(integrand: str, h: float, i: int, cfg: QuadratureConfig | None, l
     """
     a = x_plus(h)
     s = math.sqrt(1.0 + 4.0 * h) - 1.0
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     limit = cfg.max_subdivisions
     out = (ctypes.c_double * 2)()
     ier = _kernel().dqagpe(
@@ -195,19 +199,14 @@ def _exterior_moments(h: float):
     S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over [0, pi/2]: S_0 = K(m) (by
     the library's ellpk at 1 - m = s/c^2), S_1 = (K - E)/m, E(m) by its ellpe, and
     (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}.
+
+    The closed forms run in the package's compiled library (native's
+    exterior_moments, one call), operation for operation as on Python
+    floats with math.sqrt, so the values are those of the same expressions
+    in Python, bit for bit.
     """
     x_plus(h)
-    r = math.sqrt(1.0 + 4.0 * h)
-    s = 4.0 * h / (r + 1.0)
-    a2, c2 = 2.0 + s, 2.0 * r
-    m = a2 / c2
-    kernel = _kernel()
-    s0 = kernel.ellpk(s / c2)
-    s1 = (s0 - kernel.ellpe(m)) / m
-    s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m)
-    s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m)
-    w = 2.0 * SQRT2 * a2 * math.sqrt(c2)
-    return w * (s1 - m * s2), w * a2 * (s1 - (1.0 + m) * s2 + m * s3), 2.0 * w * a2 / c2 * (s0 - 2.0 * s1 + s2)
+    return _moments("exterior", h)
 
 
 #: The seven IntegralTriple moments by name, each one call of its quadrature

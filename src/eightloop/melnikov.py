@@ -28,15 +28,19 @@ exterior ovals; their number is what the direct simulations probe.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
-from .geometry import linspace
-from .integrals import _exterior_moments
-from .series import A1, I0_CONST, I2_CONST, I4P_CONST, KAPPA, LINEAR_COEFF, series_eval
+from .geometry import linspace, x_plus
+from .native import _MOMENTS, _kernel
+from .series import A1, I0_CONST, I2_CONST, I4P_CONST, LINEAR_COEFF, _check_trust_region
 
 SUSPECT_REL = 1e-4  # near-zero threshold for suspects, relative to max|f| on the grid
+
+# mk's backends: the number of each one's moment evaluator in the library
+_EVALUATORS = {"quadrature": _MOMENTS.index("exterior"), "series": _MOMENTS.index("series")}
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,13 @@ class MelnikovSpec:
             if seq and seq[0] != 0.0:
                 raise ValueError(f"{name}[0] must vanish (arc through the origin)")
 
-    @property
+    @functools.cached_property
     def cross_coefficient(self) -> float:
-        """c_k = (1/3) sum_{i+j=k} lam2_i lam3_j (zero when k == 1)."""
+        """c_k = (1/3) sum_{i+j=k} lam2_i lam3_j (zero when k == 1), computed once per spec.
+
+        The value is kept outside the fields, so asdict, ==, hash and
+        pickling see the spec as they do without it.
+        """
         total = 0.0
         for i, lam2_i in enumerate(self.lam2[: self.k + 1]):  # at most len(lam2) terms, however large k is
             if self.k - i < len(self.lam3):
@@ -122,18 +130,23 @@ def m1(h: float, lam1: float, lam4: float, backend: str) -> float:
 def mk(h: float, spec: MelnikovSpec, backend: str) -> float:
     """Order-k bifurcation function for an arbitrary arc order.
 
-    The series backend sums the h -> 0+ expansions.  The quadrature backend
-    takes the exact full-range moments I0, I2 and I4' from their closed forms
-    in K and E (integrals._exterior_moments, which the tests check against
-    QUADPACK) and divides them by KAPPA.
+    The series backend sums the h -> 0+ expansions (series.series_eval's
+    sums).  The quadrature backend takes the exact full-range moments I0, I2
+    and I4' from their closed forms in K and E (integrals._exterior_moments',
+    which the tests check against QUADPACK) and divides them by KAPPA.  h is
+    checked as those two check it, by the series' trust region or by
+    x_plus, with their exceptions; then one call of the compiled library's
+    mk_value evaluates the moments and lam1k*I0 + lam4k*I2 + c_k*I4' in that
+    order, so the value is that of the same sums on Python floats, bit for
+    bit.
     """
-    if backend == "series":
-        i0, i2, i4p = series_eval(h)
-    elif backend == "quadrature":
-        i0, i2, i4p = (v / KAPPA for v in _exterior_moments(h))
+    if backend == "quadrature":
+        x_plus(h)
+    elif backend == "series":
+        _check_trust_region(h)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return spec.lam1k * i0 + spec.lam4k * i2 + spec.cross_coefficient * i4p
+    return _kernel().mk_value(_EVALUATORS[backend], h, spec.lam1k, spec.lam4k, spec.cross_coefficient)
 
 
 def leading_coeffs(spec: MelnikovSpec) -> LeadingCoeffs:

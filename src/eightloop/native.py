@@ -1,4 +1,4 @@
-"""The package's one compiled C library: the DOP853 flow loop, QUADPACK with its integrands, and K and E.
+"""The package's one compiled C library: the DOP853 flow loop, QUADPACK and its integrands, K and E, and M_k.
 
 dynamics runs its one ODE driver here: a DOP853 flow loop with scipy's
 step control and error norm, and geometry.vector_field's return expression
@@ -7,14 +7,20 @@ _WEIGHTS, scipy's coefficients as exact float literals) and from that
 expression.  integrals runs QUADPACK's dqagpe here (with dqk21, dqpsrt and
 dqelg, as scipy.integrate.quad runs them for one break point) on the three
 oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
-scipy.special's ellipkm1 and ellipe compute).  The flow and the integrands
-do Python's float arithmetic operation for operation (libm's sin, cos and
-pow stand for math's and for **), so they return what the same code on
-Python floats would, bit for bit; QUADPACK and K and E return what scipy's
-do, bit for bit.  A square, a ** 2.0, is square(a): a * a where glibc's pow,
-whose error is at most 0.54 ulp, must return that same double, and pow
-otherwise (and on any other libc), so it too is Python's value bit for bit.
-No module of the package imports scipy.
+scipy.special's ellipkm1 and ellipe compute).  The moments (I0, I2, I4')
+that M_k combines are here too, by the two evaluators of _MOMENTS:
+integrals' closed forms in K and E (exterior_moments) and series'
+truncated expansions (series_moments, with series' coefficients as exact
+float literals); moments returns a triple, and mk_value the whole of
+melnikov.mk's value, lam1k*I0 + lam4k*I2 + c_k*I4', in one call.  The
+flow, the integrands and the moments do Python's float arithmetic
+operation for operation (libm's sin, cos, log and pow stand for math's and
+for **), so they return what the same code on Python floats would, bit
+for bit; QUADPACK and K and E return what scipy's do, bit for bit.  A
+square, a ** 2.0, is square(a): a * a where glibc's pow, whose error is at
+most 0.54 ulp, must return that same double, and pow otherwise (and on any
+other libc), so it too is Python's value bit for bit.  No module of the
+package imports scipy.
 
 The source is compiled with the system's cc at the first use of the
 library in a process, cached in the package's __pycache__ under the sha256
@@ -99,6 +105,10 @@ _WEIGHTS = (
 # integrals' quadrature integrands, in the order of dqagpe's integrand numbers
 _INTEGRANDS = ("xiy", "xi_over_y", "i0pp")
 
+# the evaluators of (I0, I2, I4'), in the order of moments' and mk_value's evaluator numbers: integrals'
+# closed forms and series' expansions
+_MOMENTS = ("exterior", "series")
+
 _C_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 _C_NAMES = ("x", "y", "l1", "l2", "l3", "l4")
 
@@ -137,15 +147,15 @@ _KERNEL_C = string.Template(
 #include <float.h>
 #include <math.h>
 #include <stdlib.h>
-#include <string.h>
 
 enum { $status };
+enum { $moments }; /* the moment evaluators */
 enum { NO_MEMORY = -1 }; /* dqagpe's status where its workspace could not be allocated */
 enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
 
 static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
 static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
-static const double HALF_PI = $half_pi;
+static const double HALF_PI = $half_pi, KAPPA = $kappa;
 
 /* Python's min and max of two floats: the first argument on ties and NaN */
 static inline double py_min(double a, double b) { return b < a ? b : a; }
@@ -203,15 +213,15 @@ double kernel_square(double a) { return square(a); }
 static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
                                 double du5, double dv5, double du3, double dv3)
 {
-    double su = p[ATOL] + py_max(fabs(u0), fabs(u)) * p[RTOL];
-    double sv = p[ATOL] + py_max(fabs(v0), fabs(v)) * p[RTOL];
+    double su = p[ATOL] + py_max(__builtin_fabs(u0), __builtin_fabs(u)) * p[RTOL];
+    double sv = p[ATOL] + py_max(__builtin_fabs(v0), __builtin_fabs(v)) * p[RTOL];
     double e5 = square(du5 / su) + square(dv5 / sv);
     double e3 = square(du3 / su) + square(dv3 / sv);
     if (!isfinite(e5 + e3))
         return NAN;
     if (e5 == 0.0)
         return 0.0;
-    return fabs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2.0);
+    return __builtin_fabs(h) * e5 / __builtin_sqrt((e5 + 0.01 * e3) * 2.0);
 }
 
 /* One step of the flow from s = (t, x, y, x', y', h_abs), with h_abs the step size to try, under scipy's
@@ -219,7 +229,7 @@ static inline double error_norm(const double *p, double h, double u0, double v0,
    (t, x, y, x', y', h_abs) at the step's end, h_abs the size to try next.  STEP_FAILURE once the step
    size falls below min_step(t), with s[5] the last size tried and s[6] min_step(t); NON_FINITE_ERROR, with
    s unchanged, once a try's error norm is NaN. */
-int dop853_step(const double *p, double *s, double t_bound)
+static inline int step(const double *p, double *s, double t_bound)
 {
     const double t = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], min_h = min_step(t);
     double h_abs = py_max(s[5], min_h), u, v, $stage_slopes;
@@ -251,7 +261,7 @@ $flow_step_end
 
 /* One step of (t, x) as functions of y (dt/dy = 1/y', dx/dy = y/y') from s = (y, t, x, dt/dy, dx/dy, h)
    to y + h.  s becomes (t, x, error norm) there; UNRESOLVED where y' = 0 at a stage. */
-int dop853_step_in_y(const double *p, double *s)
+static inline int step_in_y(const double *p, double *s)
 {
     const double y = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], h = s[5];
     double u, v, $stage_slopes;
@@ -263,6 +273,10 @@ $y_step_end
     return OK;
 }
 
+/* the two steps, exported for the tests; the flow calls them directly */
+int dop853_step(const double *p, double *s, double t_bound) { return step(p, s, t_bound); }
+int dop853_step_in_y(const double *p, double *s) { return step_in_y(p, s); }
+
 /* (*tc, *xc) where the flow from (x, y > 0) at t, with y' = fy there, meets y = 0 before t_new: one step
    in y from y to 0 (Henon's trick).  That needs y to fall monotonically over the step and the step in y
    to pass the flow's error test, so a step that starts with y rising, meets y' = 0 at a stage, fails
@@ -272,14 +286,14 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
     if (fy >= 0.0)
         return UNRESOLVED;
     double s[6] = {y, t, x, 1.0 / fy, y / fy, -y};
-    if (dop853_step_in_y(p, s) != OK || !(t <= s[0] && s[0] <= t_new) || !(s[2] < 1.0))
+    if (step_in_y(p, s) != OK || !(t <= s[0] && s[0] <= t_new) || !(s[2] < 1.0))
         return UNRESOLVED;
     *tc = s[0];
     *xc = s[1];
     return OK;
 }
 
-/* The flow from s = (t, x, y, x', y', h_abs) by dop853_step; s holds the last accepted step throughout.
+/* The flow from s = (t, x, y, x', y', h_abs) by step(); s holds the last accepted step throughout.
 
    With n output times ts (non-decreasing, not before t), a step ends exactly at each, and out[2i],
    out[2i + 1] is the state there; OK once all n are stored.
@@ -311,8 +325,8 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
                 return TIME_CAP;
             t_bound = p[MAX_TIME];
         }
-        memcpy(next, s, sizeof next);
-        int status = dop853_step(p, next, t_bound);
+        __builtin_memcpy(next, s, sizeof next);
+        int status = step(p, next, t_bound);
         if (status != OK) {
             s[5] = next[5];
             s[6] = next[6];
@@ -330,8 +344,8 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
                 return OK;
             out[2] = (double)++discarded;
         }
-        memcpy(s, next, 6 * sizeof *s);
-        if (py_max(fabs(s[1]), fabs(s[2])) >= ESCAPE_BOUND)
+        __builtin_memcpy(s, next, 6 * sizeof *s);
+        if (py_max(__builtin_fabs(s[1]), __builtin_fabs(s[2])) >= ESCAPE_BOUND)
             return ESCAPED;
     }
 }
@@ -904,18 +918,96 @@ double ellpe(double x)
         return ellpe(1.0 - 1 / x) * sqrt(x);
     return polevl(x, ELLPE_P, 10) - log(x) * (x * polevl(x, ELLPE_Q, 9));
 }
+
+/* integrals' closed forms: the full-contour (I0, I2, I4') at h > 0.  With r = sqrt(1+4h), s = 4h/(r+1),
+   a^2 = 2+s, c^2 = 2r and m = a^2/c^2, the integrals S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over
+   [0, pi/2] are S_0 = K(m) = ellpk(1 - m), with 1 - m = s/c^2, S_1 = (K - E(m))/m and
+   (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}. */
+static void exterior_moments(double h, double *out)
+{
+    double r = __builtin_sqrt(1.0 + 4.0 * h), s = 4.0 * h / (r + 1.0), a2 = 2.0 + s, c2 = 2.0 * r, m = a2 / c2;
+    double s0 = ellpk(s / c2), s1 = (s0 - ellpe(m)) / m;
+    double s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m);
+    double s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m);
+    double w = 2.0 * SQRT2 * a2 * __builtin_sqrt(c2);
+    out[0] = w * (s1 - m * s2);
+    out[1] = w * a2 * (s1 - (1.0 + m) * s2 + m * s3);
+    out[2] = 2.0 * w * a2 / c2 * (s0 - 2.0 * s1 + s2);
+}
+
+/* series' coefficients, lowest order first: the h^n ln h parts of I0 and I2 and their analytic parts */
+static const double LOG_I0[] = {$log_i0};
+static const double LOG_I2[] = {$log_i2};
+static const double ANALYTIC_I0[] = {$analytic_i0};
+static const double ANALYTIC_I2[] = {$analytic_i2};
+#define N_COEFFS(a) ((int)(sizeof a / sizeof *a))
+
+/* the polynomial with the n coefficients coef (lowest first) at h, by Horner's rule from 0.0 */
+static double horner(const double *coef, int n, double h)
+{
+    double acc = 0.0;
+    while (n--)
+        acc = acc * h + coef[n];
+    return acc;
+}
+
+/* series' truncated expansions: the per-lobe (I0, I2, I4') at 0 <= h <= 0.2, I4' by the relation
+   (4h+1) I4' = 4h I0 + 5 I2; at h = 0 the limit constants */
+static void series_moments(double h, double *out)
+{
+    double i0, i2;
+    if (h == 0.0) {
+        i0 = ANALYTIC_I0[0];
+        i2 = ANALYTIC_I2[0];
+    } else {
+        double ln = log(h);
+        i0 = horner(LOG_I0, N_COEFFS(LOG_I0), h) * ln + horner(ANALYTIC_I0, N_COEFFS(ANALYTIC_I0), h);
+        i2 = horner(LOG_I2, N_COEFFS(LOG_I2), h) * ln + horner(ANALYTIC_I2, N_COEFFS(ANALYTIC_I2), h);
+    }
+    out[0] = i0;
+    out[1] = i2;
+    out[2] = (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0);
+}
+
+/* out = (I0, I2, I4') at h by the evaluator of that number, in the order of native._MOMENTS; h is in its
+   domain (h > 0 and finite for EXTERIOR, 0 <= h <= 0.2 for SERIES) */
+void moments(int evaluator, double h, double *out)
+{
+    if (evaluator == EXTERIOR)
+        exterior_moments(h, out);
+    else
+        series_moments(h, out);
+}
+
+/* M_k = lam1k I0 + lam4k I2 + ck I4' at h on the per-lobe moments of evaluator: the full-contour closed
+   forms divided by KAPPA, or the series */
+double mk_value(int evaluator, double h, double lam1k, double lam4k, double ck)
+{
+    double v[3];
+    if (evaluator == EXTERIOR) {
+        exterior_moments(h, v);
+        for (int i = 0; i < 3; i++)
+            v[i] = v[i] / KAPPA;
+    } else
+        series_moments(h, v);
+    return lam1k * v[0] + lam4k * v[1] + ck * v[2];
+}
 """
 )
 
 
 def _kernel_source() -> str:
-    """The library's C: the tableau, the field and the constants above, written into _KERNEL_C.
+    """The library's C: the tableau, the field and the constants above, and series', written into _KERNEL_C.
 
     The stage sums are written out with the coefficients as exact
     hexadecimal literals and summed left to right, so the arithmetic is
     that of loops over the tableau, and each slope is vector_field's own
-    expression; nothing is called per stage.
+    expression; nothing is called per stage.  The series' log and analytic
+    coefficients of I0 and I2 (series._LOG_FLOATS and _ANALYTIC_FLOATS) and
+    KAPPA are written the same way, as exact literals.
     """
+    from . import series  # at call time: series imports integrals, which imports this module
+
     field_x, field_y = _field_c()
 
     def combination(row, component):
@@ -941,6 +1033,7 @@ def _kernel_source() -> str:
     )
     return _KERNEL_C.substitute(
         status=", ".join(_STATUS),
+        moments=", ".join(name.upper() for name in _MOMENTS),
         safety=_SAFETY.hex(),
         min_factor=_MIN_FACTOR.hex(),
         max_factor=_MAX_FACTOR.hex(),
@@ -956,6 +1049,11 @@ def _kernel_source() -> str:
         integrands=", ".join(_INTEGRANDS),
         flow_step_end=textwrap.indent(step_end, indent),
         y_step_end=textwrap.indent(step_end, "    "),
+        kappa=series.KAPPA.hex(),
+        log_i0=", ".join(c.hex() for c in series._LOG_FLOATS["I0"]),
+        log_i2=", ".join(c.hex() for c in series._LOG_FLOATS["I2"]),
+        analytic_i0=", ".join(c.hex() for c in series._ANALYTIC_FLOATS["I0"]),
+        analytic_i2=", ".join(c.hex() for c in series._ANALYTIC_FLOATS["I2"]),
     )
 
 
@@ -965,7 +1063,9 @@ def _kernel_source() -> str:
 # certifies it, by __builtin_fma and __builtin_fabs, which the flag leaves
 # alone) or replacing libm's sin, cos, pow and log (fusing sin and cos into
 # sincos, say): each double operation is then the one Python (or scipy's
-# QUADPACK and Cephes) does
+# QUADPACK and Cephes) does.  The flow and the closed forms call fabs, sqrt
+# and memcpy, which are exact, by their __builtin_ names, so they compile
+# to instructions rather than to calls into libc and libm.
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
 
@@ -1030,8 +1130,20 @@ def _kernel() -> ctypes.CDLL:
         ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
         ("ellpk", ctypes.c_double, (ctypes.c_double,)),
         ("ellpe", ctypes.c_double, (ctypes.c_double,)),
+        ("moments", None, (ctypes.c_int, ctypes.c_double, _DOUBLES)),
+        ("mk_value", ctypes.c_double, (ctypes.c_int, *4 * (ctypes.c_double,))),
         *((integrand, ctypes.c_double, (ctypes.c_double, _DOUBLES)) for integrand in _INTEGRANDS),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = restype
     return kernel
+
+
+def _moments(evaluator: str, h: float) -> tuple:
+    """(I0, I2, I4') at h by the library's evaluator named evaluator in _MOMENTS: one call of its moments.
+
+    h must lie in the evaluator's domain, which its Python callers check.
+    """
+    out = (ctypes.c_double * 3)()
+    _kernel().moments(_MOMENTS.index(evaluator), h, out)
+    return tuple(out)

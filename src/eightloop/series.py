@@ -30,7 +30,7 @@ The system pins the whole structure down:
   (h^2 coefficient: 4 a1 + 5 b2 - 16).
 
 Evaluation uses the recurrences above, converted to floats once at import
-(order 10).  The log parts P are also the reduced series of the vanishing
+(order 10) and summed in the package's compiled library.  The log parts P are also the reduced series of the vanishing
 cycle that shrinks into the saddle: its integrals are 2 pi i P(h), analytic
 through h = 0.  A fixed classical coefficient table is kept verbatim beside
 them so that its disagreements can be reported by the test suite rather
@@ -61,6 +61,7 @@ from operator import mul
 
 from .geometry import NumericalFailure, geomspace
 from .integrals import IntegralTriple, QuadratureConfig, moment
+from .native import _moments
 
 TRUST_REGION_MAX = 0.2
 SERIES_ORDER = 10  # truncation order of the evaluated log parts
@@ -170,6 +171,14 @@ def _poly_eval(coeffs, h: float) -> float:
 
 #: Float log-part coefficients of each moment at the evaluation order, built once.
 _LOG_FLOATS = {which: tuple(float(c) for c in log_coefficients(which, SERIES_ORDER)) for which in MOMENTS}
+#: The analytic parts of I0 and I2 that evaluation sums, lowest order first.
+_ANALYTIC_FLOATS = {"I0": (float(I0_CONST), A1, A2), "I2": (float(I2_CONST), float(LINEAR_COEFF), B2)}
+
+
+def _check_trust_region(h: float) -> None:
+    """OutOfTrustRegion unless 0 <= h <= 0.2 (so for NaN too)."""
+    if not 0.0 <= h <= TRUST_REGION_MAX:
+        raise OutOfTrustRegion(f"series trusted only for 0 <= h <= {TRUST_REGION_MAX}, got {h}")
 
 
 def series_eval(h: float) -> tuple:
@@ -180,18 +189,15 @@ def series_eval(h: float) -> tuple:
     than an independently truncated series (the I0/I2 truncation errors
     enter damped by the division and the large constant term).
     At h = 0 all h-dependent terms vanish and the limit constants return.
+
+    The sums run in the package's compiled library (native's
+    series_moments, one call, with _LOG_FLOATS and _ANALYTIC_FLOATS written
+    into its source as exact literals): Horner's rule from 0.0 on each part,
+    operation for operation as on Python floats, so the values are those of
+    the same sums in Python, bit for bit.  h is checked here first.
     """
-    if not 0.0 <= h <= TRUST_REGION_MAX:
-        raise OutOfTrustRegion(f"series trusted only for 0 <= h <= {TRUST_REGION_MAX}, got {h}")
-    if h == 0.0:
-        i0, i2 = float(I0_CONST), float(I2_CONST)
-    else:
-        ln = math.log(h)
-        analytic0 = (float(I0_CONST), A1, A2)
-        analytic2 = (float(I2_CONST), float(LINEAR_COEFF), B2)
-        i0 = _poly_eval(_LOG_FLOATS["I0"], h) * ln + _poly_eval(analytic0, h)
-        i2 = _poly_eval(_LOG_FLOATS["I2"], h) * ln + _poly_eval(analytic2, h)
-    return i0, i2, (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0)
+    _check_trust_region(h)
+    return _moments("series", h)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 import eightloop as el
-from eightloop import integrals, melnikov
+from eightloop import integrals, native
 
 
 @pytest.fixture(scope="session")
@@ -39,13 +39,24 @@ def quadpack_calls(monkeypatch):
 
 @pytest.fixture
 def closed_form_calls(monkeypatch):
-    """A list that gains one entry, its h, per call of the closed-form moments behind mk."""
+    """A list that gains one entry, its h, per closed-form evaluation of (I0, I2, I4') in the library.
+
+    It counts the library's two entries to its closed forms, as the package
+    calls them: mk_value (behind mk) and moments (behind
+    integrals._exterior_moments), each with the exterior evaluator.
+    """
     calls = []
-    closed_form = melnikov._exterior_moments
+    kernel = native._kernel()
+    exterior = native._MOMENTS.index("exterior")
 
-    def counting(h):
-        calls.append(h)
-        return closed_form(h)
+    def counting(entry):
+        def call(evaluator, h, *args):
+            if evaluator == exterior:
+                calls.append(h)
+            return entry(evaluator, h, *args)
 
-    monkeypatch.setattr(melnikov, "_exterior_moments", counting)
+        return call
+
+    for name in ("mk_value", "moments"):
+        monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
     return calls

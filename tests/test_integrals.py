@@ -4,10 +4,10 @@ The area-type moments are cross-checked with a plain midpoint rule in x
 (no shared substitution with the production quadrature); the 1/y and
 second-derivative moments are checked through finite-difference identities
 in h, which couple quadratures of different integrands.  The compiled
-integrands are checked against the same integrands on Python floats, value
-for value, and the library's QUADPACK and K and E against scipy's, which
-are computed here too: scipy.integrate.quad on the Python integrands, and
-scipy.special's ellipkm1 and ellipe.
+integrands and closed forms are checked against the same expressions on
+Python floats, value for value, and the library's QUADPACK and K and E
+against scipy's, which are computed here too: scipy.integrate.quad on the
+Python integrands, and scipy.special's ellipkm1 and ellipe.
 """
 
 import ctypes
@@ -21,7 +21,7 @@ from scipy.special import ellipe, ellipkm1
 
 import eightloop as el
 from eightloop import integrals, native
-from eightloop.geometry import x_plus
+from eightloop.geometry import SQRT2, x_plus
 from eightloop.integrals import _exterior_moments, integral_I0pp, moment
 from eightloop.series import KAPPA
 
@@ -54,6 +54,21 @@ _INDICES = {"xiy": (0, 1, 2), "xi_over_y": (0, 2, 4), "i0pp": (0,)}
 
 def _oval(h):
     return x_plus(h), math.sqrt(1.0 + 4.0 * h) - 1.0
+
+
+def _python_exterior_moments(h):
+    """The closed forms on Python floats, with scipy's K and E: the oracle of the compiled ones."""
+    x_plus(h)
+    r = math.sqrt(1.0 + 4.0 * h)
+    s = 4.0 * h / (r + 1.0)
+    a2, c2 = 2.0 + s, 2.0 * r
+    m = a2 / c2
+    s0 = float(ellipkm1(s / c2))
+    s1 = (s0 - float(ellipe(m))) / m
+    s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m)
+    s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m)
+    w = 2.0 * SQRT2 * a2 * math.sqrt(c2)
+    return w * (s1 - m * s2), w * a2 * (s1 - (1.0 + m) * s2 + m * s3), 2.0 * w * a2 / c2 * (s0 - 2.0 * s1 + s2)
 
 
 def test_compiled_integrands_equal_the_python_ones_pointwise():
@@ -249,6 +264,16 @@ def test_closed_form_moments_match_tight_quadpack():
         npt.assert_allclose(_exterior_moments(h), oracle, rtol=1e-12, atol=0.0, err_msg=f"h={h}")
 
 
+def test_compiled_closed_forms_equal_the_python_ones_bit_for_bit():
+    """_exterior_moments, the library's exterior_moments, is the Python oracle above, bit for bit."""
+    rng = np.random.default_rng(24)
+    random = np.exp(rng.uniform(math.log(1e-8), math.log(30.0), 10_000)).tolist()
+    energies = [0.2, 1e-300, 5e-324, 1e-8, 30.0, 1e300, *random]
+    for h in energies:
+        compiled, python = _exterior_moments(h), _python_exterior_moments(h)
+        assert [v.hex() for v in compiled] == [v.hex() for v in python], h
+
+
 def test_quadrature_mk_is_the_kappa_divided_quadpack_combination():
     spec = el.MelnikovSpec(k=2, lam1k=1.0, lam4k=0.5, lam2=(0.0, 1.0), lam3=(0.0, 3.0))
     assert spec.cross_coefficient == 1.0
@@ -268,7 +293,10 @@ def test_closed_form_rejects_the_energies_quadpack_rejects(h, error):
         _exterior_moments(h)
     with pytest.raises(ValueError) as quadpack:
         el.integral_xiy(h, 0)
-    assert closed.type is quadpack.type is error
+    with pytest.raises(ValueError) as oracle:
+        _python_exterior_moments(h)
+    assert closed.type is quadpack.type is oracle.type is error
+    assert str(closed.value) == str(quadpack.value) == str(oracle.value)
 
 
 def test_invalid_exponent_rejected(quad_cfg):
@@ -302,6 +330,18 @@ def test_tolerance_failure_raises_with_payload():
         el.integral_xi_over_y(1e-4, 0, starved)
     assert math.isfinite(exc.value.value)
     assert exc.value.err > 0
+
+
+def test_a_default_quadrature_builds_no_config(monkeypatch):
+    """cfg None stands for the one module default, built at import, not for a config per QUADPACK call."""
+    assert integrals._DEFAULT_CONFIG == el.QuadratureConfig()
+
+    def built(*args, **kwargs):
+        raise AssertionError("a QuadratureConfig was built for a default quadrature")
+
+    monkeypatch.setattr(integrals.QuadratureConfig, "__post_init__", built)
+    assert el.integral_xiy(0.2, 0) == el.integral_xiy(0.2, 0, integrals._DEFAULT_CONFIG)
+    assert moment("I4p", 0.3, None) == el.integral_xi_over_y(0.3, 4, integrals._DEFAULT_CONFIG)
 
 
 def test_config_validation():

@@ -1,6 +1,8 @@
 """Bifurcation-function assembly, leading coefficients, and zero counting."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -8,6 +10,8 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from eightloop import native
+from eightloop.integrals import _exterior_moments
 from eightloop.melnikov import _bisect
 from eightloop.series import A1, KAPPA
 
@@ -61,9 +65,92 @@ def test_cross_coefficient_sums_over_the_given_coefficients_only():
     assert huge.cross_coefficient == 0.0 and not huge.vanishes
 
 
+def test_the_cross_coefficient_is_cached_outside_the_fields():
+    """c_k is computed once per spec, and asdict, ==, hash and pickling see the spec as before it was read."""
+    spec = el.MelnikovSpec(k=3, lam1k=0.5, lam4k=-1.0, lam2=(0.0, 1.0, 4.0), lam3=(0.0, 5.0, 9.0))
+    fresh = dataclasses.replace(spec)
+    before = (dataclasses.asdict(spec), hash(spec), pickle.dumps(spec))
+    value = spec.cross_coefficient
+    assert spec.cross_coefficient is value  # the cached float, not a new computation
+    assert (dataclasses.asdict(spec), hash(spec)) == before[:2]
+    assert spec == fresh and fresh == spec
+    assert pickle.loads(before[2]) == pickle.loads(pickle.dumps(spec)) == spec
+    assert pickle.loads(pickle.dumps(spec)).cross_coefficient == value
+
+
+@pytest.mark.parametrize(
+    "lam2,lam3",
+    [((0.0, 1.0), (0.0, 1.0)), ((0.0, 2.0), (0.0, 7.0)), ((0.0, 1.0, 4.0), (0.0, 5.0, 9.0)), ((0.0, 1.0), (0.0, -3.0)),
+     ((0.0, 3.0), (0.0, 3.0)), ((0.0, 0.3, -1.1, 0.7, 0.1), (0.0, 0.5, 0.25, -2.0))],
+)
+def test_the_cached_cross_coefficient_is_a_fresh_computation(lam2, lam3):
+    for k in range(1, 10):
+        spec = el.MelnikovSpec(k=k, lam1k=0.0, lam4k=0.0, lam2=lam2, lam3=lam3)
+        total = 0.0
+        for i in range(k + 1):
+            if i < len(lam2) and k - i < len(lam3):
+                total += lam2[i] * lam3[k - i]
+        assert spec.cross_coefficient == total / 3.0
+        assert spec.cross_coefficient == total / 3.0  # read again, from the cache
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+
+def _python_mk(h, spec, backend):
+    """mk's combination on Python floats, over the moments the other modules check bit for bit against
+    their Python oracles: the oracle of the compiled mk_value."""
+    if backend == "series":
+        i0, i2, i4p = el.series_eval(h)
+    elif backend == "quadrature":
+        i0, i2, i4p = (v / KAPPA for v in _exterior_moments(h))
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    total = 0.0
+    for i in range(spec.k + 1):
+        if i < len(spec.lam2) and spec.k - i < len(spec.lam3):
+            total += spec.lam2[i] * spec.lam3[spec.k - i]
+    return spec.lam1k * i0 + spec.lam4k * i2 + total / 3.0 * i4p
+
+
+def _random_spec(rng):
+    k = int(rng.integers(1, 4))
+    return el.MelnikovSpec(
+        k=k, lam1k=float(rng.uniform(-2.0, 2.0)), lam4k=float(rng.uniform(-2.0, 2.0)),
+        lam2=(0.0, *rng.uniform(-2.0, 2.0, k).tolist()), lam3=(0.0, *rng.uniform(-2.0, 2.0, k).tolist()),
+    )
+
+
+@pytest.mark.parametrize("backend", ["quadrature", "series"])
+def test_mk_equals_the_python_combination_bit_for_bit(backend):
+    rng = np.random.default_rng(24)
+    if backend == "quadrature":
+        energies = [0.2, 1e-300, *np.exp(rng.uniform(math.log(1e-8), math.log(30.0), 10_000)).tolist()]
+    else:
+        energies = [0.0, 0.2, 1e-300, *rng.uniform(0.0, 0.2, 10_000).tolist()]
+    specs = [_random_spec(rng) for _ in range(200)]
+    assert {spec.k for spec in specs} == {1, 2, 3}
+    for i, h in enumerate(energies):
+        spec = specs[i % len(specs)]
+        assert el.mk(h, spec, backend).hex() == _python_mk(h, spec, backend).hex(), (h, spec, backend)
+
+
+@pytest.mark.parametrize(
+    "backend,h,error",
+    [("quadrature", h, error) for h, error in
+     ((math.nan, ValueError), (math.inf, ValueError), (0.0, el.NonPositiveEnergy), (-0.1, el.NonPositiveEnergy))]
+    + [("series", h, el.OutOfTrustRegion) for h in (-1e-300, -0.1, math.nextafter(0.2, 1.0), 30.0, math.nan)]
+    + [(backend, 0.1, ValueError) for backend in ("QUADRATURE", "exterior", "", None, ["series"])],
+)
+def test_mk_raises_as_the_python_combination_does(backend, h, error):
+    with pytest.raises(ValueError) as compiled:
+        el.mk(h, SPEC_51, backend)
+    with pytest.raises(ValueError) as python:
+        _python_mk(h, SPEC_51, backend)
+    assert compiled.type is python.type is error
+    assert str(compiled.value) == str(python.value)
 
 
 def test_m1_basis_directions():
@@ -131,6 +218,19 @@ def test_quadrature_mk_takes_its_moments_from_one_closed_form_call(quadpack_call
     assert closed_form_calls == [0.1]
     el.mk(0.2, SPEC_51, backend="quadrature")
     assert closed_form_calls == [0.1, 0.2]
+    assert len(quadpack_calls) == 0
+
+
+def test_mk_is_one_library_call_on_either_backend(monkeypatch, quadpack_calls):
+    """mk evaluates the moments and their combination in one mk_value call, through neither moments wrapper."""
+    kernel = native._kernel()
+    calls = []
+    for name in ("mk_value", "moments"):
+        entry = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *args, entry=entry, name=name: calls.append(name) or entry(*args))
+    for backend in ("quadrature", "series"):
+        el.mk(0.1, SPEC_51, backend)
+    assert calls == ["mk_value", "mk_value"]
     assert len(quadpack_calls) == 0
 
 

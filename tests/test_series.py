@@ -17,7 +17,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 import eightloop as el
-from eightloop import series
+from eightloop import native, series
 from eightloop.series import (
     A1,
     A2,
@@ -105,6 +105,43 @@ def test_quadrature_arbitrates_the_h4_coefficients():
     assert abs(report["I4p"][4] - (-471 / 256)) > 8.0
 
 
+def _python_series_eval(h):
+    """The truncated series on Python floats: the oracle of the compiled one."""
+    if not 0.0 <= h <= series.TRUST_REGION_MAX:
+        raise el.OutOfTrustRegion(f"series trusted only for 0 <= h <= {series.TRUST_REGION_MAX}, got {h}")
+    if h == 0.0:
+        i0, i2 = float(series.I0_CONST), float(series.I2_CONST)
+    else:
+        ln = math.log(h)
+        analytic0 = (float(series.I0_CONST), A1, A2)
+        analytic2 = (float(series.I2_CONST), float(series.LINEAR_COEFF), B2)
+        i0 = _poly_eval(series._LOG_FLOATS["I0"], h) * ln + _poly_eval(analytic0, h)
+        i2 = _poly_eval(series._LOG_FLOATS["I2"], h) * ln + _poly_eval(analytic2, h)
+    return i0, i2, (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0)
+
+
+def test_compiled_series_equals_the_python_one_bit_for_bit():
+    """series_eval, the library's series_moments, is the Python oracle above, bit for bit."""
+    rng = np.random.default_rng(24)
+    energies = [0.0, -0.0, 0.2, 1e-300, 5e-324, math.nextafter(0.2, 0.0), *rng.uniform(0.0, 0.2, 10_000).tolist(),
+                *np.exp(rng.uniform(math.log(1e-300), math.log(0.2), 1_000)).tolist()]
+    for h in energies:
+        compiled, python = el.series_eval(h), _python_series_eval(h)
+        assert [v.hex() for v in compiled] == [v.hex() for v in python], h
+
+
+def test_the_compiled_series_coefficients_are_the_exact_floats():
+    """The library's source holds the log and analytic coefficients that evaluation sums, as exact literals."""
+    source = native._kernel_source()
+    for name, values in (
+        ("LOG_I0", series._LOG_FLOATS["I0"]),
+        ("LOG_I2", series._LOG_FLOATS["I2"]),
+        ("ANALYTIC_I0", (float(series.I0_CONST), A1, A2)),
+        ("ANALYTIC_I2", (float(series.I2_CONST), float(series.LINEAR_COEFF), B2)),
+    ):
+        assert f"static const double {name}[] = {{{', '.join(v.hex() for v in values)}}};" in source
+
+
 def test_series_eval_limits():
     i0, _, i4p = el.series_eval(0.0)
     assert i0 == 4.0 / 3.0
@@ -116,6 +153,15 @@ def test_series_eval_trust_region():
     for h in (0.21, -0.05, math.nan):
         with pytest.raises(el.OutOfTrustRegion):
             el.series_eval(h)
+
+
+@pytest.mark.parametrize("h", [-1e-300, -0.05, math.nextafter(0.2, 1.0), 0.21, math.nan, math.inf, -math.inf])
+def test_series_eval_refuses_as_the_python_series_does(h):
+    with pytest.raises(el.OutOfTrustRegion) as compiled:
+        el.series_eval(h)
+    with pytest.raises(el.OutOfTrustRegion) as python:
+        _python_series_eval(h)
+    assert str(compiled.value) == str(python.value) == f"series trusted only for 0 <= h <= 0.2, got {h}"
 
 
 @pytest.mark.parametrize("which,i,kind", [("I0", 0, "xiy"), ("I2", 2, "xiy"), ("I4p", 4, "xi_over_y")])
