@@ -274,6 +274,16 @@ def test_compiled_closed_forms_equal_the_python_ones_bit_for_bit():
         assert [v.hex() for v in compiled] == [v.hex() for v in python], h
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -0.1])
+def test_closed_forms_raise_as_the_python_ones_do(h):
+    with pytest.raises(ValueError) as compiled:
+        _exterior_moments(h)
+    with pytest.raises(ValueError) as python:
+        _python_exterior_moments(h)
+    assert compiled.type is python.type
+    assert str(compiled.value) == str(python.value)
+
+
 def test_quadrature_mk_is_the_kappa_divided_quadpack_combination():
     spec = el.MelnikovSpec(k=2, lam1k=1.0, lam4k=0.5, lam2=(0.0, 1.0), lam3=(0.0, 3.0))
     assert spec.cross_coefficient == 1.0
@@ -293,10 +303,7 @@ def test_closed_form_rejects_the_energies_quadpack_rejects(h, error):
         _exterior_moments(h)
     with pytest.raises(ValueError) as quadpack:
         el.integral_xiy(h, 0)
-    with pytest.raises(ValueError) as oracle:
-        _python_exterior_moments(h)
-    assert closed.type is quadpack.type is oracle.type is error
-    assert str(closed.value) == str(quadpack.value) == str(oracle.value)
+    assert closed.type is quadpack.type is error
 
 
 def test_invalid_exponent_rejected(quad_cfg):
