@@ -17,16 +17,19 @@ genuinely undefined there, which the callers record rather than hide.
 
 One ODE driver serves both integrate and the return map: the DOP853 flow
 loop of the package's compiled C library (native), with DOP853's tableau
-(scipy's coefficients, written into native), scipy's step control and
-error norm, and geometry.vector_field's return expression written out at
-every stage.  It does Python's float arithmetic operation
+(scipy's coefficients, written into native), scipy's initial step, step
+control and error norm, and geometry.vector_field's return expression
+written out at every stage.  It does Python's float arithmetic operation
 for operation (its squares in the error norm are a * a only where glibc's
-pow, within 0.54 ulp, must return that double), so it returns what the same
-loop on Python floats would, bit for bit.  Python keeps the argument checks,
-the initial step and the exceptions and their messages.  integrate ends a step exactly at each
-output time, so no interpolant is needed.
-find_limit_cycles reads its cycles off the grid by the scan that
-count_zeros uses (melnikov._sign_changes).
+pow, within 0.54 ulp, must return that double, and its math.hypot is a port
+of CPython's), so it returns what the same loop on Python floats would, bit
+for bit.  Python keeps the argument checks and builds the exceptions and
+their messages from the library's status (_failure).  integrate ends a step
+exactly at each output time, so no interpolant is needed.
+find_limit_cycles samples its whole grid in one library call
+(native's return_maps, of which return_map is the one-energy case), and
+reads its cycles off the grid by the scan that count_zeros uses
+(melnikov._sign_changes); each bisection midpoint is one return_map.
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -46,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import SQRT2, NumericalFailure, energy, geomspace, vector_field, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
-from .native import _DOUBLES, _STATUS, ESCAPE_BOUND, _kernel
+from .native import _DOUBLES, _STATUS, ESCAPE_BOUND, _kernel, _Row
 from .series import KAPPA
 
 if TYPE_CHECKING:
@@ -157,53 +160,32 @@ class ArcSpec:
 # --------------------------------------------------------------------------
 
 
-def _initial_step(x, y, fx, fy, lam, t_bound: float, cfg: IntegratorConfig) -> float:
-    """scipy's select_initial_step for the flow from (x, y) at t = 0 to t_bound > 0."""
-    sx = cfg.abs_tol + abs(x) * cfg.rel_tol
-    sy = cfg.abs_tol + abs(y) * cfg.rel_tol
-    d0 = math.hypot(x / sx, y / sy) / SQRT2
-    d1 = math.hypot(fx / sx, fy / sy) / SQRT2
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound)
-    if not h0 > 0.0:  # the slope is infinite or NaN
-        raise StepFailure(f"no initial step for the slope ({fx:.3g}, {fy:.3g}) at t=0")
-    gx, gy = vector_field(h0, (x + h0 * fx, y + h0 * fy), lam)
-    d2 = math.hypot((gx - fx) / sx, (gy - fy) / sy) / SQRT2 / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, t_bound)
+def _params(lam, cfg: IntegratorConfig):
+    """The library's parameter block (lam1, lam2, lam3, lam4, rel_tol, abs_tol, max_time); ValueError unless len(lam) is 4."""
+    l1, l2, l3, l4 = lam
+    return (ctypes.c_double * 7)(l1, l2, l3, l4, cfg.rel_tol, cfg.abs_tol, cfg.max_time)
 
 
-def _flow(x: float, y: float, lam: tuple, cfg: IntegratorConfig, t_end: float, ts=None, out=None):
-    """The kernel's flow loop from (x, y) at t = 0 up to t_end: (status, the time it stopped at, outputs).
+def _failure(row: _Row, cfg: IntegratorConfig, h_in=None) -> NumericalFailure | None:
+    """The NumericalFailure of the flow that ended in row, or None where it ended OK.
 
-    With output times ts (a contiguous float array ending at t_end) the
-    outputs are the states there, written into out, a contiguous float
-    array of shape (len(ts), 2); without,
-    the loop looks for the return to Sigma by t_end = cfg.max_time, and the
-    outputs are (t, x) at the return and the crossings discarded.  The
-    failures integrate and return_map share are raised here; the return
-    map's own come back as the status, a name in _STATUS.
+    h_in is the energy of a return map, named by the two failures only a
+    return map has, UNRESOLVED and TIME_CAP.
     """
-    fx, fy = vector_field(0.0, (x, y), lam)
-    h_abs = _initial_step(x, y, fx, fy, lam, t_end, cfg) if t_end > 0.0 else 0.0
-    params = (ctypes.c_double * 7)(*lam, cfg.rel_tol, cfg.abs_tol, cfg.max_time)
-    state = (ctypes.c_double * 7)(0.0, x, y, fx, fy, h_abs, 0.0)
-    if ts is None:
-        out = (ctypes.c_double * 3)()
-        status = _kernel().flow(params, state, None, 0, out)
-    else:
-        status = _kernel().flow(params, state, ts.ctypes.data_as(_DOUBLES), len(ts), out.ctypes.data_as(_DOUBLES))
-    status, t = _STATUS[status], state[0]
+    status = _STATUS[int(row.status)]
+    if status == "OK":
+        return None
+    if status == "NO_INITIAL_STEP":
+        return StepFailure(f"no initial step for the slope ({row.fx:.3g}, {row.fy:.3g}) at t=0")
     if status == "STEP_FAILURE":
-        raise StepFailure(f"step size {state[5]:.3g} below {state[6]:.3g} at t={t:.6g}")
+        return StepFailure(f"step size {row.h_abs:.3g} below {row.min_h:.3g} at t={row.t:.6g}")
     if status == "NON_FINITE_ERROR":
-        raise StepFailure(f"non-finite error estimate at t={t:.6g}")
+        return StepFailure(f"non-finite error estimate at t={row.t:.6g}")
     if status == "ESCAPED":
-        raise EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={t:.3f}")
-    return status, t, out
+        return EscapedRegion(f"orbit left |x|,|y| < {ESCAPE_BOUND} at t={row.t:.3f}")
+    if status == "UNRESOLVED":
+        return StepFailure(f"crossing of y = 0 not resolved at t={row.t:.6g} (h_in={h_in})")
+    return TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={int(row.discarded)})")
 
 
 def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
@@ -214,7 +196,8 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     Negative, decreasing or NaN times and a last time beyond cfg.max_time
     are out-of-range arguments and raise ValueError up front; EscapedRegion
     if a step ends outside the working box, as in return_map; StepFailure
-    if the step size collapses or a step's error estimate is not finite.
+    if the step size collapses, a step's error estimate is not finite or
+    the slope at p0 leaves no initial step.
     """
     import numpy as np  # imported here: only integrate's array output needs it
 
@@ -225,7 +208,22 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     t_end = float(ts[-1]) if len(ts) else 0.0
     if t_end > cfg.max_time:
         raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    return _flow(float(p0[0]), float(p0[1]), tuple(lam), cfg, t_end, ts, np.empty((len(ts), 2)))[2]
+    state, out = (ctypes.c_double * 7)(0.0, float(p0[0]), float(p0[1])), np.empty((len(ts), 2))
+    ts_p, out_p = ts.ctypes.data_as(_DOUBLES), out.ctypes.data_as(_DOUBLES)
+    status = _kernel().flow(_params(lam, cfg), state, ts_p, len(ts), out_p)
+    failure = _failure(_Row(status, *state, 0.0, 0.0, 0.0), cfg)
+    if failure is not None:
+        raise failure
+    return out
+
+
+def _return_maps(hs, lam, cfg: IntegratorConfig) -> list:
+    """The library's return_maps at the energies hs, each finite and at least H_FLOOR: one _Row each, in one call."""
+    n, width = len(hs), len(_Row._fields)
+    out = (ctypes.c_double * (width * n))()
+    _kernel().return_maps(_params(lam, cfg), (ctypes.c_double * n)(*hs), n, out)
+    values = out[:]
+    return [_Row._make(values[i : i + width]) for i in range(0, width * n, width)]
 
 
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
@@ -239,19 +237,32 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     x > sqrt(2) is the return; crossings inside the lobes are counted and
     discarded, and stepping goes on.  TimeCap if the time budget runs out;
     EscapedRegion if the orbit leaves the working box; StepFailure if the
-    step size collapses or a step's error estimate is not finite.
+    step size collapses, a step's error estimate is not finite or the
+    slope at the launch point leaves no initial step.  This is the
+    library's return_maps at the one energy h_in, the call that
+    find_limit_cycles makes once for its whole grid.
     """
     cfg = cfg or _DEFAULT_CONFIG
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
-    lam = tuple(lam)
-    status, t, (t_cross, x_cross, discarded) = _flow(x_plus(h_in), 0.0, lam, cfg, cfg.max_time)
-    discarded = int(discarded)
-    if status == "UNRESOLVED":
-        raise StepFailure(f"crossing of y = 0 not resolved at t={t:.6g} (h_in={h_in})")
-    if status == "TIME_CAP":
-        raise TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={discarded})")
-    return ReturnMapSample(h_in=float(h_in), h_out=energy((x_cross, 0.0)), flow_time=t_cross, crossings=discarded)
+    x_plus(h_in)  # ValueError for a non-finite h_in; the library places the launch point itself
+    [row] = _return_maps((h_in,), lam, cfg)
+    failure = _failure(row, cfg, h_in)
+    if failure is not None:
+        raise failure
+    return ReturnMapSample(h_in=float(h_in), h_out=row.h_out, flow_time=row.t_cross, crossings=int(row.discarded))
+
+
+def _displacements(hs, lam, cfg: IntegratorConfig) -> list:
+    """displacement at each energy of hs (each finite and at least H_FLOOR) from one library call.
+
+    Each entry is P(h) - h, or the NumericalFailure return_map raises at h.
+    """
+    values = []
+    for h, row in zip(hs, _return_maps(hs, lam, cfg)):
+        failure = _failure(row, cfg, h)
+        values.append(row.h_out - h if failure is None else failure)
+    return values
 
 
 def displacement(h_in: float, lam, cfg: IntegratorConfig | None = None) -> float:
@@ -274,31 +285,41 @@ def find_limit_cycles(
 ) -> list:
     """Sign-change fixed points of the return map on a geometric h-grid.
 
-    The grid is read by count_zeros' rule (melnikov._sign_changes): a grid
+    The grid's return maps are one library call.  The grid is read by count_zeros' rule (melnikov._sign_changes): a grid
     point where the return map fails (a NumericalFailure, logged, is NaN)
     or the displacement is exactly 0.0 has no sign and drops out; if the
     map fails at every grid point, the last failure is raised.  Each
     bracket is bisected to a width below refine_tol, stopping where the
     return map fails, and carries the secant-slope stability sign.
     epsilon is carried through to the records for bookkeeping only.
-    ValueError for a grid_n below 2 or an h_range that is not increasing.
+    ValueError for a grid_n below 2, an h_range that is not increasing or
+    one that starts below H_FLOOR.
     """
     h_min, h_max = float(h_range[0]), float(h_range[1])
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if not h_min < h_max:
         raise ValueError(f"h_range must be increasing, got ({h_min!r}, {h_max!r})")
+    hs = geomspace(h_min, h_max, grid_n)
+    if h_min < H_FLOOR:
+        raise ValueError(f"h_in below section floor {H_FLOOR}")
+    cfg = cfg or _DEFAULT_CONFIG
     failures = []
+
+    def skipped(h, exc):
+        logger.info("return map at h=%.6g skipped: %s", h, exc)
+        failures.append(exc)
+        return math.nan
 
     def disp(h):
         try:
             return displacement(h, lam, cfg)
         except NumericalFailure as exc:
-            logger.info("return map at h=%.6g skipped: %s", h, exc)
-            failures.append(exc)
-            return math.nan
+            return skipped(h, exc)
 
-    samples = [(h, disp(h)) for h in geomspace(h_min, h_max, grid_n)]
+    samples = [
+        (h, skipped(h, d) if isinstance(d, NumericalFailure) else d) for h, d in zip(hs, _displacements(hs, lam, cfg))
+    ]
     if failures and len(failures) == len(samples):
         raise failures[-1]  # an arc with no return map on its grid has no count, not a count of 0
     return [

@@ -1,11 +1,15 @@
 """The package's one compiled C library: the DOP853 flow loop, QUADPACK and its integrands, K and E, and M_k.
 
 dynamics runs its one ODE driver here: a DOP853 flow loop with scipy's
+initial step (select_initial_step, by a port of CPython's math.hypot),
 step control and error norm, and geometry.vector_field's return expression
 written out at every stage, generated from DOP853's tableau (_STAGES and
 _WEIGHTS, scipy's coefficients as exact float literals) and from that
-expression.  integrals runs QUADPACK's dqagpe here (with dqk21, dqpsrt and
-dqelg, as scipy.integrate.quad runs them for one break point) on the three
+expression.  flow runs it from one point, to output times or to the first
+return to the section; return_maps runs that return from x_plus(h) for a
+whole array of energies in one call, one _Row each.  integrals runs
+QUADPACK's dqagpe here (with dqk21, dqpsrt and dqelg, as
+scipy.integrate.quad runs them for one break point) on the three
 oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
 scipy.special's ellipkm1 and ellipe compute).  The moments (I0, I2, I4')
 that M_k combines are here too, by the two evaluators of _MOMENTS:
@@ -15,12 +19,12 @@ float literals); moments returns a triple, and mk_value the whole of
 melnikov.mk's value, lam1k*I0 + lam4k*I2 + c_k*I4', in one call.  The
 flow, the integrands and the moments do Python's float arithmetic
 operation for operation (libm's sin, cos, log and pow stand for math's and
-for **), so they return what the same code on Python floats would, bit
-for bit; QUADPACK and K and E return what scipy's do, bit for bit.  A
-square, a ** 2.0, is square(a): a * a where glibc's pow, whose error is at
-most 0.54 ulp, must return that same double, and pow otherwise (and on any
-other libc), so it too is Python's value bit for bit.  No module of the
-package imports scipy.
+for **, and py_hypot for math.hypot), so they return what the same code on
+Python floats would, bit for bit; QUADPACK and K and E return what scipy's
+do, bit for bit.  A square, a ** 2.0, is square(a): a * a where glibc's
+pow, whose error is at most 0.54 ulp, must return that same double, and pow
+otherwise (and on any other libc), so it too is Python's value bit for bit.
+No module of the package imports scipy.
 
 The source is compiled with the system's cc at the first use of the
 library in a process, cached in the package's __pycache__ under the sha256
@@ -39,9 +43,11 @@ import inspect
 import math
 import os
 import string
+import sys
 import sysconfig
 import textwrap
 from pathlib import Path
+from typing import NamedTuple
 
 from .geometry import SQRT2, vector_field
 
@@ -140,7 +146,31 @@ def _field_c() -> tuple:
 
 
 # the flow loop's outcomes, in the order of its C enum
-_STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "TIME_CAP", "ESCAPED", "NON_FINITE_ERROR")
+_STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "TIME_CAP", "ESCAPED", "NON_FINITE_ERROR", "NO_INITIAL_STEP")
+
+
+class _Row(NamedTuple):
+    """One row of return_maps' output: how the flow from one launch point ended.
+
+    status indexes _STATUS; (t, x, y, fx, fy, h_abs, min_h) is the flow's
+    state s as it stopped (the slope at t = 0 for NO_INITIAL_STEP, the last
+    and least step sizes for STEP_FAILURE); then the return's time and
+    energy (NaN unless OK) and the lobe crossings discarded.  integrate's
+    flow ends in the same fields, with 0.0 for the last three.
+    """
+
+    status: float
+    t: float
+    x: float
+    y: float
+    fx: float
+    fy: float
+    h_abs: float
+    min_h: float
+    t_cross: float
+    h_out: float
+    discarded: float
+
 
 _KERNEL_C = string.Template(
     r"""
@@ -152,6 +182,7 @@ enum { $status };
 enum { $moments }; /* the moment evaluators */
 enum { NO_MEMORY = -1 }; /* dqagpe's status where its workspace could not be allocated */
 enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
+enum { ROW = $row }; /* the length of a row of return_maps' output, native._Row */
 
 static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
 static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
@@ -188,25 +219,105 @@ static inline int in_y(const double *p, double y, double x, double *kt, double *
     return OK;
 }
 
+/* a * b - p for p = a * b, by Dekker's two-product: each factor split by Veltkamp into two halves of at
+   most 26 significant bits, whose four products are exact.  The result is exact where none of them
+   underflows or overflows; it is what fma(a, b, -p) returns there, with no fma instruction or call. */
+static inline double product_error(double a, double b, double p)
+{
+    const double split = 0x1p27 + 1.0;
+    double ta = a * split, a_hi = ta - (ta - a), a_lo = a - a_hi;
+    double tb = b * split, b_hi = tb - (tb - b), b_lo = b - b_hi;
+    double err = p - a_hi * b_hi;
+    err = err - a_lo * b_hi;
+    err = err - a_hi * b_lo;
+    return a_lo * b_lo - err;
+}
+
 /* pow(a, 2.0), Python's a ** 2.0, as a * a where that is certain to be what glibc's pow returns.  glibc's
-   pow (2.28 on, sysdeps/ieee754/dbl-64/e_pow.c) errs by at most 0.54 ulp.  Where p = a * a is normal and
-   far from overflow, the fma residual a * a - p is exact; where it is below 0.46 ulp(p) and p is not a
-   power of two (so both neighbours of p lie a whole ulp(p) away), every double but p is more than 0.54
-   ulp from the exact square, so pow must return p.  Any other case, and any other libc, calls pow. */
+   pow (2.28 on, sysdeps/ieee754/dbl-64/e_pow.c) errs by at most 0.54 ulp.  Where p = a * a lies in
+   (2^-900, 2^900), the residual a * a - p is exact by product_error; where it is below 0.46 ulp(p) and p
+   is not a power of two (so both neighbours of p lie a whole ulp(p) away), every double but p is more than
+   0.54 ulp from the exact square, so pow must return p.  Any other case, and any other libc, calls pow. */
 static inline double square(double a)
 {
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 28)
     union { double d; unsigned long long u; } p = {a * a}, unit = p;
     unit.u &= 0x7ff0000000000000ULL; /* 2^floor(log2 p) */
     if (0x1p-900 < p.d && p.d < 0x1p900 && unit.d != p.d
-        && __builtin_fabs(__builtin_fma(a, a, -p.d)) < 0.46 * 0x1p-52 * unit.d)
+        && __builtin_fabs(product_error(a, a, p.d)) < 0.46 * 0x1p-52 * unit.d)
         return p.d;
 #endif
     return pow(a, 2.0);
 }
 
-/* square, exported for the tests */
+/* CPython's math.hypot(a, b), its vector_norm (Modules/mathmodule.c) as 3.12 writes it, operation for
+   operation: the coordinates scaled by a power of two to below 1, their squares summed to triple length,
+   the root corrected once.  fma(x, x, -p) there is product_error here, which is exact on the scaled
+   coordinates or leaves a residual far below the sum's last bit.  3.10 and 3.11 arrange these sums
+   differently and return the same doubles on every pair tools/check_hypot.py tries, except where the
+   larger coordinate is below 2^-1024: there 3.12 on scales both by 1/DBL_MIN and recurses, and 3.10 and
+   3.11 divide by it and sum the squares uncorrected.  PY_HYPOT_RESCALE selects the interpreter's. */
+#define PY_HYPOT_RESCALE $py_hypot_rescale
+static double hypot_norm(double a, double b, double max)
+{
+    const double coords[2] = {a, b};
+    double csum = 1.0, frac1 = 0.0, frac2 = 0.0, x, sum;
+    int max_e;
+    __builtin_frexp(max, &max_e);
+    if (max_e < -1023) {
+#if PY_HYPOT_RESCALE
+        return DBL_MIN * hypot_norm(a / DBL_MIN, b / DBL_MIN, max / DBL_MIN);
+#else
+        for (int i = 0; i < 2; i++) {
+            x = coords[i] / max;
+            x = x * x;
+            sum = csum + x;
+            frac1 += (csum - sum) + x;
+            csum = sum;
+        }
+        return max * __builtin_sqrt(csum - 1.0 + frac1);
+#endif
+    }
+    double scale = __builtin_ldexp(1.0, -max_e);
+    for (int i = 0; i < 2; i++) {
+        double c = coords[i] * scale;
+        x = c * c;
+        sum = csum + x;
+        frac1 += product_error(c, c, x);
+        frac2 += x - (sum - csum);
+        csum = sum;
+    }
+    double h = __builtin_sqrt(csum - 1.0 + (frac1 + frac2));
+    x = -h * h;
+    sum = csum + x;
+    frac1 += product_error(-h, h, x);
+    frac2 += x - (sum - csum);
+    csum = sum;
+    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h);
+    return h / scale;
+}
+
+static double py_hypot(double a, double b)
+{
+    double max = 0.0;
+    a = __builtin_fabs(a);
+    b = __builtin_fabs(b);
+    if (a > max)
+        max = a;
+    if (b > max)
+        max = b;
+    if (isinf(max))
+        return max;
+    if (isnan(a) || isnan(b))
+        return NAN;
+    if (max == 0.0)
+        return max;
+    return hypot_norm(a, b, max);
+}
+
+/* square and py_hypot, exported for the tests */
 double kernel_square(double a) { return square(a); }
+double kernel_hypot(double a, double b) { return py_hypot(a, b); }
 
 /* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and
    (du3, dv3); NaN where the sum of their squares is not finite, so no error test passes */
@@ -273,9 +384,28 @@ $y_step_end
     return OK;
 }
 
-/* the two steps, exported for the tests; the flow calls them directly */
+/* scipy's select_initial_step for DOP853 (error exponent 1/8) from s = (0, x, y, x', y') to t_bound > 0:
+   s[5] becomes the first step size to try.  NO_INITIAL_STEP, with s unchanged, where the slope is infinite
+   or NaN.  Python's min, max, math.hypot and ** are py_min, py_max, py_hypot and pow. */
+static int initial_step(const double *p, double *s, double t_bound)
+{
+    const double x = s[1], y = s[2], fx = s[3], fy = s[4];
+    double sx = p[ATOL] + __builtin_fabs(x) * p[RTOL], sy = p[ATOL] + __builtin_fabs(y) * p[RTOL];
+    double d0 = py_hypot(x / sx, y / sy) / SQRT2, d1 = py_hypot(fx / sx, fy / sy) / SQRT2;
+    double h0 = py_min(d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1, t_bound);
+    if (!(h0 > 0.0))
+        return NO_INITIAL_STEP;
+    double u = x + h0 * fx, v = y + h0 * fy;
+    double d2 = py_hypot((field_x(u, v, p) - fx) / sx, (field_y(u, v, p) - fy) / sy) / SQRT2 / h0;
+    double h1 = d1 <= 1e-15 && d2 <= 1e-15 ? py_max(1e-6, h0 * 1e-3) : pow(0.01 / py_max(d1, d2), 1.0 / 8.0);
+    s[5] = py_min(py_min(100.0 * h0, h1), t_bound);
+    return OK;
+}
+
+/* the two steps and the initial step, exported for the tests; the flow calls them directly */
 int dop853_step(const double *p, double *s, double t_bound) { return step(p, s, t_bound); }
 int dop853_step_in_y(const double *p, double *s) { return step_in_y(p, s); }
+int dop853_initial_step(const double *p, double *s, double t_bound) { return initial_step(p, s, t_bound); }
 
 /* (*tc, *xc) where the flow from (x, y > 0) at t, with y' = fy there, meets y = 0 before t_new: one step
    in y from y to 0 (Henon's trick).  That needs y to fall monotonically over the step and the step in y
@@ -293,9 +423,11 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
     return OK;
 }
 
-/* The flow from s = (t, x, y, x', y', h_abs) by step(); s holds the last accepted step throughout.
+/* The flow from (x, y) = (s[1], s[2]) at t = 0 by step(); s = (t, x, y, x', y', h_abs) holds the last
+   accepted step throughout, from the slope at t = 0 and the initial step, taken where the last time the
+   flow may reach (t_end, below) is positive.  NO_INITIAL_STEP where that step is not found.
 
-   With n output times ts (non-decreasing, not before t), a step ends exactly at each, and out[2i],
+   With n output times ts (non-decreasing, not negative), a step ends exactly at each, and out[2i],
    out[2i + 1] is the state there; OK once all n are stored.
 
    With ts NULL, the first return to Sigma = {y = 0, x > sqrt(2)} before t = max_time.  A step that takes
@@ -309,7 +441,12 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
 int flow(const double *p, double *s, const double *ts, long n, double *out)
 {
     long i = 0, discarded = 0;
-    double next[7], t_bound;
+    double next[7], t_bound, t_end = ts ? (n > 0 ? ts[n - 1] : 0.0) : p[MAX_TIME];
+    s[3] = field_x(s[1], s[2], p);
+    s[4] = field_y(s[1], s[2], p);
+    s[5] = 0.0;
+    if (t_end > 0.0 && initial_step(p, s, t_end) != OK)
+        return NO_INITIAL_STEP;
     for (;;) {
         if (ts) {
             for (; i < n && !(s[0] < ts[i]); i++) {
@@ -347,6 +484,24 @@ int flow(const double *p, double *s, const double *ts, long n, double *out)
         __builtin_memcpy(s, next, 6 * sizeof *s);
         if (py_max(__builtin_fabs(s[1]), __builtin_fabs(s[2])) >= ESCAPE_BOUND)
             return ESCAPED;
+    }
+}
+
+/* The first return to Sigma from (x_plus(h), 0) by flow, for each of the n energies hs.  Row i of out,
+   from out[ROW * i], is native._Row: flow's status, its state s as it stopped, and from its output the
+   return's time t_cross, its energy h_out and the crossings discarded.  h_out is geometry.energy((x, 0.0))
+   at the return's x, Python's x**4 being pow(x, 4.0), and NaN where the status is not OK. */
+void return_maps(const double *p, const double *hs, long n, double *out)
+{
+    for (long i = 0; i < n; i++, out += ROW) {
+        double s[7] = {0.0, __builtin_sqrt(1.0 + __builtin_sqrt(1.0 + 4.0 * hs[i])), 0.0}, ret[3] = {0.0};
+        int status = flow(p, s, NULL, 0, ret);
+        double x = ret[1], y = 0.0;
+        out[0] = status;
+        __builtin_memcpy(out + 1, s, sizeof s);
+        out[8] = ret[0];
+        out[9] = status == OK ? 0.5 * y * y - 0.5 * x * x + 0.25 * pow(x, 4.0) : NAN;
+        out[10] = ret[2];
     }
 }
 
@@ -890,14 +1045,14 @@ static double polevl(double x, const double *coef, int n)
     return ans;
 }
 
-double ellpk(double x)
+static double cephes_ellpk(double x)
 {
     if (x < 0.0)
         return NAN;
     if (x > 1.0) {
         if (isinf(x))
             return 0.0;
-        return ellpk(1 / x) / sqrt(x);
+        return cephes_ellpk(1 / x) / sqrt(x);
     }
     if (x > MACHEP)
         return polevl(x, ELLPK_P, 10) - log(x) * polevl(x, ELLPK_Q, 10);
@@ -906,7 +1061,7 @@ double ellpk(double x)
     return ELLPK_C1 - 0.5 * log(x);
 }
 
-double ellpe(double x)
+static double cephes_ellpe(double x)
 {
     x = 1.0 - x;
     if (x <= 0.0) {
@@ -915,9 +1070,13 @@ double ellpe(double x)
         return NAN;
     }
     if (x > 1.0)
-        return ellpe(1.0 - 1 / x) * sqrt(x);
+        return cephes_ellpe(1.0 - 1 / x) * sqrt(x);
     return polevl(x, ELLPE_P, 10) - log(x) * (x * polevl(x, ELLPE_Q, 9));
 }
+
+/* the two, exported for the tests; the closed forms call them directly */
+double ellpk(double x) { return cephes_ellpk(x); }
+double ellpe(double x) { return cephes_ellpe(x); }
 
 /* integrals' closed forms: the full-contour (I0, I2, I4') at h > 0.  With r = sqrt(1+4h), s = 4h/(r+1),
    a^2 = 2+s, c^2 = 2r and m = a^2/c^2, the integrals S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over
@@ -926,7 +1085,7 @@ double ellpe(double x)
 static void exterior_moments(double h, double *out)
 {
     double r = __builtin_sqrt(1.0 + 4.0 * h), s = 4.0 * h / (r + 1.0), a2 = 2.0 + s, c2 = 2.0 * r, m = a2 / c2;
-    double s0 = ellpk(s / c2), s1 = (s0 - ellpe(m)) / m;
+    double s0 = cephes_ellpk(s / c2), s1 = (s0 - cephes_ellpe(m)) / m;
     double s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m);
     double s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m);
     double w = 2.0 * SQRT2 * a2 * __builtin_sqrt(c2);
@@ -1033,6 +1192,8 @@ def _kernel_source() -> str:
     )
     return _KERNEL_C.substitute(
         status=", ".join(_STATUS),
+        row=len(_Row._fields),
+        py_hypot_rescale=int(sys.version_info >= (3, 12)),
         moments=", ".join(name.upper() for name in _MOMENTS),
         safety=_SAFETY.hex(),
         min_factor=_MIN_FACTOR.hex(),
@@ -1060,12 +1221,12 @@ def _kernel_source() -> str:
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add
 # (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x (not always
 # pow's double: square takes it only where glibc's 0.54-ulp bound on pow
-# certifies it, by __builtin_fma and __builtin_fabs, which the flag leaves
-# alone) or replacing libm's sin, cos, pow and log (fusing sin and cos into
-# sincos, say): each double operation is then the one Python (or scipy's
-# QUADPACK and Cephes) does.  The flow and the closed forms call fabs, sqrt
-# and memcpy, which are exact, by their __builtin_ names, so they compile
-# to instructions rather than to calls into libc and libm.
+# certifies it, by Dekker's exact product_error) or replacing libm's sin,
+# cos, pow and log (fusing sin and cos into sincos, say): each double
+# operation is then the one Python (or scipy's QUADPACK and Cephes) does.
+# The flow and the closed forms call fabs, sqrt and memcpy, which are exact,
+# by their __builtin_ names, so they compile to instructions rather than to
+# calls into libc and libm.
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
 
@@ -1126,7 +1287,10 @@ def _kernel() -> ctypes.CDLL:
         ("flow", ctypes.c_int, (_DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("dop853_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
         ("dop853_step_in_y", ctypes.c_int, (_DOUBLES, _DOUBLES)),
+        ("dop853_initial_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
+        ("return_maps", None, (_DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("kernel_square", ctypes.c_double, (ctypes.c_double,)),
+        ("kernel_hypot", ctypes.c_double, (ctypes.c_double, ctypes.c_double)),
         ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
         ("ellpk", ctypes.c_double, (ctypes.c_double,)),
         ("ellpe", ctypes.c_double, (ctypes.c_double,)),

@@ -60,3 +60,18 @@ def closed_form_calls(monkeypatch):
     for name in ("mk_value", "moments"):
         monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
     return calls
+
+
+@pytest.fixture
+def return_maps_calls(monkeypatch):
+    """A list that gains one entry, its number of energies, per call of the library's return_maps."""
+    calls = []
+    kernel = native._kernel()
+    return_maps = kernel.return_maps
+
+    def counting(p, hs, n, out):
+        calls.append(n)
+        return return_maps(p, hs, n, out)
+
+    monkeypatch.setattr(kernel, "return_maps", counting)
+    return calls

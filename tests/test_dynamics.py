@@ -22,7 +22,7 @@ from scipy.integrate import DOP853, solve_ivp
 import eightloop as el
 from eightloop import dynamics, native
 from eightloop.dynamics import H_FLOOR
-from eightloop.geometry import x_plus
+from eightloop.geometry import geomspace, x_plus
 from eightloop.series import KAPPA
 
 
@@ -134,6 +134,8 @@ def test_return_map_enforces_energy_floor(integ_cfg):
         el.return_map(0.5 * H_FLOOR, LAM0, integ_cfg)
     s = el.return_map(H_FLOOR, LAM0, integ_cfg)  # equality allowed
     assert abs(s.h_out - s.h_in) < 1e-9
+    with pytest.raises(ValueError, match="section floor"):  # a grid's floor is checked once, on its lower end
+        el.find_limit_cycles(LAM0, (0.5 * H_FLOOR, 0.2), grid_n=4, cfg=integ_cfg)
 
 
 def test_displacement_vanishes_on_the_center_variety(integ_cfg):
@@ -260,6 +262,29 @@ def _tableau_accepted_step(t, x, y, h_abs, lam, t_bound, cfg):
     raise el.StepFailure("step size collapsed")
 
 
+def _initial_step(x, y, fx, fy, lam, t_bound, cfg):
+    """scipy's select_initial_step for the flow from (x, y) at t = 0 to t_bound > 0, on Python floats.
+
+    The library's initial_step, which the flow takes at t = 0, does this
+    arithmetic in C, with a port of math.hypot.
+    """
+    sx = cfg.abs_tol + abs(x) * cfg.rel_tol
+    sy = cfg.abs_tol + abs(y) * cfg.rel_tol
+    d0 = math.hypot(x / sx, y / sy) / el.SQRT2
+    d1 = math.hypot(fx / sx, fy / sy) / el.SQRT2
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    if not h0 > 0.0:  # the slope is infinite or NaN
+        raise el.StepFailure(f"no initial step for the slope ({fx:.3g}, {fy:.3g}) at t=0")
+    gx, gy = el.vector_field(h0, (x + h0 * fx, y + h0 * fy), lam)
+    d2 = math.hypot((gx - fx) / sx, (gy - fy) / sy) / el.SQRT2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, t_bound)
+
+
 def _in_y(y, state, lam):
     """(t, x) as functions of y along the flow: dt/dy = 1/y', dx/dy = x'/y' = y/y'."""
     t, x = state
@@ -354,7 +379,7 @@ def _tableau_return_map(h_in, lam, cfg):
     """
     t, x, y = 0.0, x_plus(h_in), 0.0
     fx, fy = el.vector_field(t, (x, y), lam)
-    h_abs = dynamics._initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
+    h_abs = _initial_step(x, y, fx, fy, lam, cfg.max_time, cfg)
     discarded, retried = 0, False
     while True:
         (t_new, x_new, y_new, _, fy_new, h_next), _ = _tableau_accepted_step(t, x, y, h_abs, lam, cfg.max_time, cfg)
@@ -374,6 +399,61 @@ def _tableau_return_map(h_in, lam, cfg):
                                           crossings=discarded), retried
             discarded += 1
         t, x, y, fy, h_abs = t_new, x_new, y_new, fy_new, h_next
+
+
+def _tableau_integrate(p0, lam, ts, cfg):
+    """integrate's loop over the plain tableau steps above, from the Python initial step: the states at ts."""
+    t, (x, y) = 0.0, p0
+    h_abs = _initial_step(x, y, *el.vector_field(t, (x, y), lam), lam, ts[-1], cfg)
+    states = []
+    for t_out in ts:
+        while t < t_out:
+            (t, x, y, _, _, h_abs), _ = _tableau_accepted_step(t, x, y, h_abs, lam, t_out, cfg)
+        states.append((x, y))
+    return np.array(states)
+
+
+def _initial_step_of_library(x, y, lam, t_bound, cfg):
+    """The library's initial step for the flow from (x, y) to t_bound: the step size, or its status name."""
+    state = (ctypes.c_double * 7)(0.0, x, y, *el.vector_field(0.0, (x, y), lam))
+    status = native._STATUS[native._kernel().dop853_initial_step(_params(lam, cfg), state, t_bound)]
+    return state[5] if status == "OK" else status
+
+
+def test_the_initial_step_is_the_python_one_bit_for_bit():
+    """The library's initial step equals the Python oracle's on integrate's and return_map's launch points.
+
+    integrate launches anywhere up to its last output time, return_map on
+    the section up to max_time; the origin, the centre and a small t_bound
+    take the oracle's other branches, and an infinite or NaN slope has no
+    initial step on either side.
+    """
+    rng = np.random.default_rng(31)
+    lams = [tuple(lam) for lam in rng.uniform(-0.1, 0.1, (250, 4)).tolist()]
+    anywhere = rng.uniform((-3.0, -3.0, 1e-3), (3.0, 3.0, 50.0), (200, 3)).tolist()
+    starts = [(x, y, t, lam) for (x, y, t), lam in zip(anywhere, lams)]
+    starts += [(x_plus(h), 0.0, 200.0, lam) for h, lam in zip(np.geomspace(H_FLOOR, 40.0, 50).tolist(), lams[200:])]
+    starts += [(0.0, 0.0, 1.0, LAM0), (1.0, 0.0, 1.0, LAM0), (1e-7, 0.0, 1.0, lams[0]), (0.5, 0.5, 1e-9, lams[1])]
+    for cfg in (el.IntegratorConfig(), el.IntegratorConfig(1e-12, 1e-14), el.IntegratorConfig(1e-2, 1e-4)):
+        for x, y, t_bound, lam in starts:
+            want = _initial_step(x, y, *el.vector_field(0.0, (x, y), lam), lam, t_bound, cfg)
+            assert _initial_step_of_library(x, y, lam, t_bound, cfg) == want
+    for x, lam in ((1e155, LAM0), (2.0, (0.0, 1e308, 0.0, 0.0)), (2.0, (math.nan, 0.0, 0.0, 0.0))):
+        with pytest.raises(el.StepFailure) as oracle:
+            _initial_step(x, 0.0, *el.vector_field(0.0, (x, 0.0), lam), lam, 1.0, el.IntegratorConfig())
+        assert _initial_step_of_library(x, 0.0, lam, 1.0, el.IntegratorConfig()) == "NO_INITIAL_STEP"
+        with pytest.raises(el.StepFailure) as info:
+            el.integrate((x, 0.0), lam, [1.0])
+        assert str(info.value) == str(oracle.value)
+
+
+def test_integrate_and_return_map_are_the_tableau_loops_from_the_python_initial_step():
+    """integrate and return_map, whose flow takes its initial step in the library, are the plain loops bit for bit."""
+    lam, default, strict = (0.02, 0.01, -0.03, 0.015), el.IntegratorConfig(), el.IntegratorConfig(1e-12, 1e-14)
+    for p0, ts in (((x_plus(0.3), 0.0), [0.0, 0.7, 2.5, 2.5, 6.0]), ((0.3, -0.2), [1e-3, 4.0]), ((1.2, 0.4), [9.0])):
+        npt.assert_array_equal(el.integrate(p0, lam, ts), _tableau_integrate(p0, lam, ts, default))
+    for h, cfg in ((0.05, default), (0.1, strict), (0.6, default)):
+        assert el.return_map(h, lam, cfg) == _tableau_return_map(h, lam, cfg)[0]
 
 
 def test_return_map_is_pinned_bit_for_bit():
@@ -678,6 +758,21 @@ def test_planted_cycle_has_a_structural_companion(integ_cfg):
     assert recs[0].stability == 1 and recs[1].stability == -1
 
 
+def _grid_of(displacement):
+    """A stand-in for dynamics._displacements, the grid's one library call, from a stand-in displacement."""
+
+    def displacements(hs, lam, cfg):
+        values = []
+        for h in hs:
+            try:
+                values.append(displacement(h, lam, cfg))
+            except el.NumericalFailure as exc:
+                values.append(exc)
+        return values
+
+    return displacements
+
+
 def test_failed_return_maps_are_logged_and_skipped(monkeypatch, caplog):
     """A failing grid point drops out; a failure inside a bracket stops its bisection at the bracket reached."""
 
@@ -686,7 +781,8 @@ def test_failed_return_maps_are_logged_and_skipped(monkeypatch, caplog):
             raise el.TimeCap("capped")
         return h - 0.15
 
-    monkeypatch.setattr(dynamics, "displacement", displacement)
+    monkeypatch.setattr(dynamics, "displacement", displacement)  # the bisection's return maps
+    monkeypatch.setattr(dynamics, "_displacements", _grid_of(displacement))  # the grid's
     with caplog.at_level("INFO", logger="eightloop.dynamics"):
         recs = el.find_limit_cycles(LAM0, (0.1, 0.4), grid_n=3, refine_tol=1e-6)
     assert len(recs) == 1
@@ -706,9 +802,92 @@ def test_a_displacement_of_exactly_zero_at_a_grid_point_is_bracketed(monkeypatch
     """The grid point carries no sign, as in count_zeros: its neighbours bracket the cycle on it."""
     grid = np.geomspace(0.1, 0.4, 3)
     monkeypatch.setattr(dynamics, "displacement", lambda h, lam, cfg=None: h - grid[1])
+    monkeypatch.setattr(dynamics, "_displacements", _grid_of(dynamics.displacement))
     recs = el.find_limit_cycles(LAM0, (0.1, 0.4), grid_n=3, refine_tol=1e-6)
     assert len(recs) == 1
     assert abs(recs[0].h_star - grid[1]) < 1e-6 and recs[0].stability == 1
+
+
+def test_a_grid_is_one_library_call_and_each_bisection_midpoint_one_more(return_maps_calls, monkeypatch, integ_cfg):
+    midpoints = []
+    displacement = dynamics.displacement
+
+    def counting(h, lam, cfg=None):
+        midpoints.append(h)
+        return displacement(h, lam, cfg)
+
+    monkeypatch.setattr(dynamics, "displacement", counting)
+    eps = 1e-3
+    recs = el.find_limit_cycles((eps, 0.0, 0.0, -1.3033884796 * eps), (0.01, 0.3), grid_n=24, cfg=integ_cfg,
+                                refine_tol=1e-3)
+    assert len(recs) == 2 and len(midpoints) >= 2
+    assert return_maps_calls == [24] + [1] * len(midpoints)
+    grid = geomspace(0.01, 0.3, 24)
+    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if any(lo <= r.h_star <= hi for r in recs)]
+    assert all(any(lo < h < hi for lo, hi in brackets) for h in midpoints)
+
+
+# (lam, h) whose return map at the default tolerances ends in each outcome the flow reaches from the section
+_OUTCOME_LANES = {
+    "OK": (LAM0, 0.3),
+    "TIME_CAP": ((-1e-3, 0.0, 0.0, 0.0), 1e-3),
+    "ESCAPED": ((1.0, 0.0, 0.0, 0.0), 40.0),
+    "NON_FINITE_ERROR": ((1e150, 0.0, 0.0, 0.0), 1e-3),
+    "NO_INITIAL_STEP": ((0.0, 1e308, 0.0, 0.0), 0.5),
+}
+
+
+def _alone(h, lam, cfg):
+    """return_map's displacement at h, or its failure as (type, message)."""
+    try:
+        return el.displacement(h, lam, cfg)
+    except el.NumericalFailure as exc:
+        return type(exc), str(exc)
+
+
+def _on_the_grid(hs, lam, cfg):
+    """The grid call's displacements at hs, each failure as (type, message)."""
+    return [d if isinstance(d, float) else (type(d), str(d)) for d in dynamics._displacements(hs, lam, cfg)]
+
+
+@pytest.mark.parametrize("status", _OUTCOME_LANES)
+def test_each_outcome_is_the_same_on_the_grid_as_alone(status, integ_cfg):
+    lam, h = _OUTCOME_LANES[status]
+    hs = sorted({h, H_FLOOR, 0.05, 0.3, 40.0})
+    [row] = dynamics._return_maps([h], lam, integ_cfg)
+    assert native._STATUS[int(row.status)] == status
+    alone = [_alone(h, lam, integ_cfg) for h in hs]
+    grid = _on_the_grid(hs, lam, integ_cfg)
+    assert [v if isinstance(v, tuple) else v.hex() for v in grid] == [
+        v if isinstance(v, tuple) else v.hex() for v in alone
+    ]
+
+
+@pytest.mark.parametrize("status, failure", [
+    ("STEP_FAILURE", (el.StepFailure, "step size 1e-15 below 2.22e-15 at t=12.5")),
+    ("UNRESOLVED", (el.StepFailure, "crossing of y = 0 not resolved at t=12.5 (h_in=0.05)")),
+])
+def test_a_flow_that_the_section_does_not_reach_fails_the_same_on_the_grid_as_alone(status, failure, monkeypatch):
+    """Outcomes no launch from the section was found to reach: the library's row, faked, reads the same both ways."""
+    kernel = native._kernel()
+    fields = {"status": native._STATUS.index(status), "t": 12.5, "h_abs": 1e-15, "min_h": 2.22e-15}
+    row = [fields.get(name, 0.0) for name in native._Row._fields]
+
+    def return_maps(p, hs, n, out):
+        for i in range(n):
+            out[len(row) * i : len(row) * (i + 1)] = row
+
+    monkeypatch.setattr(kernel, "return_maps", return_maps)
+    assert _alone(0.05, LAM0, el.IntegratorConfig()) == failure
+    assert _on_the_grid([0.05], LAM0, el.IntegratorConfig()) == [failure]
+
+
+def test_the_librarys_hypot_is_math_hypot_without_numpy():
+    """tools/check_hypot.py, in a fresh interpreter: edge pairs, 10^5 random bit patterns and 10^4 subnormal pairs."""
+    done = subprocess.run([sys.executable, str(Path(__file__).parents[1] / "tools" / "check_hypot.py")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " 0 mismatches, numpy modules loaded: 0" in done.stdout
 
 
 # ---------------------------------------------------------------------------
