@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .geometry import SQRT2, NumericalFailure, energy, geomspace, vector_field, x_plus
+from .geometry import NumericalFailure, geomspace, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
 from .native import _DOUBLES, _STATUS, ESCAPE_BOUND, _kernel, _Row
 from .series import KAPPA
