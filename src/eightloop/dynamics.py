@@ -19,13 +19,12 @@ One ODE driver serves both integrate and the return map: the DOP853 flow
 loop of the package's compiled C library (native), with DOP853's tableau
 (scipy's coefficients, written into native), scipy's initial step, step
 control and error norm, and geometry.vector_field's return expression
-written out at every stage.  It does Python's float arithmetic operation
-for operation (its squares in the error norm are a * a only where glibc's
-pow, within 0.54 ulp, must return that double, and its math.hypot is a port
-of CPython's), so it returns what the same loop on Python floats would, bit
-for bit.  Python keeps the argument checks and builds the exceptions and
-their messages from the library's status (_failure).  integrate ends a step
-exactly at each output time, so no interpolant is needed.
+written out at every stage.  It returns what the same loop on Python
+floats returns, bit for bit, where that loop squares by products and takes
+its norms from libm's hypot, as the tests' oracle does.  Python keeps the
+argument checks and builds the exceptions and their messages from the
+library's status (_failure).  integrate ends a step exactly at each output
+time, so no interpolant is needed.
 find_limit_cycles samples its whole grid in one library call
 (native's return_maps, of which return_map is the one-energy case), and
 reads its cycles off the grid by the scan that count_zeros uses
@@ -80,10 +79,10 @@ class IntegratorConfig:
     max_time: float = 200.0  # flow-time cap per return
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.max_time < math.inf:
+            raise ValueError("max_time must be positive and finite")
 
 
 _DEFAULT_CONFIG = IntegratorConfig()  # what a None cfg stands for, built once rather than per return map

@@ -99,8 +99,8 @@ class QuadratureConfig:
     max_subdivisions: int = 64
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

@@ -1,7 +1,7 @@
 """The package's one compiled C library: the DOP853 flow loop, QUADPACK and its integrands, K and E, and M_k.
 
 dynamics runs its one ODE driver here: a DOP853 flow loop with scipy's
-initial step (select_initial_step, by a port of CPython's math.hypot),
+initial step (select_initial_step, its norms by libm's hypot),
 step control and error norm, and geometry.vector_field's return expression
 written out at every stage, generated from DOP853's tableau (_STAGES and
 _WEIGHTS, scipy's coefficients as exact float literals) and from that
@@ -17,14 +17,12 @@ integrals' closed forms in K and E (exterior_moments) and series'
 truncated expansions (series_moments, with series' coefficients as exact
 float literals); moments returns a triple, and mk_value the whole of
 melnikov.mk's value, lam1k*I0 + lam4k*I2 + c_k*I4', in one call.  The
-flow, the integrands and the moments do Python's float arithmetic
-operation for operation (libm's sin, cos, log and pow stand for math's and
-for **, and py_hypot for math.hypot), so they return what the same code on
-Python floats would, bit for bit; QUADPACK and K and E return what scipy's
-do, bit for bit.  A square, a ** 2.0, is square(a): a * a where glibc's
-pow, whose error is at most 0.54 ulp, must return that same double, and pow
-otherwise (and on any other libc), so it too is Python's value bit for bit.
-No module of the package imports scipy.
+flow, the integrands and the moments do float arithmetic operation for
+operation as the tests' Python oracles write it: libm's sin, cos, log and
+pow stand for math's and for **, the norms are libm's hypot (which the
+oracles take through ctypes), and a square is one product, a * a.  So they
+return what the oracles do, bit for bit; QUADPACK and K and E return what
+scipy's do, bit for bit.  No module of the package imports scipy.
 
 The source is compiled with the system's cc at the first use of the
 library in a process, cached in the package's __pycache__ under the sha256
@@ -43,7 +41,6 @@ import inspect
 import math
 import os
 import string
-import sys
 import sysconfig
 import textwrap
 from pathlib import Path
@@ -219,106 +216,6 @@ static inline int in_y(const double *p, double y, double x, double *kt, double *
     return OK;
 }
 
-/* a * b - p for p = a * b, by Dekker's two-product: each factor split by Veltkamp into two halves of at
-   most 26 significant bits, whose four products are exact.  The result is exact where none of them
-   underflows or overflows; it is what fma(a, b, -p) returns there, with no fma instruction or call. */
-static inline double product_error(double a, double b, double p)
-{
-    const double split = 0x1p27 + 1.0;
-    double ta = a * split, a_hi = ta - (ta - a), a_lo = a - a_hi;
-    double tb = b * split, b_hi = tb - (tb - b), b_lo = b - b_hi;
-    double err = p - a_hi * b_hi;
-    err = err - a_lo * b_hi;
-    err = err - a_hi * b_lo;
-    return a_lo * b_lo - err;
-}
-
-/* pow(a, 2.0), Python's a ** 2.0, as a * a where that is certain to be what glibc's pow returns.  glibc's
-   pow (2.28 on, sysdeps/ieee754/dbl-64/e_pow.c) errs by at most 0.54 ulp.  Where p = a * a lies in
-   (2^-900, 2^900), the residual a * a - p is exact by product_error; where it is below 0.46 ulp(p) and p
-   is not a power of two (so both neighbours of p lie a whole ulp(p) away), every double but p is more than
-   0.54 ulp from the exact square, so pow must return p.  Any other case, and any other libc, calls pow. */
-static inline double square(double a)
-{
-#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 28)
-    union { double d; unsigned long long u; } p = {a * a}, unit = p;
-    unit.u &= 0x7ff0000000000000ULL; /* 2^floor(log2 p) */
-    if (0x1p-900 < p.d && p.d < 0x1p900 && unit.d != p.d
-        && __builtin_fabs(product_error(a, a, p.d)) < 0.46 * 0x1p-52 * unit.d)
-        return p.d;
-#endif
-    return pow(a, 2.0);
-}
-
-/* CPython's math.hypot(a, b), its vector_norm (Modules/mathmodule.c) as 3.12 writes it, operation for
-   operation: the coordinates scaled by a power of two to below 1, their squares summed to triple length,
-   the root corrected once.  fma(x, x, -p) there is product_error here, which is exact on the scaled
-   coordinates or leaves a residual far below the sum's last bit.  3.10 and 3.11 arrange these sums
-   differently and return the same doubles on every pair tools/check_hypot.py tries, except where the
-   larger coordinate is below 2^-1024: there 3.12 on scales both by 1/DBL_MIN and recurses, and 3.10 and
-   3.11 divide by it and sum the squares uncorrected.  PY_HYPOT_RESCALE selects the interpreter's. */
-#define PY_HYPOT_RESCALE $py_hypot_rescale
-static double hypot_norm(double a, double b, double max)
-{
-    const double coords[2] = {a, b};
-    double csum = 1.0, frac1 = 0.0, frac2 = 0.0, x, sum;
-    int max_e;
-    __builtin_frexp(max, &max_e);
-    if (max_e < -1023) {
-#if PY_HYPOT_RESCALE
-        return DBL_MIN * hypot_norm(a / DBL_MIN, b / DBL_MIN, max / DBL_MIN);
-#else
-        for (int i = 0; i < 2; i++) {
-            x = coords[i] / max;
-            x = x * x;
-            sum = csum + x;
-            frac1 += (csum - sum) + x;
-            csum = sum;
-        }
-        return max * __builtin_sqrt(csum - 1.0 + frac1);
-#endif
-    }
-    double scale = __builtin_ldexp(1.0, -max_e);
-    for (int i = 0; i < 2; i++) {
-        double c = coords[i] * scale;
-        x = c * c;
-        sum = csum + x;
-        frac1 += product_error(c, c, x);
-        frac2 += x - (sum - csum);
-        csum = sum;
-    }
-    double h = __builtin_sqrt(csum - 1.0 + (frac1 + frac2));
-    x = -h * h;
-    sum = csum + x;
-    frac1 += product_error(-h, h, x);
-    frac2 += x - (sum - csum);
-    csum = sum;
-    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h);
-    return h / scale;
-}
-
-static double py_hypot(double a, double b)
-{
-    double max = 0.0;
-    a = __builtin_fabs(a);
-    b = __builtin_fabs(b);
-    if (a > max)
-        max = a;
-    if (b > max)
-        max = b;
-    if (isinf(max))
-        return max;
-    if (isnan(a) || isnan(b))
-        return NAN;
-    if (max == 0.0)
-        return max;
-    return hypot_norm(a, b, max);
-}
-
-/* square and py_hypot, exported for the tests */
-double kernel_square(double a) { return square(a); }
-double kernel_hypot(double a, double b) { return py_hypot(a, b); }
-
 /* scipy's error norm of a step of length h from (u0, v0) to (u, v), with error estimates (du5, dv5) and
    (du3, dv3); NaN where the sum of their squares is not finite, so no error test passes */
 static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
@@ -326,8 +223,8 @@ static inline double error_norm(const double *p, double h, double u0, double v0,
 {
     double su = p[ATOL] + py_max(__builtin_fabs(u0), __builtin_fabs(u)) * p[RTOL];
     double sv = p[ATOL] + py_max(__builtin_fabs(v0), __builtin_fabs(v)) * p[RTOL];
-    double e5 = square(du5 / su) + square(dv5 / sv);
-    double e3 = square(du3 / su) + square(dv3 / sv);
+    double eu5 = du5 / su, ev5 = dv5 / sv, eu3 = du3 / su, ev3 = dv3 / sv;
+    double e5 = eu5 * eu5 + ev5 * ev5, e3 = eu3 * eu3 + ev3 * ev3;
     if (!isfinite(e5 + e3))
         return NAN;
     if (e5 == 0.0)
@@ -386,17 +283,17 @@ $y_step_end
 
 /* scipy's select_initial_step for DOP853 (error exponent 1/8) from s = (0, x, y, x', y') to t_bound > 0:
    s[5] becomes the first step size to try.  NO_INITIAL_STEP, with s unchanged, where the slope is infinite
-   or NaN.  Python's min, max, math.hypot and ** are py_min, py_max, py_hypot and pow. */
+   or NaN.  Python's min, max and ** are py_min, py_max and pow; the norms are libm's hypot. */
 static int initial_step(const double *p, double *s, double t_bound)
 {
     const double x = s[1], y = s[2], fx = s[3], fy = s[4];
     double sx = p[ATOL] + __builtin_fabs(x) * p[RTOL], sy = p[ATOL] + __builtin_fabs(y) * p[RTOL];
-    double d0 = py_hypot(x / sx, y / sy) / SQRT2, d1 = py_hypot(fx / sx, fy / sy) / SQRT2;
+    double d0 = hypot(x / sx, y / sy) / SQRT2, d1 = hypot(fx / sx, fy / sy) / SQRT2;
     double h0 = py_min(d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1, t_bound);
     if (!(h0 > 0.0))
         return NO_INITIAL_STEP;
     double u = x + h0 * fx, v = y + h0 * fy;
-    double d2 = py_hypot((field_x(u, v, p) - fx) / sx, (field_y(u, v, p) - fy) / sy) / SQRT2 / h0;
+    double d2 = hypot((field_x(u, v, p) - fx) / sx, (field_y(u, v, p) - fy) / sy) / SQRT2 / h0;
     double h1 = d1 <= 1e-15 && d2 <= 1e-15 ? py_max(1e-6, h0 * 1e-3) : pow(0.01 / py_max(d1, d2), 1.0 / 8.0);
     s[5] = py_min(py_min(100.0 * h0, h1), t_bound);
     return OK;
@@ -506,11 +403,11 @@ void return_maps(const double *p, const double *hs, long n, double *out)
 }
 
 /* integrals' three integrands of theta on the oval (a, s) = (p[0], p[1]), with the moment's index i = p[2].
-   Python's ** on floats is pow, and square where the exponent is 2.0. */
+   Python's ** on floats is pow. */
 double xiy(double theta, const double *p)
 {
-    double a = p[0], s = p[1], x = a * sin(theta);
-    return a * a * square(cos(theta)) * pow(x, p[2]) * sqrt((x * x + s) / 2.0);
+    double a = p[0], s = p[1], x = a * sin(theta), c = cos(theta);
+    return a * a * (c * c) * pow(x, p[2]) * sqrt((x * x + s) / 2.0);
 }
 
 double xi_over_y(double theta, const double *p)
@@ -1193,7 +1090,6 @@ def _kernel_source() -> str:
     return _KERNEL_C.substitute(
         status=", ".join(_STATUS),
         row=len(_Row._fields),
-        py_hypot_rescale=int(sys.version_info >= (3, 12)),
         moments=", ".join(name.upper() for name in _MOMENTS),
         safety=_SAFETY.hex(),
         min_factor=_MIN_FACTOR.hex(),
@@ -1219,11 +1115,9 @@ def _kernel_source() -> str:
 
 
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add
-# (FMA) and -fno-builtin from folding pow(x, 2.0) into x * x (not always
-# pow's double: square takes it only where glibc's 0.54-ulp bound on pow
-# certifies it, by Dekker's exact product_error) or replacing libm's sin,
-# cos, pow and log (fusing sin and cos into sincos, say): each double
-# operation is then the one Python (or scipy's QUADPACK and Cephes) does.
+# (FMA) and -fno-builtin from replacing libm's sin, cos, pow and log
+# (fusing sin and cos into sincos, say): each double operation is then the
+# one Python (or scipy's QUADPACK and Cephes) does.
 # The flow and the closed forms call fabs, sqrt and memcpy, which are exact,
 # by their __builtin_ names, so they compile to instructions rather than to
 # calls into libc and libm.
@@ -1289,8 +1183,6 @@ def _kernel() -> ctypes.CDLL:
         ("dop853_step_in_y", ctypes.c_int, (_DOUBLES, _DOUBLES)),
         ("dop853_initial_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
         ("return_maps", None, (_DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
-        ("kernel_square", ctypes.c_double, (ctypes.c_double,)),
-        ("kernel_hypot", ctypes.c_double, (ctypes.c_double, ctypes.c_double)),
         ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
         ("ellpk", ctypes.c_double, (ctypes.c_double,)),
         ("ellpe", ctypes.c_double, (ctypes.c_double,)),

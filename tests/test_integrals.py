@@ -33,8 +33,8 @@ TIGHT_QUAD = el.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=
 
 
 def _xiy(th, a, s, i):
-    x = a * math.sin(th)
-    return a * a * math.cos(th) ** 2 * x**i * math.sqrt((x * x + s) / 2.0)
+    x, c = a * math.sin(th), math.cos(th)
+    return a * a * (c * c) * x**i * math.sqrt((x * x + s) / 2.0)
 
 
 def _xi_over_y(th, a, s, i):
@@ -356,3 +356,7 @@ def test_config_validation():
         el.QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         el.QuadratureConfig(max_subdivisions=0)
+    for field in ("abs_tol", "rel_tol"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                el.QuadratureConfig(**{field: value})
