@@ -26,9 +26,12 @@ argument checks and builds the exceptions and their messages from the
 library's status (_failure).  integrate ends a step exactly at each output
 time, so no interpolant is needed.
 find_limit_cycles samples its whole grid in one library call
-(native's return_maps, of which return_map is the one-energy case), and
-reads its cycles off the grid by the scan that count_zeros uses
-(melnikov._sign_changes); each bisection midpoint is one return_map.
+(native's return_maps, of which return_map is the one-energy case), which
+steps four of its energies at a time; a row depends only on its energy, lam
+and cfg, never on its neighbours on the grid or on the number of lanes, so
+results do not depend on that scheduling.  It reads its cycles off the
+grid by the scan that count_zeros uses (melnikov._sign_changes); each
+bisection midpoint is one return_map.
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -239,7 +242,10 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     step size collapses, a step's error estimate is not finite or the
     slope at the launch point leaves no initial step.  This is the
     library's return_maps at the one energy h_in, the call that
-    find_limit_cycles makes once for its whole grid.
+    find_limit_cycles makes once for its whole grid.  That call steps four
+    energies at a time, each on a lane of its own, so the sample depends
+    only on h_in, lam and cfg: it is the same alone and anywhere on a grid,
+    whatever the number of lanes.
     """
     cfg = cfg or _DEFAULT_CONFIG
     if h_in < H_FLOOR:

@@ -5,9 +5,13 @@ initial step (select_initial_step, its norms by libm's hypot),
 step control and error norm, and geometry.vector_field's return expression
 written out at every stage, generated from DOP853's tableau (_STAGES and
 _WEIGHTS, scipy's coefficients as exact float literals) and from that
-expression.  flow runs it from one point, to output times or to the first
-return to the section; return_maps runs that return from x_plus(h) for a
-whole array of energies in one call, one _Row each.  integrals runs
+expression.  The loop steps LANES = 4 flows at once: each pass makes one
+try on every lane, with the stages written once on GCC vectors of four
+doubles, and each lane then takes its step control, crossings and escape and
+time tests on its own, so that what a lane returns never depends on the
+flows beside it.  return_maps runs the first return to the section from
+x_plus(h) for a whole array of energies in one call, one _Row each, and
+flow, for integrate, one flow to output times on one lane.  integrals runs
 QUADPACK's dqagpe here (with dqk21, dqpsrt and dqelg, as
 scipy.integrate.quad runs them for one break point) on the three
 oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
@@ -178,6 +182,8 @@ _KERNEL_C = string.Template(
 enum { $status };
 enum { $moments }; /* the moment evaluators */
 enum { NO_MEMORY = -1 }; /* dqagpe's status where its workspace could not be allocated */
+enum { TRYING = -2 };    /* a lane's status while its flow has a try to make */
+enum { LANES = 4 };      /* the flows the lane loop steps at once */
 enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
 enum { ROW = $row }; /* the length of a row of return_maps' output, native._Row */
 
@@ -191,18 +197,20 @@ static inline double py_max(double a, double b) { return b > a ? b : a; }
 
 static inline double min_step(double t) { return 10.0 * (nextafter(t, INFINITY) - t); }
 
-/* geometry.vector_field, whose components need not use every one of x, y and l1..l4 */
+/* geometry.vector_field's (x', y') at (x, y) for lam = (l1, l2, l3, l4), on doubles or on the lane loop's
+   vectors of them; its components need not use every one of x, y and l1..l4 */
+#define FIELD_X(x, y, l1, l2, l3, l4) $field_x
+#define FIELD_Y(x, y, l1, l2, l3, l4) $field_y
 #define MAYBE_UNUSED __attribute__((unused))
-static inline double field_x(MAYBE_UNUSED double x, MAYBE_UNUSED double y, const double *p)
+
+static inline double field_x(MAYBE_UNUSED double x, MAYBE_UNUSED double y, MAYBE_UNUSED const double *p)
 {
-    MAYBE_UNUSED double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
-    return $field_x;
+    return FIELD_X(x, y, p[0], p[1], p[2], p[3]);
 }
 
-static inline double field_y(MAYBE_UNUSED double x, MAYBE_UNUSED double y, const double *p)
+static inline double field_y(MAYBE_UNUSED double x, MAYBE_UNUSED double y, MAYBE_UNUSED const double *p)
 {
-    MAYBE_UNUSED double l1 = p[0], l2 = p[1], l3 = p[2], l4 = p[3];
-    return $field_y;
+    return FIELD_Y(x, y, p[0], p[1], p[2], p[3]);
 }
 
 /* (dt/dy, dx/dy) = (1/y', y/y') at (x, y); UNRESOLVED where y' = 0 */
@@ -232,39 +240,124 @@ static inline double error_norm(const double *p, double h, double u0, double v0,
     return __builtin_fabs(h) * e5 / __builtin_sqrt((e5 + 0.01 * e3) * 2.0);
 }
 
+/* LANES doubles, one per lane of the lane loop, which GCC adds and multiplies lane by lane */
+typedef double lanes_t __attribute__((vector_size(LANES * sizeof(double))));
+
+/* one DOP853 try on each lane: of length h from (u0, v0), with the slope (k0u, k0v) there, to (u, v), with
+   the error estimates (du5, dv5) and (du3, dv3) */
+struct tries {
+    lanes_t h, u0, v0, k0u, k0v, u, v, du5, dv5, du3, dv3;
+};
+
+/* The tries of every lane at once, the flow's one copy of DOP853's stages.  Each lane's sums are those of
+   a scalar try, term for term, so its numbers do not depend on the other lanes. */
+static inline void try_lanes(const double *p, struct tries *w)
+{
+    const lanes_t h = w->h, u0 = w->u0, v0 = w->v0, k0u = w->k0u, k0v = w->k0v;
+    /* lam on every lane: GCC broadcasts a double operand through the stack, which was ~10% slower */
+    MAYBE_UNUSED lanes_t l1, l2, l3, l4;
+    for (int j = 0; j < LANES; j++) {
+        l1[j] = p[0];
+        l2[j] = p[1];
+        l3[j] = p[2];
+        l4[j] = p[3];
+    }
+    lanes_t u, v, $stage_slopes;
+$flow_stages
+$flow_step_end
+}
+
+/* One lane: the flow that it steps, or none.  s = (t, x, y, x', y', h_abs) is the flow's last accepted step,
+   h_abs the step size to try next; s[6] is min_step(t) where a step failed.  next is an accepted try's end. */
+struct lane {
+    long row; /* the flow's row, -1 where the lane is idle */
+    double s[7], next[6];
+    double t_bound, t_new, h_abs, min_h; /* the step under way: its bound, its try's end and size, its least size */
+    int rejected;                        /* whether the step under way has had a try rejected */
+    long i, discarded;                   /* the output times passed and the crossings discarded */
+    double cross[2];                     /* the last crossing placed, (t, x) */
+};
+
+/* the step under way tries again at l->h_abs: TRYING, or STEP_FAILURE, with s[5] and s[6] that size and
+   min_h, once it falls below min_h */
+static inline int retry(struct lane *l)
+{
+    if (l->h_abs >= l->min_h)
+        return TRYING;
+    l->s[5] = l->h_abs;
+    l->s[6] = l->min_h;
+    return STEP_FAILURE;
+}
+
+/* a step from s under scipy's step control, to end at t_bound if it would pass it: its first try */
+static inline int begin_step(struct lane *l, double t_bound)
+{
+    l->t_bound = t_bound;
+    l->min_h = min_step(l->s[0]);
+    l->h_abs = py_max(l->s[5], l->min_h);
+    l->rejected = 0;
+    return retry(l);
+}
+
+/* lane j's try in w; an idle lane tries a zero step from the origin */
+static inline void load(struct lane *l, struct tries *w, int j)
+{
+    if (l->row < 0) {
+        w->h[j] = w->u0[j] = w->v0[j] = w->k0u[j] = w->k0v[j] = 0.0;
+        return;
+    }
+    l->t_new = py_min(l->s[0] + l->h_abs, l->t_bound);
+    w->h[j] = l->t_new - l->s[0];
+    w->u0[j] = l->s[1];
+    w->v0[j] = l->s[2];
+    w->k0u[j] = l->s[3];
+    w->k0v[j] = l->s[4];
+}
+
+/* scipy's step control on lane j's try in w: OK, with next the step's end, where the try is accepted;
+   where it is rejected, retry() at a smaller size; NON_FINITE_ERROR, with s unchanged, where its error norm
+   is NaN */
+static inline int judge(const double *p, struct lane *l, const struct tries *w, int j)
+{
+    double h = w->h[j], u = w->u[j], v = w->v[j];
+    double err = error_norm(p, h, w->u0[j], w->v0[j], u, v, w->du5[j], w->dv5[j], w->du3[j], w->dv3[j]);
+    if (isnan(err))
+        return NON_FINITE_ERROR;
+    if (err < 1.0) {
+        double factor = err == 0.0 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
+        l->next[0] = l->t_new;
+        l->next[1] = u;
+        l->next[2] = v;
+        l->next[3] = field_x(u, v, p);
+        l->next[4] = field_y(u, v, p);
+        l->next[5] = h * (l->rejected ? py_min(1.0, factor) : factor);
+        return OK;
+    }
+    l->h_abs = h * py_max(MIN_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
+    l->rejected = 1;
+    return retry(l);
+}
+
 /* One step of the flow from s = (t, x, y, x', y', h_abs), with h_abs the step size to try, under scipy's
    step control, retried until accepted; the step ends at t_bound if it would pass it.  s becomes
    (t, x, y, x', y', h_abs) at the step's end, h_abs the size to try next.  STEP_FAILURE once the step
    size falls below min_step(t), with s[5] the last size tried and s[6] min_step(t); NON_FINITE_ERROR, with
-   s unchanged, once a try's error norm is NaN. */
-static inline int step(const double *p, double *s, double t_bound)
+   s unchanged, once a try's error norm is NaN.  For the tests: the lane loop's tries on one lane. */
+int dop853_step(const double *p, double *s, double t_bound)
 {
-    const double t = s[0], u0 = s[1], v0 = s[2], k0u = s[3], k0v = s[4], min_h = min_step(t);
-    double h_abs = py_max(s[5], min_h), u, v, $stage_slopes;
-    int rejected = 0;
-    while (h_abs >= min_h) {
-        double t_new = py_min(t + h_abs, t_bound);
-        double h = t_new - t;
-$flow_stages
-$flow_step_end
-        if (isnan(err))
-            return NON_FINITE_ERROR;
-        if (err < 1.0) {
-            double factor = err == 0.0 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
-            s[0] = t_new;
-            s[1] = u;
-            s[2] = v;
-            s[3] = field_x(u, v, p);
-            s[4] = field_y(u, v, p);
-            s[5] = h * (rejected ? py_min(1.0, factor) : factor);
-            return OK;
-        }
-        h_abs = h * py_max(MIN_FACTOR, SAFETY * pow(err, ERROR_EXPONENT));
-        rejected = 1;
+    struct lane one = {.row = 0}, idle = {.row = -1};
+    struct tries w;
+    __builtin_memcpy(one.s, s, sizeof one.s);
+    int status = begin_step(&one, t_bound);
+    for (; status == TRYING; status = judge(p, &one, &w, 0)) {
+        for (int j = 0; j < LANES; j++)
+            load(j ? &idle : &one, &w, j);
+        try_lanes(p, &w);
     }
-    s[5] = h_abs;
-    s[6] = min_h;
-    return STEP_FAILURE;
+    if (status == OK)
+        __builtin_memcpy(one.s, one.next, sizeof one.next);
+    __builtin_memcpy(s, one.s, sizeof one.s);
+    return status;
 }
 
 /* One step of (t, x) as functions of y (dt/dy = 1/y', dx/dy = y/y') from s = (y, t, x, dt/dy, dx/dy, h)
@@ -299,8 +392,7 @@ static int initial_step(const double *p, double *s, double t_bound)
     return OK;
 }
 
-/* the two steps and the initial step, exported for the tests; the flow calls them directly */
-int dop853_step(const double *p, double *s, double t_bound) { return step(p, s, t_bound); }
+/* the step in y and the initial step, exported for the tests; the flow calls them directly */
 int dop853_step_in_y(const double *p, double *s) { return step_in_y(p, s); }
 int dop853_initial_step(const double *p, double *s, double t_bound) { return initial_step(p, s, t_bound); }
 
@@ -320,86 +412,159 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
     return OK;
 }
 
-/* The flow from (x, y) = (s[1], s[2]) at t = 0 by step(); s = (t, x, y, x', y', h_abs) holds the last
-   accepted step throughout, from the slope at t = 0 and the initial step, taken where the last time the
-   flow may reach (t_end, below) is positive.  NO_INITIAL_STEP where that step is not found.
+/* What the lane loop runs: the flows of n rows of native._Row, each from the launch point (x, y) at t = 0
+   that its fields t, x and y hold.  With ts NULL, the first return to the section from each; with m output
+   times ts, for one row, the flow to each of them.
 
-   With n output times ts (non-decreasing, not negative), a step ends exactly at each, and out[2i],
-   out[2i + 1] is the state there; OK once all n are stored.
+   Each lane's flow goes by its steps from s = (t, x, y, x', y', h_abs), and the functions below return
+   TRYING where it has a try to make, else how it ended.
+
+   With the output times ts (non-decreasing, not negative), a step ends exactly at each, and states[2i],
+   states[2i + 1] is the state there; OK once all m are stored.
 
    With ts NULL, the first return to Sigma = {y = 0, x > sqrt(2)} before t = max_time.  A step that takes
    y from positive to non-positive holds a downward crossing, placed by crossing(); where that is
    UNRESOLVED, the step is retried at half the length, and UNRESOLVED returned once that falls below
-   min_step(t).  The return is OK with out = (t, x) there; crossings inside the lobes are counted in
-   out[2] and discarded, and stepping goes on until TIME_CAP at max_time.
+   min_step(t).  The return is OK with cross = (t, x) there; crossings inside the lobes are counted in
+   discarded, and stepping goes on until TIME_CAP at max_time.
 
    Either way ESCAPED once a step ends outside the box |x|, |y| < ESCAPE_BOUND, and STEP_FAILURE or
    NON_FINITE_ERROR from a step. */
-int flow(const double *p, double *s, const double *ts, long n, double *out)
+struct flows {
+    const double *p, *ts;
+    long n, m, next; /* the rows, the output times and the next row to launch */
+    double *rows, *states;
+};
+
+/* the flow's next step from s, or its end where s is at its last output time or at max_time */
+static int proceed(struct flows *f, struct lane *l)
 {
-    long i = 0, discarded = 0;
-    double next[7], t_bound, t_end = ts ? (n > 0 ? ts[n - 1] : 0.0) : p[MAX_TIME];
+    if (!f->ts)
+        return l->s[0] < f->p[MAX_TIME] ? begin_step(l, f->p[MAX_TIME]) : TIME_CAP;
+    for (; l->i < f->m && !(l->s[0] < f->ts[l->i]); l->i++) {
+        f->states[2 * l->i] = l->s[1];
+        f->states[2 * l->i + 1] = l->s[2];
+    }
+    return l->i < f->m ? begin_step(l, f->ts[l->i]) : OK;
+}
+
+/* the flow from (x, y) = (s[1], s[2]) at t = s[0] = 0, from the slope there and the initial step, taken
+   where the last time the flow may reach (t_end, below) is positive; NO_INITIAL_STEP where that step is not
+   found */
+static int launch(struct flows *f, struct lane *l)
+{
+    const double *p = f->p;
+    double *s = l->s, t_end = f->ts ? (f->m > 0 ? f->ts[f->m - 1] : 0.0) : p[MAX_TIME];
+    l->i = l->discarded = 0;
+    l->cross[0] = l->cross[1] = 0.0;
     s[3] = field_x(s[1], s[2], p);
     s[4] = field_y(s[1], s[2], p);
-    s[5] = 0.0;
+    s[5] = s[6] = 0.0;
     if (t_end > 0.0 && initial_step(p, s, t_end) != OK)
         return NO_INITIAL_STEP;
+    return proceed(f, l);
+}
+
+/* the flow past its accepted step, from s to next */
+static int advance(struct flows *f, struct lane *l)
+{
+    double *s = l->s, *next = l->next;
+    if (!f->ts && s[2] > 0.0 && 0.0 >= next[2]) {
+        if (crossing(f->p, s[0], s[1], s[2], s[4], next[0], &l->cross[0], &l->cross[1]) != OK) {
+            /* a shorter step ends before the crossing or brings it within reach of an accurate step in y */
+            s[5] = 0.5 * (next[0] - s[0]);
+            return s[5] < min_step(s[0]) ? UNRESOLVED : proceed(f, l);
+        }
+        if (l->cross[1] > SQRT2)
+            return OK;
+        l->discarded++;
+    }
+    __builtin_memcpy(s, next, sizeof l->next);
+    if (py_max(__builtin_fabs(s[1]), __builtin_fabs(s[2])) >= ESCAPE_BOUND)
+        return ESCAPED;
+    return proceed(f, l);
+}
+
+/* Lane l's flow ends with status: its row becomes native._Row, the status, the state s as it stopped, and
+   the return's time t_cross, its energy h_out and the crossings discarded.  h_out is geometry.energy((x, 0.0))
+   at the return's x, Python's x**4 being pow(x, 4.0), and NaN where the status is not OK.  The lane then
+   launches the next rows' flows until one has a try to make, and is idle once no row is left. */
+static void take(struct flows *f, struct lane *l, int status)
+{
     for (;;) {
-        if (ts) {
-            for (; i < n && !(s[0] < ts[i]); i++) {
-                out[2 * i] = s[1];
-                out[2 * i + 1] = s[2];
-            }
-            if (i == n)
-                return OK;
-            t_bound = ts[i];
-        } else {
-            out[2] = (double)discarded;
-            if (!(s[0] < p[MAX_TIME]))
-                return TIME_CAP;
-            t_bound = p[MAX_TIME];
+        if (status != TRYING) {
+            double *out = f->rows + ROW * l->row, x = l->cross[1], y = 0.0;
+            out[0] = status;
+            __builtin_memcpy(out + 1, l->s, sizeof l->s);
+            out[8] = l->cross[0];
+            out[9] = status == OK ? 0.5 * y * y - 0.5 * x * x + 0.25 * pow(x, 4.0) : NAN;
+            out[10] = (double)l->discarded;
         }
-        __builtin_memcpy(next, s, sizeof next);
-        int status = step(p, next, t_bound);
-        if (status != OK) {
-            s[5] = next[5];
-            s[6] = next[6];
-            return status;
+        if (f->next == f->n) {
+            l->row = -1;
+            return;
         }
-        if (!ts && s[2] > 0.0 && 0.0 >= next[2]) {
-            if (crossing(p, s[0], s[1], s[2], s[4], next[0], &out[0], &out[1]) != OK) {
-                /* a shorter step ends before the crossing or brings it within reach of an accurate step in y */
-                s[5] = 0.5 * (next[0] - s[0]);
-                if (s[5] < min_step(s[0]))
-                    return UNRESOLVED;
-                continue;
-            }
-            if (out[1] > SQRT2)
-                return OK;
-            out[2] = (double)++discarded;
-        }
-        __builtin_memcpy(s, next, 6 * sizeof *s);
-        if (py_max(__builtin_fabs(s[1]), __builtin_fabs(s[2])) >= ESCAPE_BOUND)
-            return ESCAPED;
+        l->row = f->next++;
+        __builtin_memcpy(l->s, f->rows + ROW * l->row + 1, 3 * sizeof *l->s);
+        status = launch(f, l);
+        if (status == TRYING)
+            return;
     }
 }
 
-/* The first return to Sigma from (x_plus(h), 0) by flow, for each of the n energies hs.  Row i of out,
-   from out[ROW * i], is native._Row: flow's status, its state s as it stopped, and from its output the
-   return's time t_cross, its energy h_out and the crossings discarded.  h_out is geometry.energy((x, 0.0))
-   at the return's x, Python's x**4 being pow(x, 4.0), and NaN where the status is not OK. */
+/* The lane loop: the flows, LANES at a time.  Each pass makes one try on every lane; a lane whose flow ends
+   writes its row and launches the next.  A row depends only on its launch point, p and ts, never on the
+   flows beside it in the lanes. */
+static void lane_loop(struct flows *f)
+{
+    struct lane lane[LANES];
+    struct tries w;
+    for (int j = 0; j < LANES; j++) {
+        lane[j].row = -1;
+        take(f, &lane[j], TRYING);
+    }
+    for (;;) {
+        int active = 0;
+        for (int j = 0; j < LANES; j++) {
+            load(&lane[j], &w, j);
+            active |= lane[j].row >= 0;
+        }
+        if (!active)
+            return;
+        try_lanes(f->p, &w);
+        for (int j = 0; j < LANES; j++) {
+            if (lane[j].row < 0)
+                continue;
+            int status = judge(f->p, &lane[j], &w, j);
+            if (status == OK)
+                status = advance(f, &lane[j]);
+            if (status != TRYING)
+                take(f, &lane[j], status);
+        }
+    }
+}
+
+/* The flow from (x, y) = (s[1], s[2]) at t = 0 to the n output times ts, non-decreasing and not negative:
+   out[2i], out[2i + 1] is its state at ts[i].  Its status, and s = (t, x, y, x', y', h_abs, min_h) as it
+   stopped, as in a row of return_maps.  The lane loop on one lane. */
+int flow(const double *p, double *s, const double *ts, long n, double *out)
+{
+    double row[ROW] = {0.0, 0.0, s[1], s[2]};
+    lane_loop(&(struct flows){.p = p, .ts = ts, .n = 1, .m = n, .rows = row, .states = out});
+    __builtin_memcpy(s, row + 1, 7 * sizeof *s);
+    return (int)row[0];
+}
+
+/* The first return to Sigma from (x_plus(h), 0) for each of the n energies hs, by the lane loop: row i of
+   out, from out[ROW * i], is native._Row. */
 void return_maps(const double *p, const double *hs, long n, double *out)
 {
-    for (long i = 0; i < n; i++, out += ROW) {
-        double s[7] = {0.0, __builtin_sqrt(1.0 + __builtin_sqrt(1.0 + 4.0 * hs[i])), 0.0}, ret[3] = {0.0};
-        int status = flow(p, s, NULL, 0, ret);
-        double x = ret[1], y = 0.0;
-        out[0] = status;
-        __builtin_memcpy(out + 1, s, sizeof s);
-        out[8] = ret[0];
-        out[9] = status == OK ? 0.5 * y * y - 0.5 * x * x + 0.25 * pow(x, 4.0) : NAN;
-        out[10] = ret[2];
+    for (long i = 0; i < n; i++) {
+        out[ROW * i + 1] = 0.0;
+        out[ROW * i + 2] = __builtin_sqrt(1.0 + __builtin_sqrt(1.0 + 4.0 * hs[i]));
+        out[ROW * i + 3] = 0.0;
     }
+    lane_loop(&(struct flows){.p = p, .n = n, .rows = out});
 }
 
 /* integrals' three integrands of theta on the oval (a, s) = (p[0], p[1]), with the moment's index i = p[2].
@@ -1055,10 +1220,12 @@ double mk_value(int evaluator, double h, double lam1k, double lam4k, double ck)
 def _kernel_source() -> str:
     """The library's C: the tableau, the field and the constants above, and series', written into _KERNEL_C.
 
-    The stage sums are written out with the coefficients as exact
-    hexadecimal literals and summed left to right, so the arithmetic is
-    that of loops over the tableau, and each slope is vector_field's own
-    expression; nothing is called per stage.  The series' log and analytic
+    The flow's stages are written once, on the lane loop's vectors
+    (try_lanes), and the step in y's on doubles.  The stage sums are
+    written out with the coefficients as exact hexadecimal literals and
+    summed left to right, so the arithmetic is that of loops over the
+    tableau, and each slope is vector_field's own expression; nothing is
+    called per stage.  The series' log and analytic
     coefficients of I0 and I2 (series._LOG_FLOATS and _ANALYTIC_FLOATS) and
     KAPPA are written the same way, as exact literals.
     """
@@ -1072,20 +1239,25 @@ def _kernel_source() -> str:
     def stage(row, component):
         return f"{component}0 + h * ({combination(row, component)})"
 
-    indent = "        "
+    indent = "    "
     flow_stages = [
         f"{indent}u = {stage(row, 'u')};\n{indent}v = {stage(row, 'v')};\n"
-        f"{indent}k{i}u = field_x(u, v, p);\n{indent}k{i}v = field_y(u, v, p);"
+        f"{indent}k{i}u = FIELD_X(u, v, l1, l2, l3, l4);\n{indent}k{i}v = FIELD_Y(u, v, l1, l2, l3, l4);"
         for i, (_, row) in enumerate(_STAGES, 1)
     ]
     y_stages = [
-        f"    if (in_y(p, y + {c.hex()} * h, {stage(row, 'v')}, &k{i}u, &k{i}v) != OK)\n        return UNRESOLVED;"
+        f"{indent}if (in_y(p, y + {c.hex()} * h, {stage(row, 'v')}, &k{i}u, &k{i}v) != OK)\n"
+        f"{indent}    return UNRESOLVED;"
         for i, (c, row) in enumerate(_STAGES, 1)
     ]
     b, e5, e3 = _WEIGHTS
-    errors = ", ".join(combination(w, component) for w in (e5, e3) for component in "uv")
-    step_end = (
-        f"u = {stage(b, 'u')};\nv = {stage(b, 'v')};\ndouble err = error_norm(p, h, u0, v0, u, v, {errors});"
+    errors = {f"d{part}{order}": combination(w, part) for order, w in ((5, e5), (3, e3)) for part in "uv"}
+    flow_step_end = "\n".join(
+        [f"w->u = {stage(b, 'u')};", f"w->v = {stage(b, 'v')};", *(f"w->{d} = {sum_};" for d, sum_ in errors.items())]
+    )
+    y_step_end = (
+        f"u = {stage(b, 'u')};\nv = {stage(b, 'v')};\n"
+        f"double err = error_norm(p, h, u0, v0, u, v, {', '.join(errors.values())});"
     )
     return _KERNEL_C.substitute(
         status=", ".join(_STATUS),
@@ -1104,8 +1276,8 @@ def _kernel_source() -> str:
         flow_stages="\n".join(flow_stages),
         y_stages="\n".join(y_stages),
         integrands=", ".join(_INTEGRANDS),
-        flow_step_end=textwrap.indent(step_end, indent),
-        y_step_end=textwrap.indent(step_end, "    "),
+        flow_step_end=textwrap.indent(flow_step_end, indent),
+        y_step_end=textwrap.indent(y_step_end, indent),
         kappa=series.KAPPA.hex(),
         log_i0=", ".join(c.hex() for c in series._LOG_FLOATS["I0"]),
         log_i2=", ".join(c.hex() for c in series._LOG_FLOATS["I2"]),
@@ -1134,8 +1306,11 @@ def _library(source: str, directory: Path) -> Path:
     Its name holds the sha256 of the source, the compile command and the
     platform, and a library of that name already there is reused.  The
     compiler writes a temporary file that replaces into place, so processes
-    that build at once never load a half-written library.  BuildError,
-    naming cc, if there is no cc on PATH or the compile fails.
+    that build at once never load a half-written library.  A build then
+    removes the libraries of other sources from directory (the other files
+    named by a sha256 and .so), which no run loads again once the source has
+    moved on; one that cannot be removed stays.  BuildError, naming cc, if
+    there is no cc on PATH or the compile fails.
     """
     key = "\n".join((source, *_CC, sysconfig.get_platform()))
     library = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.so"
@@ -1155,6 +1330,12 @@ def _library(source: str, directory: Path) -> Path:
         except subprocess.CalledProcessError as exc:
             raise BuildError(f"cc failed to compile {what}: {exc.stderr.strip()}") from exc
         os.replace(built, library)
+    for stale in directory.glob("[0-9a-f]" * 64 + ".so"):
+        if stale != library:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return library
 
 

@@ -615,8 +615,9 @@ def test_the_literal_tableau_is_scipys_dop853():
 
 def test_kernel_libraries_are_named_by_their_source(tmp_path):
     one = native._library("int f(void) { return 1; }\n", tmp_path)
+    assert one.is_file()
     two = native._library("int f(void) { return 2; }\n", tmp_path)
-    assert one != two and one.is_file() and two.is_file()
+    assert one != two and two.is_file()
 
 
 def test_a_built_kernel_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
@@ -629,6 +630,19 @@ def test_a_built_kernel_library_is_reused_without_the_compiler(tmp_path, monkeyp
     monkeypatch.setattr(subprocess, "run", no_compiler)
     assert native._library(source, tmp_path) == built
     assert list(tmp_path.iterdir()) == [built]  # the build left no temporary files behind
+
+
+def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
+    """Only files named as the cache names libraries go, and one that cannot be removed stays."""
+    earlier = native._library("int f(void) { return 1; }\n", tmp_path)
+    others = [tmp_path / "kernel.so", tmp_path / (32 * "ab" + ".txt"), tmp_path / (32 * "AB" + ".so")]
+    for path in others:
+        path.write_text("")
+    stuck = tmp_path / (64 * "0" + ".so")
+    stuck.mkdir()  # unlink fails on a directory
+    built = native._library("int f(void) { return 2; }\n", tmp_path)
+    assert not earlier.exists()
+    assert sorted(tmp_path.iterdir()) == sorted([built, stuck, *others])
 
 
 def test_without_cc_on_path_the_kernel_build_names_it(tmp_path, monkeypatch):
@@ -861,6 +875,46 @@ def test_a_flow_that_the_section_does_not_reach_fails_the_same_on_the_grid_as_al
     monkeypatch.setattr(kernel, "return_maps", return_maps)
     assert _alone(0.05, LAM0, el.IntegratorConfig()) == failure
     assert _on_the_grid([0.05], LAM0, el.IntegratorConfig()) == [failure]
+
+
+def _bits(row):
+    return tuple("nan" if math.isnan(v) else v.hex() for v in row)
+
+
+# arcs whose grids on [1e-3, 40] mix outcomes: TIME_CAP, OK and ESCAPED; NON_FINITE_ERROR and ESCAPED
+_MIXED_ARCS = {
+    (-0.01, 0.0, 0.3, 0.0): {"TIME_CAP", "OK", "ESCAPED"},
+    (1e8, 0.0, 1e4, 0.0): {"NON_FINITE_ERROR", "ESCAPED"},
+}
+
+
+@pytest.mark.parametrize("lam", _MIXED_ARCS)
+def test_a_row_of_the_lane_loop_is_its_energys_alone(lam, integ_cfg):
+    """Each row of a grid call is the one-energy row bit for bit, wherever its energy sits among the lanes.
+
+    Grids of 1, 3, 4, 5 and 24 energies fill the four lanes partly,
+    exactly and with flows left to launch; forward, reversed and rotated,
+    a flow shares its lanes' passes with other neighbours each time.
+    """
+    alone = {}
+
+    def row_alone(h):
+        if h not in alone:
+            [alone[h]] = dynamics._return_maps([h], lam, integ_cfg)
+        return alone[h]
+
+    for n in (1, 3, 4, 5, 24):
+        hs = geomspace(H_FLOOR, 40.0, n) if n > 1 else [0.05]
+        for order in (hs, hs[::-1], hs[n // 2 :] + hs[: n // 2]):
+            rows = dynamics._return_maps(order, lam, integ_cfg)
+            assert [_bits(row) for row in rows] == [_bits(row_alone(h)) for h in order]
+    assert {native._STATUS[int(row.status)] for row in alone.values()} == _MIXED_ARCS[lam]
+
+
+def test_return_maps_of_no_energies_write_nothing(integ_cfg):
+    out = (ctypes.c_double * len(native._Row._fields))(*[-7.0] * len(native._Row._fields))
+    native._kernel().return_maps(dynamics._params(LAM0, integ_cfg), (ctypes.c_double * 1)(0.3), 0, out)
+    assert list(out) == [-7.0] * len(native._Row._fields)
 
 
 # ---------------------------------------------------------------------------
