@@ -16,7 +16,8 @@ that only produces such crossings ends in TimeCap: the return map is
 genuinely undefined there, which the callers record rather than hide.
 
 One ODE driver serves both integrate and the return map: the DOP853 flow
-loop of the package's compiled C library (native), with DOP853's tableau
+loop of the package's compiled C library (native), entered by one call
+(_flows: launch points in, one row per flow out), with DOP853's tableau
 (scipy's coefficients, written into native), scipy's initial step, step
 control and error norm, and geometry.vector_field's return expression
 written out at every stage.  It returns what the same loop on Python
@@ -26,12 +27,12 @@ argument checks and builds the exceptions and their messages from the
 library's status (_failure).  integrate ends a step exactly at each output
 time, so no interpolant is needed.
 find_limit_cycles samples its whole grid in one library call
-(native's return_maps, of which return_map is the one-energy case), which
-steps four of its energies at a time; a row depends only on its energy, lam
-and cfg, never on its neighbours on the grid or on the number of lanes, so
-results do not depend on that scheduling.  It reads its cycles off the
-grid by the scan that count_zeros uses (melnikov._sign_changes); each
-bisection midpoint is one return_map.
+(_return_maps, from x_plus(h) for each energy h, of which return_map is the
+one-energy case), which steps four of its energies at a time; a row depends
+only on its energy, lam and cfg, never on its neighbours on the grid or on
+the number of lanes, so results do not depend on that scheduling.  It
+reads its cycles off the grid by the scan that count_zeros uses
+(melnikov._sign_changes); each bisection midpoint is one return_map.
 
 Random arcs use a counter-based generator keyed on (seed, sample index),
 so sample i is reproducible in isolation and sweeps can be distributed
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import NumericalFailure, geomspace, x_plus
 from .melnikov import MelnikovSpec, _sign_changes, mk
-from .native import _DOUBLES, _STATUS, ESCAPE_BOUND, _kernel, _Row
+from .native import _STATUS, ESCAPE_BOUND, _kernel, _Row
 from .series import KAPPA
 
 if TYPE_CHECKING:
@@ -190,6 +191,24 @@ def _failure(row: _Row, cfg: IntegratorConfig, h_in=None) -> NumericalFailure | 
     return TimeCap(f"no return within max_time={cfg.max_time} (h_in={h_in}, discarded={int(row.discarded)})")
 
 
+def _flows(points, lam, cfg: IntegratorConfig, ts=None) -> tuple:
+    """The library's flows from the launch points (x, y) at t = 0, in one call: (one _Row each, the states).
+
+    With ts None, each flow goes to its first return to the section.  With
+    ts, a buffer of output times as integrate checks them, each goes to
+    each time, and the states (a ctypes array) hold flow r's (x, y) at ts[i]
+    from index 2 (len(ts) r + i); an empty ts is still an array, not NULL.
+    """
+    n, width, m = len(points), len(_Row._fields), 0 if ts is None else len(ts)
+    rows = (ctypes.c_double * (width * n))()
+    rows[2::width] = [x for x, _ in points]
+    rows[3::width] = [y for _, y in points]
+    times = None if ts is None else (ctypes.c_double * m).from_buffer_copy(ts)
+    states = (ctypes.c_double * (2 * n * m))()
+    _kernel().flows(_params(lam, cfg), rows, n, times, m, states)
+    return list(map(_Row._make, zip(*[iter(rows[:])] * width))), states  # the values, width at a time
+
+
 def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     """States (x, y) of the flow from p0 at the times ts, as an array of shape (len(ts), 2).
 
@@ -210,22 +229,16 @@ def integrate(p0, lam, ts, cfg: IntegratorConfig | None = None) -> np.ndarray:
     t_end = float(ts[-1]) if len(ts) else 0.0
     if t_end > cfg.max_time:
         raise ValueError(f"requested t_end={t_end} exceeds max_time={cfg.max_time}")
-    state, out = (ctypes.c_double * 7)(0.0, float(p0[0]), float(p0[1])), np.empty((len(ts), 2))
-    ts_p, out_p = ts.ctypes.data_as(_DOUBLES), out.ctypes.data_as(_DOUBLES)
-    status = _kernel().flow(_params(lam, cfg), state, ts_p, len(ts), out_p)
-    failure = _failure(_Row(status, *state, 0.0, 0.0, 0.0), cfg)
+    [row], states = _flows([(float(p0[0]), float(p0[1]))], lam, cfg, ts)
+    failure = _failure(row, cfg)
     if failure is not None:
         raise failure
-    return out
+    return np.array(states).reshape(len(ts), 2)
 
 
 def _return_maps(hs, lam, cfg: IntegratorConfig) -> list:
-    """The library's return_maps at the energies hs, each finite and at least H_FLOOR: one _Row each, in one call."""
-    n, width = len(hs), len(_Row._fields)
-    out = (ctypes.c_double * (width * n))()
-    _kernel().return_maps(_params(lam, cfg), (ctypes.c_double * n)(*hs), n, out)
-    values = out[:]
-    return [_Row._make(values[i : i + width]) for i in range(0, width * n, width)]
+    """The first returns to the section from (x_plus(h), 0), one _Row per energy of hs; ValueError for a non-finite h."""
+    return _flows([(x_plus(h), 0.0) for h in hs], lam, cfg)[0]
 
 
 def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnMapSample:
@@ -240,17 +253,15 @@ def return_map(h_in: float, lam, cfg: IntegratorConfig | None = None) -> ReturnM
     discarded, and stepping goes on.  TimeCap if the time budget runs out;
     EscapedRegion if the orbit leaves the working box; StepFailure if the
     step size collapses, a step's error estimate is not finite or the
-    slope at the launch point leaves no initial step.  This is the
-    library's return_maps at the one energy h_in, the call that
-    find_limit_cycles makes once for its whole grid.  That call steps four
-    energies at a time, each on a lane of its own, so the sample depends
-    only on h_in, lam and cfg: it is the same alone and anywhere on a grid,
-    whatever the number of lanes.
+    slope at the launch point leaves no initial step.  This is _return_maps
+    at the one energy h_in, the call that find_limit_cycles makes once for
+    its whole grid.  That call steps four energies at a time, each on a
+    lane of its own, so the sample depends only on h_in, lam and cfg: it is
+    the same alone and anywhere on a grid, whatever the number of lanes.
     """
     cfg = cfg or _DEFAULT_CONFIG
     if h_in < H_FLOOR:
         raise ValueError(f"h_in below section floor {H_FLOOR}")
-    x_plus(h_in)  # ValueError for a non-finite h_in; the library places the launch point itself
     [row] = _return_maps((h_in,), lam, cfg)
     failure = _failure(row, cfg, h_in)
     if failure is not None:

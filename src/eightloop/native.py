@@ -9,9 +9,10 @@ expression.  The loop steps LANES = 4 flows at once: each pass makes one
 try on every lane, with the stages written once on GCC vectors of four
 doubles, and each lane then takes its step control, crossings and escape and
 time tests on its own, so that what a lane returns never depends on the
-flows beside it.  return_maps runs the first return to the section from
-x_plus(h) for a whole array of energies in one call, one _Row each, and
-flow, for integrate, one flow to output times on one lane.  integrals runs
+flows beside it.  flows, its one entry, takes rows of _Row, each with a
+launch point, and writes into each how its flow ended: the first return to
+the section (return_map's, from x_plus(h)) or, given output times, the flow
+to each of them (integrate's).  integrals runs
 QUADPACK's dqagpe here (with dqk21, dqpsrt and dqelg, as
 scipy.integrate.quad runs them for one break point) on the three
 oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
@@ -151,13 +152,13 @@ _STATUS = ("OK", "STEP_FAILURE", "UNRESOLVED", "TIME_CAP", "ESCAPED", "NON_FINIT
 
 
 class _Row(NamedTuple):
-    """One row of return_maps' output: how the flow from one launch point ended.
+    """One row of the library's flows: a launch point in (t = 0, x and y), how the flow from it ended out.
 
     status indexes _STATUS; (t, x, y, fx, fy, h_abs, min_h) is the flow's
     state s as it stopped (the slope at t = 0 for NO_INITIAL_STEP, the last
     and least step sizes for STEP_FAILURE); then the return's time and
-    energy (NaN unless OK) and the lobe crossings discarded.  integrate's
-    flow ends in the same fields, with 0.0 for the last three.
+    energy, NaN unless a flow to the section ended OK (so on every flow to
+    output times), and the lobe crossings discarded.
     """
 
     status: float
@@ -178,6 +179,7 @@ _KERNEL_C = string.Template(
 #include <float.h>
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { $status };
 enum { $moments }; /* the moment evaluators */
@@ -185,7 +187,7 @@ enum { NO_MEMORY = -1 }; /* dqagpe's status where its workspace could not be all
 enum { TRYING = -2 };    /* a lane's status while its flow has a try to make */
 enum { LANES = 4 };      /* the flows the lane loop steps at once */
 enum { RTOL = 4, ATOL, MAX_TIME }; /* p = (l1, l2, l3, l4, rtol, atol, max_time) */
-enum { ROW = $row }; /* the length of a row of return_maps' output, native._Row */
+enum { ROW = $row }; /* the length of a row of flows, native._Row */
 
 static const double SAFETY = $safety, MIN_FACTOR = $min_factor, MAX_FACTOR = $max_factor;
 static const double ERROR_EXPONENT = $error_exponent, SQRT2 = $sqrt2, ESCAPE_BOUND = $escape_bound;
@@ -229,15 +231,15 @@ static inline int in_y(const double *p, double y, double x, double *kt, double *
 static inline double error_norm(const double *p, double h, double u0, double v0, double u, double v,
                                 double du5, double dv5, double du3, double dv3)
 {
-    double su = p[ATOL] + py_max(__builtin_fabs(u0), __builtin_fabs(u)) * p[RTOL];
-    double sv = p[ATOL] + py_max(__builtin_fabs(v0), __builtin_fabs(v)) * p[RTOL];
+    double su = p[ATOL] + py_max(fabs(u0), fabs(u)) * p[RTOL];
+    double sv = p[ATOL] + py_max(fabs(v0), fabs(v)) * p[RTOL];
     double eu5 = du5 / su, ev5 = dv5 / sv, eu3 = du3 / su, ev3 = dv3 / sv;
     double e5 = eu5 * eu5 + ev5 * ev5, e3 = eu3 * eu3 + ev3 * ev3;
     if (!isfinite(e5 + e3))
         return NAN;
     if (e5 == 0.0)
         return 0.0;
-    return __builtin_fabs(h) * e5 / __builtin_sqrt((e5 + 0.01 * e3) * 2.0);
+    return fabs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2.0);
 }
 
 /* LANES doubles, one per lane of the lane loop, which GCC adds and multiplies lane by lane */
@@ -347,7 +349,7 @@ int dop853_step(const double *p, double *s, double t_bound)
 {
     struct lane one = {.row = 0}, idle = {.row = -1};
     struct tries w;
-    __builtin_memcpy(one.s, s, sizeof one.s);
+    memcpy(one.s, s, sizeof one.s);
     int status = begin_step(&one, t_bound);
     for (; status == TRYING; status = judge(p, &one, &w, 0)) {
         for (int j = 0; j < LANES; j++)
@@ -355,8 +357,8 @@ int dop853_step(const double *p, double *s, double t_bound)
         try_lanes(p, &w);
     }
     if (status == OK)
-        __builtin_memcpy(one.s, one.next, sizeof one.next);
-    __builtin_memcpy(s, one.s, sizeof one.s);
+        memcpy(one.s, one.next, sizeof one.next);
+    memcpy(s, one.s, sizeof one.s);
     return status;
 }
 
@@ -380,7 +382,7 @@ $y_step_end
 static int initial_step(const double *p, double *s, double t_bound)
 {
     const double x = s[1], y = s[2], fx = s[3], fy = s[4];
-    double sx = p[ATOL] + __builtin_fabs(x) * p[RTOL], sy = p[ATOL] + __builtin_fabs(y) * p[RTOL];
+    double sx = p[ATOL] + fabs(x) * p[RTOL], sy = p[ATOL] + fabs(y) * p[RTOL];
     double d0 = hypot(x / sx, y / sy) / SQRT2, d1 = hypot(fx / sx, fy / sy) / SQRT2;
     double h0 = py_min(d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1, t_bound);
     if (!(h0 > 0.0))
@@ -414,13 +416,13 @@ static int crossing(const double *p, double t, double x, double y, double fy, do
 
 /* What the lane loop runs: the flows of n rows of native._Row, each from the launch point (x, y) at t = 0
    that its fields t, x and y hold.  With ts NULL, the first return to the section from each; with m output
-   times ts, for one row, the flow to each of them.
+   times ts, the flow of each row to each of them.
 
    Each lane's flow goes by its steps from s = (t, x, y, x', y', h_abs), and the functions below return
    TRYING where it has a try to make, else how it ended.
 
-   With the output times ts (non-decreasing, not negative), a step ends exactly at each, and states[2i],
-   states[2i + 1] is the state there; OK once all m are stored.
+   With the output times ts (non-decreasing, not negative), a step ends exactly at each, and row r's state
+   at ts[i] is states[2(m r + i)], states[2(m r + i) + 1]; OK once all m are stored.
 
    With ts NULL, the first return to Sigma = {y = 0, x > sqrt(2)} before t = max_time.  A step that takes
    y from positive to non-positive holds a downward crossing, placed by crossing(); where that is
@@ -442,8 +444,8 @@ static int proceed(struct flows *f, struct lane *l)
     if (!f->ts)
         return l->s[0] < f->p[MAX_TIME] ? begin_step(l, f->p[MAX_TIME]) : TIME_CAP;
     for (; l->i < f->m && !(l->s[0] < f->ts[l->i]); l->i++) {
-        f->states[2 * l->i] = l->s[1];
-        f->states[2 * l->i + 1] = l->s[2];
+        f->states[2 * (f->m * l->row + l->i)] = l->s[1];
+        f->states[2 * (f->m * l->row + l->i) + 1] = l->s[2];
     }
     return l->i < f->m ? begin_step(l, f->ts[l->i]) : OK;
 }
@@ -479,25 +481,26 @@ static int advance(struct flows *f, struct lane *l)
             return OK;
         l->discarded++;
     }
-    __builtin_memcpy(s, next, sizeof l->next);
-    if (py_max(__builtin_fabs(s[1]), __builtin_fabs(s[2])) >= ESCAPE_BOUND)
+    memcpy(s, next, sizeof l->next);
+    if (py_max(fabs(s[1]), fabs(s[2])) >= ESCAPE_BOUND)
         return ESCAPED;
     return proceed(f, l);
 }
 
 /* Lane l's flow ends with status: its row becomes native._Row, the status, the state s as it stopped, and
    the return's time t_cross, its energy h_out and the crossings discarded.  h_out is geometry.energy((x, 0.0))
-   at the return's x, Python's x**4 being pow(x, 4.0), and NaN where the status is not OK.  The lane then
-   launches the next rows' flows until one has a try to make, and is idle once no row is left. */
+   at the return's x, Python's x**4 being pow(x, 4.0); both are NaN unless a flow to the section ended OK.
+   The lane then launches the next rows' flows until one has a try to make, and is idle once none is left. */
 static void take(struct flows *f, struct lane *l, int status)
 {
     for (;;) {
         if (status != TRYING) {
+            int placed = !f->ts && status == OK;
             double *out = f->rows + ROW * l->row, x = l->cross[1], y = 0.0;
             out[0] = status;
-            __builtin_memcpy(out + 1, l->s, sizeof l->s);
-            out[8] = l->cross[0];
-            out[9] = status == OK ? 0.5 * y * y - 0.5 * x * x + 0.25 * pow(x, 4.0) : NAN;
+            memcpy(out + 1, l->s, sizeof l->s);
+            out[8] = placed ? l->cross[0] : NAN;
+            out[9] = placed ? 0.5 * y * y - 0.5 * x * x + 0.25 * pow(x, 4.0) : NAN;
             out[10] = (double)l->discarded;
         }
         if (f->next == f->n) {
@@ -505,7 +508,7 @@ static void take(struct flows *f, struct lane *l, int status)
             return;
         }
         l->row = f->next++;
-        __builtin_memcpy(l->s, f->rows + ROW * l->row + 1, 3 * sizeof *l->s);
+        memcpy(l->s, f->rows + ROW * l->row + 1, 3 * sizeof *l->s);
         status = launch(f, l);
         if (status == TRYING)
             return;
@@ -544,27 +547,10 @@ static void lane_loop(struct flows *f)
     }
 }
 
-/* The flow from (x, y) = (s[1], s[2]) at t = 0 to the n output times ts, non-decreasing and not negative:
-   out[2i], out[2i + 1] is its state at ts[i].  Its status, and s = (t, x, y, x', y', h_abs, min_h) as it
-   stopped, as in a row of return_maps.  The lane loop on one lane. */
-int flow(const double *p, double *s, const double *ts, long n, double *out)
+/* The library's one entry to the flow: the lane loop on n rows, as the comment on struct flows sets out. */
+void flows(const double *p, double *rows, long n, const double *ts, long m, double *states)
 {
-    double row[ROW] = {0.0, 0.0, s[1], s[2]};
-    lane_loop(&(struct flows){.p = p, .ts = ts, .n = 1, .m = n, .rows = row, .states = out});
-    __builtin_memcpy(s, row + 1, 7 * sizeof *s);
-    return (int)row[0];
-}
-
-/* The first return to Sigma from (x_plus(h), 0) for each of the n energies hs, by the lane loop: row i of
-   out, from out[ROW * i], is native._Row. */
-void return_maps(const double *p, const double *hs, long n, double *out)
-{
-    for (long i = 0; i < n; i++) {
-        out[ROW * i + 1] = 0.0;
-        out[ROW * i + 2] = __builtin_sqrt(1.0 + __builtin_sqrt(1.0 + 4.0 * hs[i]));
-        out[ROW * i + 3] = 0.0;
-    }
-    lane_loop(&(struct flows){.p = p, .n = n, .rows = out});
+    lane_loop(&(struct flows){.p = p, .ts = ts, .n = n, .m = m, .rows = rows, .states = states});
 }
 
 /* integrals' three integrands of theta on the oval (a, s) = (p[0], p[1]), with the moment's index i = p[2].
@@ -1146,11 +1132,11 @@ double ellpe(double x) { return cephes_ellpe(x); }
    (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}. */
 static void exterior_moments(double h, double *out)
 {
-    double r = __builtin_sqrt(1.0 + 4.0 * h), s = 4.0 * h / (r + 1.0), a2 = 2.0 + s, c2 = 2.0 * r, m = a2 / c2;
+    double r = sqrt(1.0 + 4.0 * h), s = 4.0 * h / (r + 1.0), a2 = 2.0 + s, c2 = 2.0 * r, m = a2 / c2;
     double s0 = cephes_ellpk(s / c2), s1 = (s0 - cephes_ellpe(m)) / m;
     double s2 = (2.0 * (1.0 + m) * s1 - s0) / (3.0 * m);
     double s3 = (4.0 * (1.0 + m) * s2 - 3.0 * s1) / (5.0 * m);
-    double w = 2.0 * SQRT2 * a2 * __builtin_sqrt(c2);
+    double w = 2.0 * SQRT2 * a2 * sqrt(c2);
     out[0] = w * (s1 - m * s2);
     out[1] = w * a2 * (s1 - (1.0 + m) * s2 + m * s3);
     out[2] = 2.0 * w * a2 / c2 * (s0 - 2.0 * s1 + s2);
@@ -1286,14 +1272,13 @@ def _kernel_source() -> str:
     )
 
 
-# -ffp-contract=off keeps the compiler from fusing a multiply and an add
-# (FMA) and -fno-builtin from replacing libm's sin, cos, pow and log
-# (fusing sin and cos into sincos, say): each double operation is then the
-# one Python (or scipy's QUADPACK and Cephes) does.
-# The flow and the closed forms call fabs, sqrt and memcpy, which are exact,
-# by their __builtin_ names, so they compile to instructions rather than to
-# calls into libc and libm.
-_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+# -ffp-contract=off keeps the compiler from fusing a multiply and an add (FMA),
+# so each double operation is the one Python (or scipy's QUADPACK and Cephes)
+# does.  Builtins stay on: the exact fabs, sqrt and memcpy become instructions,
+# and xiy's sin and cos one call of glibc's sincos, which gives their bits (the
+# integrand and QUADPACK tests check them bit for bit); pow, log and hypot stay
+# libm's, which no rewrite without -ffast-math touches.
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class BuildError(RuntimeError):
@@ -1359,11 +1344,10 @@ def _kernel() -> ctypes.CDLL:
         library = _library(source, Path(tempfile.mkdtemp()))
     kernel = ctypes.CDLL(str(library))
     for name, restype, argtypes in (
-        ("flow", ctypes.c_int, (_DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
+        ("flows", None, (_DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("dop853_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
         ("dop853_step_in_y", ctypes.c_int, (_DOUBLES, _DOUBLES)),
         ("dop853_initial_step", ctypes.c_int, (_DOUBLES, _DOUBLES, ctypes.c_double)),
-        ("return_maps", None, (_DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES)),
         ("dqagpe", ctypes.c_int, (ctypes.c_int, _DOUBLES, ctypes.c_double, ctypes.c_double, ctypes.c_long, _DOUBLES)),
         ("ellpk", ctypes.c_double, (ctypes.c_double,)),
         ("ellpe", ctypes.c_double, (ctypes.c_double,)),

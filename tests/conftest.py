@@ -64,14 +64,14 @@ def closed_form_calls(monkeypatch):
 
 @pytest.fixture
 def return_maps_calls(monkeypatch):
-    """A list that gains one entry, its number of energies, per call of the library's return_maps."""
+    """A list that gains one entry, its number of rows, per call of the library's flows."""
     calls = []
     kernel = native._kernel()
-    return_maps = kernel.return_maps
+    flows = kernel.flows
 
-    def counting(p, hs, n, out):
+    def counting(p, rows, n, *args):
         calls.append(n)
-        return return_maps(p, hs, n, out)
+        return flows(p, rows, n, *args)
 
-    monkeypatch.setattr(kernel, "return_maps", counting)
+    monkeypatch.setattr(kernel, "flows", counting)
     return calls

@@ -68,6 +68,14 @@ def test_integrate_takes_repeated_and_no_output_times(integ_cfg):
     npt.assert_array_equal(states[2], states[3])
 
 
+def test_integrate_to_no_output_times_runs_no_return_map(integ_cfg):
+    """An empty ts is a flow to no output times, never the return to the section that the library runs without ts."""
+    lam = (-0.5, 0.0, 0.0, 0.0)
+    with pytest.raises(el.TimeCap):
+        el.return_map(0.2, lam, integ_cfg)
+    assert el.integrate(_section_point(0.2), lam, [], integ_cfg).shape == (0, 2)
+
+
 def test_integrate_rejects_budget_overrun(integ_cfg):
     with pytest.raises(ValueError, match="max_time"):
         el.integrate(_section_point(0.5), LAM0, [integ_cfg.max_time + 1.0], integ_cfg)
@@ -701,7 +709,7 @@ def test_quadrature_and_flow_load_the_one_library():
     assert (quad_misses, quad_size, flow_size) == ("1", "1", "1")
     library = Path(name)
     source = native._kernel_source()
-    assert "int flow(" in source and "double xiy(" in source
+    assert "void flows(" in source and "double xiy(" in source
     assert native._library(source, library.parent) == library  # the library of the one source, one .so for it
 
 
@@ -868,11 +876,11 @@ def test_a_flow_that_the_section_does_not_reach_fails_the_same_on_the_grid_as_al
     fields = {"status": native._STATUS.index(status), "t": 12.5, "h_abs": 1e-15, "min_h": 2.22e-15}
     row = [fields.get(name, 0.0) for name in native._Row._fields]
 
-    def return_maps(p, hs, n, out):
+    def flows(p, rows, n, ts, m, states):
         for i in range(n):
-            out[len(row) * i : len(row) * (i + 1)] = row
+            rows[len(row) * i : len(row) * (i + 1)] = row
 
-    monkeypatch.setattr(kernel, "return_maps", return_maps)
+    monkeypatch.setattr(kernel, "flows", flows)
     assert _alone(0.05, LAM0, el.IntegratorConfig()) == failure
     assert _on_the_grid([0.05], LAM0, el.IntegratorConfig()) == [failure]
 
@@ -913,8 +921,20 @@ def test_a_row_of_the_lane_loop_is_its_energys_alone(lam, integ_cfg):
 
 def test_return_maps_of_no_energies_write_nothing(integ_cfg):
     out = (ctypes.c_double * len(native._Row._fields))(*[-7.0] * len(native._Row._fields))
-    native._kernel().return_maps(dynamics._params(LAM0, integ_cfg), (ctypes.c_double * 1)(0.3), 0, out)
+    native._kernel().flows(dynamics._params(LAM0, integ_cfg), out, 0, None, 0, None)
     assert list(out) == [-7.0] * len(native._Row._fields)
+
+
+def test_a_row_holds_a_return_time_and_energy_only_where_a_return_was_placed(integ_cfg):
+    """t_cross and h_out are NaN on a flow that ran out of time or escaped, and on a flow to output times."""
+    for status in ("TIME_CAP", "ESCAPED"):
+        lam, h = _OUTCOME_LANES[status]
+        [row] = dynamics._return_maps([h], lam, integ_cfg)
+        assert native._STATUS[int(row.status)] == status
+        assert math.isnan(row.t_cross) and math.isnan(row.h_out)
+    [row], states = dynamics._flows([_section_point(0.3)], (0.02, 0.01, -0.03, 0.015), integ_cfg, np.array([0.0, 2.5]))
+    assert native._STATUS[int(row.status)] == "OK" and row.t == 2.5 and len(states) == 4
+    assert math.isnan(row.t_cross) and math.isnan(row.h_out) and row.discarded == 0.0
 
 
 # ---------------------------------------------------------------------------

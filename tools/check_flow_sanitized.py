@@ -4,38 +4,42 @@
 
 Compiles native._kernel_source() with a small C main program, under
 -fsanitize=address,undefined and -fno-sanitize-recover=all (with
--ffp-contract=off and -fno-builtin, as the library is built), into one
-program.  That program runs return_maps for n = 0 to 9 and 24 energies,
-each into an output of exactly n rows, on arcs whose grids mix the flow's
-outcomes, at the default and at loose tolerances, and flow to output times.
-Every double it prints must be the one the package's library
-(native._kernel()) returns for the same call, NaN as NaN.  Exits 1 on a
-sanitizer report or on a differing value, 0 when all agree.  Needs a cc with
-the address and undefined-behaviour sanitizers; imports no numpy.
+-ffp-contract=off, as the library is built), into one program.  That
+program calls the library's one flow entry, flows: from x_plus(h) for
+n = 0 to 9 and 24 energies, each into rows of exactly n, on arcs whose grids
+mix the flow's outcomes, at the default and at loose tolerances, to the
+first return to the section; and from six launch points, one call each and
+then all in one call, to output times.  Every double it prints must be the
+one the package's library returns for the same call (by dynamics._flows),
+NaN as NaN.  Exits 1 on a sanitizer report or on a differing value, 0 when
+all agree.  Needs a cc with the address and undefined-behaviour sanitizers;
+imports no numpy.
 """
 
 from __future__ import annotations
 
-import ctypes
+import array
 import math
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from eightloop import native
+from eightloop import dynamics, native
+from eightloop.geometry import x_plus
 
-CC = ("cc", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off", "-fno-builtin", "-g")
+CC = ("cc", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off", "-g")
 
-# reads jobs from standard input until its end, and prints each job's output doubles on one line, in %a:
-#   R p[7] n hs[n]        return_maps: n rows of native._Row
-#   T p[7] x y m ts[m]    flow from (x, y) at t = 0 to the m output times: status, s[7], then the states at ts
+# reads jobs from standard input until its end, each
+#   p[7] n x_0 y_0 ... x_{n-1} y_{n-1} m ts[m]
+# the flows from the n launch points (x_i, y_i) at t = 0, to the first return to the section where m is -1
+# (ts NULL), else to the m output times ts; prints the n rows of native._Row on one line and the 2 n m
+# states on the next, in %a
 MAIN_C = r"""
 #include <stdio.h>
 #include <stdlib.h>
 
-void return_maps(const double *p, const double *hs, long n, double *out);
-int flow(const double *p, double *s, const double *ts, long n, double *out);
+void flows(const double *p, double *rows, long n, const double *ts, long m, double *states);
 
 static double *doubles(long n)
 {
@@ -55,31 +59,29 @@ static void print(const double *v, long n)
 
 int main(void)
 {
-    char job;
-    long n;
-    while (scanf(" %c", &job) == 1) {
-        double *p = doubles(7);
-        if (job == 'R') {
-            if (scanf("%ld", &n) != 1)
+    double p[7];
+    long n, m;
+    while (scanf("%lf", &p[0]) == 1) {
+        for (int i = 1; i < 7; i++)
+            if (scanf("%lf", &p[i]) != 1)
                 return 2;
-            double *hs = doubles(n), *out = malloc(n * ROW * sizeof *out);
-            return_maps(p, hs, n, out);
-            print(out, n * ROW);
-            free(hs);
-            free(out);
-        } else {
-            double s[7] = {0.0};
-            if (scanf("%lf %lf %ld", &s[1], &s[2], &n) != 3)
+        if (scanf("%ld", &n) != 1)
+            return 2;
+        double *rows = calloc(n * ROW, sizeof *rows); /* exactly n rows, t = 0 and the launch point in each */
+        for (long i = 0; i < n; i++)
+            if (scanf("%lf %lf", &rows[ROW * i + 2], &rows[ROW * i + 3]) != 2)
                 return 2;
-            double *ts = doubles(n), *out = calloc(2 * n, sizeof *out), status; /* states past a failure stay 0 */
-            status = flow(p, s, ts, n, out);
-            print(&status, 1);
-            print(s, 7);
-            print(out, 2 * n);
-            free(ts);
-            free(out);
-        }
-        free(p);
+        if (scanf("%ld", &m) != 1)
+            return 2;
+        double *ts = m < 0 ? NULL : doubles(m);
+        m = m < 0 ? 0 : m;
+        double *states = calloc(2 * n * m, sizeof *states); /* states past a failure stay 0, as in _flows */
+        flows(p, rows, n, ts, m, states);
+        print(rows, n * ROW);
+        print(states, 2 * n * m);
+        free(rows);
+        free(ts);
+        free(states);
     }
     return 0;
 }
@@ -114,25 +116,33 @@ def energies(n: int) -> list:
     return [1e-3 * 40000.0 ** (i / (n - 1)) if n > 1 else 0.05 for i in range(n)]
 
 
-def jobs() -> list:
-    """(the program's input line, the library's output lines for it)."""
-    kernel, doubles = native._kernel(), lambda values: (ctypes.c_double * max(len(values), 1))(*values)
-    done = []
-    for tolerances in TOLERANCES:
-        for lam in ARCS:
-            p = [*lam, *tolerances]
-            for n in SIZES:
-                hs = energies(n)
-                out = (ctypes.c_double * (len(native._Row._fields) * n))()
-                kernel.return_maps(doubles(p), doubles(hs), n, out)
-                done.append((f"R {' '.join(map(float.hex, p))} {n} {' '.join(map(float.hex, hs))}", [list(out)]))
-    for x, y, ts in TIMES:
-        p = [0.02, 0.01, -0.03, 0.015, *DEFAULT]
-        s, out = (ctypes.c_double * 7)(0.0, x, y), (ctypes.c_double * max(2 * len(ts), 1))()
-        status = kernel.flow(doubles(p), s, doubles(ts), len(ts), out)
-        line = f"T {' '.join(map(float.hex, p))} {x.hex()} {y.hex()} {len(ts)} {' '.join(map(float.hex, ts))}"
-        done.append((line, [[float(status)], list(s), list(out)[: 2 * len(ts)]]))
-    return done
+def calls() -> list:
+    """(lam, tolerances, launch points, ts) of each call.
+
+    Return maps on each arc at each tolerance and grid size, then flows to output times, one a call and all in one.
+    """
+    done = [
+        (lam, tolerances, [(x_plus(h), 0.0) for h in energies(n)], None)
+        for tolerances in TOLERANCES
+        for lam in ARCS
+        for n in SIZES
+    ]
+    lam = (0.02, 0.01, -0.03, 0.015)
+    done += [(lam, DEFAULT, [(x, y)], ts) for x, y, ts in TIMES]
+    return [*done, (lam, DEFAULT, [(x, y) for x, y, _ in TIMES], TIMES[0][2])]
+
+
+def job(lam, tolerances, points, ts) -> str:
+    """The program's input line for one call."""
+    words = [*lam, *tolerances, len(points), *(v for point in points for v in point), -1 if ts is None else len(ts)]
+    return " ".join(v.hex() if isinstance(v, float) else str(v) for v in (*words, *(ts or ())))
+
+
+def library(lam, tolerances, points, ts) -> list:
+    """The package library's two output lines for one call, by dynamics._flows."""
+    times = None if ts is None else array.array("d", ts)
+    rows, states = dynamics._flows(points, lam, dynamics.IntegratorConfig(*tolerances), times)
+    return [[v for row in rows for v in row], list(states)]
 
 
 def same(a: float, b: float) -> bool:
@@ -140,28 +150,29 @@ def same(a: float, b: float) -> bool:
 
 
 def main() -> int:
+    cases = calls()
     with tempfile.TemporaryDirectory() as work:
         kernel_c, main_c, program = Path(work, "kernel.c"), Path(work, "main.c"), Path(work, "flow")
         kernel_c.write_text(native._kernel_source())
         main_c.write_text(f"enum {{ ROW = {len(native._Row._fields)} }};\n{MAIN_C}")
         subprocess.run([*CC, "-o", str(program), str(kernel_c), str(main_c), "-lm"], check=True)
-        cases = jobs()
         run = subprocess.run(
-            [str(program)], input="\n".join(line for line, _ in cases) + "\n", capture_output=True, text=True
+            [str(program)], input="\n".join(job(*case) for case in cases) + "\n", capture_output=True, text=True
         )
+    # the sanitized program runs first: a fault it reports could corrupt this process in the library's call
     if run.returncode != 0 or run.stderr:
         print(f"sanitized flow exited {run.returncode}:\n{run.stderr}", file=sys.stderr)
         return 1
     lines = iter(run.stdout.splitlines())
     differ = 0
-    for line, want in cases:
-        for expected in want:
+    for case in cases:
+        for expected in library(*case):
             got = [float.fromhex(v) for v in next(lines, "").split()]
             if len(got) != len(expected) or not all(map(same, got, expected)):
                 differ += 1
-                print(f"differs from the library: {line[:120]}", file=sys.stderr)
+                print(f"differs from the library: {job(*case)[:120]}", file=sys.stderr)
     maps = sum(len(energies(n)) for n in SIZES) * len(ARCS) * len(TOLERANCES)
-    print(f"{len(cases)} calls ({maps} return maps, {len(TIMES)} flows to output times): {differ} differ")
+    print(f"{len(cases)} calls ({maps} return maps, {2 * len(TIMES)} flows to output times): {differ} differ")
     return 1 if differ else 0
 
 
