@@ -42,7 +42,6 @@ from .series import (
     limit_constants,
     measure_kappa,
     pf_residuals,
-    series_eval,
 )
 from .melnikov import (
     LeadingCoeffs,

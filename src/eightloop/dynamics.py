@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import NumericalFailure, geomspace, x_plus
-from .melnikov import MelnikovSpec, _sign_changes, mk
+from .melnikov import MelnikovSpec, _sign_changes, _two_ends, mk
 from .native import _STATUS, ESCAPE_BOUND, _kernel, _Row
 from .series import KAPPA
 
@@ -308,10 +308,10 @@ def find_limit_cycles(
     bracket is bisected to a width below refine_tol, stopping where the
     return map fails, and carries the secant-slope stability sign.
     epsilon is carried through to the records for bookkeeping only.
-    ValueError for a grid_n below 2, an h_range that is not increasing or
-    one that starts below H_FLOOR.
+    ValueError for a grid_n below 2, an h_range without two ends, one that
+    is not increasing or one that starts below H_FLOOR.
     """
-    h_min, h_max = float(h_range[0]), float(h_range[1])
+    h_min, h_max = map(float, _two_ends("h_range", h_range))
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if not h_min < h_max:
@@ -502,9 +502,16 @@ def cyclicity_sweep(
     Each sample gets its own counter-keyed generator, so results do not
     depend on worker scheduling.  threads > 1 distributes samples over
     processes, each loading the compiled library from its cache, at
-    most one per sample and one per CPU.
+    most one per sample and one per CPU.  ValueError, before any sample
+    runs, for a seed outside [0, 2**64), the Philox key's range, a negative
+    n_samples or an h_window without two ends.
     """
-    one = functools.partial(_sweep_one, arc_family, seed, eps, tuple(h_window), grid_n, cfg, refine_tol)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
+    h_window = _two_ends("h_window", h_window)
+    one = functools.partial(_sweep_one, arc_family, seed, eps, h_window, grid_n, cfg, refine_tol)
     workers = min(threads, n_samples, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: a one-process sweep never loads it
@@ -513,4 +520,4 @@ def cyclicity_sweep(
             samples = list(pool.map(one, range(n_samples), chunksize=max(1, n_samples // (4 * workers))))
     else:
         samples = list(map(one, range(n_samples)))
-    return SweepResult(eps=eps, h_window=tuple(h_window), seed=seed, samples=tuple(samples))
+    return SweepResult(eps=eps, h_window=h_window, seed=seed, samples=tuple(samples))

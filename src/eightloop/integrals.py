@@ -31,11 +31,12 @@ again smooth for h > 0.  All integrands develop a sharp (but integrable)
 feature at theta = 0 as h -> 0+, so 0 is a break point of the subdivision;
 values are only guaranteed for h >= 1e-4 — below that the series module is
 the intended tool.  These quadratures are the tests' oracle; M_k takes I_0,
-I_2 and I'_4 from their closed forms in K and E (_exterior_moments) instead.
+I_2 and I'_4 from their closed forms in K and E instead, which melnikov.mk
+alone reaches: its one call of the library's mk_value evaluates them.
 
-QUADPACK's dqagpe, the three integrands, K and E and the closed forms are C
-in the package's one compiled library (native), so a quadrature, or the
-closed forms at one energy, is one ctypes call that never comes back into
+QUADPACK's dqagpe, the three integrands, K and E and the closed forms
+(native's exterior_moments) are C in the package's one compiled library
+(native), so a quadrature is one ctypes call that never comes back into
 Python.  The integrands and the closed forms do the arithmetic of the same
 expressions on Python floats (math's sin, cos and sqrt, and ** as pow) bit
 for bit, and dqagpe, K and E give what scipy.integrate.quad (with
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import NumericalFailure, x_plus
-from .native import _INTEGRANDS, _kernel, _moments
+from .native import _INTEGRANDS, _kernel
 
 # scipy.integrate.quad's messages for QUADPACK's ier 1 to 5, word for word
 _IER_MESSAGES = {
@@ -189,24 +190,6 @@ def integral_I0pp(h: float, cfg: QuadratureConfig | None = None):
     v, e = _oval_quad("i0pp", h, 0, cfg, "I''_0")
     scale = 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + 4.0 * h)
     return -scale * v, scale * e
-
-
-def _exterior_moments(h: float):
-    """Full-contour (I0, I2, I'_4) at h in closed form; h is checked by x_plus.
-
-    With r = sqrt(1+4h), s = 4h/(r+1) = r - 1, a^2 = x_plus^2 = 2 + s, c^2 = 2r
-    and m = a^2/c^2, x = a cos(phi) makes each moment a sum of the integrals
-    S_n of sin^{2n} phi / sqrt(1 - m sin^2 phi) over [0, pi/2]: S_0 = K(m) (by
-    the library's ellpk at 1 - m = s/c^2), S_1 = (K - E)/m, E(m) by its ellpe, and
-    (2n+1) m S_{n+1} = 2n (1+m) S_n - (2n-1) S_{n-1}.
-
-    The closed forms run in the package's compiled library (native's
-    exterior_moments, one call), operation for operation as on Python
-    floats with math.sqrt, so the values are those of the same expressions
-    in Python, bit for bit.
-    """
-    x_plus(h)
-    return _moments("exterior", h)
 
 
 #: The seven IntegralTriple moments by name, each one call of its quadrature

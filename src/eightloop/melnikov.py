@@ -128,17 +128,15 @@ def m1(h: float, lam1: float, lam4: float, backend: str) -> float:
 
 
 def mk(h: float, spec: MelnikovSpec, backend: str) -> float:
-    """Order-k bifurcation function for an arbitrary arc order.
+    """Order-k bifurcation function for an arbitrary arc order: the package's one way into the moments.
 
-    The series backend sums the h -> 0+ expansions (series.series_eval's
-    sums).  The quadrature backend takes the exact full-range moments I0, I2
-    and I4' from their closed forms in K and E (integrals._exterior_moments',
-    which the tests check against QUADPACK) and divides them by KAPPA.  h is
-    checked as those two check it, by the series' trust region or by
-    x_plus, with their exceptions; then one call of the compiled library's
-    mk_value evaluates the moments and lam1k*I0 + lam4k*I2 + c_k*I4' in that
-    order, so the value is that of the same sums on Python floats, bit for
-    bit.
+    The series backend sums the h -> 0+ expansions; the quadrature backend
+    takes the exact full-range I0, I2 and I4' from their closed forms in K
+    and E (which the tests check against QUADPACK), divided by KAPPA.  h is
+    checked by the series' trust region or by x_plus, with their exceptions;
+    then one call of the compiled library's mk_value evaluates the per-lobe
+    moments and lam1k*I0 + lam4k*I2 + c_k*I4' in that order, bit for bit the
+    same sums on Python floats.
     """
     if backend == "quadrature":
         x_plus(h)
@@ -194,6 +192,13 @@ def _sign_changes(f, samples, tol: float) -> list:
     return [_bisect(f, h0, h1, v0, v1, tol) for (h0, v0), (h1, v1) in pairs if v0 < 0.0 < v1 or v1 < 0.0 < v0]
 
 
+def _two_ends(name: str, window) -> tuple:
+    """window as a tuple of its two ends; ValueError, naming it as name, for any other number of ends."""
+    if len(ends := tuple(window)) != 2:
+        raise ValueError(f"{name} must have two ends, got {len(ends)}: {ends!r}")
+    return ends
+
+
 def count_zeros(
     f,
     interval,
@@ -213,7 +218,7 @@ def count_zeros(
     they are not included in count.  NaN samples are logged in one warning,
     since zeros between them cannot be seen either.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = map(float, _two_ends("interval", interval))
     if not (b > a):
         raise ValueError("interval must satisfy b > a")
     if grid_n < 32:

@@ -16,12 +16,13 @@ to each of them (integrate's).  integrals runs
 QUADPACK's dqagpe here (with dqk21, dqpsrt and dqelg, as
 scipy.integrate.quad runs them for one break point) on the three
 oval integrands, and takes K and E from Cephes' ellpk and ellpe (what
-scipy.special's ellipkm1 and ellipe compute).  The moments (I0, I2, I4')
-that M_k combines are here too, by the two evaluators of _MOMENTS:
-integrals' closed forms in K and E (exterior_moments) and series'
-truncated expansions (series_moments, with series' coefficients as exact
-float literals); moments returns a triple, and mk_value the whole of
-melnikov.mk's value, lam1k*I0 + lam4k*I2 + c_k*I4', in one call.  The
+scipy.special's ellipkm1 and ellipe compute).  The per-lobe moments
+(I0, I2, I4') that M_k combines are here too, by the two evaluators of
+_MOMENTS: integrals' closed forms in K and E (exterior_moments, full-contour,
+divided by KAPPA) and series' truncated expansions (series_moments, with
+series' coefficients as exact float literals).  moments is the one dispatch
+between them, and mk_value, melnikov.mk's one call, combines the triple
+moments writes into lam1k*I0 + lam4k*I2 + c_k*I4'.  The
 flow, the integrands and the moments do float arithmetic operation for
 operation as the tests' Python oracles write it: libm's sin, cos, log and
 pow stand for math's and for **, the norms are libm's hypot (which the
@@ -113,8 +114,8 @@ _WEIGHTS = (
 # integrals' quadrature integrands, in the order of dqagpe's integrand numbers
 _INTEGRANDS = ("xiy", "xi_over_y", "i0pp")
 
-# the evaluators of (I0, I2, I4'), in the order of moments' and mk_value's evaluator numbers: integrals'
-# closed forms and series' expansions
+# the evaluators of the per-lobe (I0, I2, I4'), in the order of moments' and mk_value's evaluator numbers:
+# integrals' closed forms and series' expansions
 _MOMENTS = ("exterior", "series")
 
 _C_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
@@ -1176,27 +1177,23 @@ static void series_moments(double h, double *out)
     out[2] = (4.0 * h * i0 + 5.0 * i2) / (4.0 * h + 1.0);
 }
 
-/* out = (I0, I2, I4') at h by the evaluator of that number, in the order of native._MOMENTS; h is in its
-   domain (h > 0 and finite for EXTERIOR, 0 <= h <= 0.2 for SERIES) */
+/* out = the per-lobe (I0, I2, I4') at h by evaluator (in native._MOMENTS' order): the full-contour closed forms
+   divided by KAPPA, or the series; h is in its domain (h > 0 and finite for EXTERIOR, 0 <= h <= 0.2 for SERIES) */
 void moments(int evaluator, double h, double *out)
 {
-    if (evaluator == EXTERIOR)
+    if (evaluator == EXTERIOR) {
         exterior_moments(h, out);
-    else
+        for (int i = 0; i < 3; i++)
+            out[i] = out[i] / KAPPA;
+    } else
         series_moments(h, out);
 }
 
-/* M_k = lam1k I0 + lam4k I2 + ck I4' at h on the per-lobe moments of evaluator: the full-contour closed
-   forms divided by KAPPA, or the series */
+/* M_k = lam1k I0 + lam4k I2 + ck I4' at h on the per-lobe moments of evaluator */
 double mk_value(int evaluator, double h, double lam1k, double lam4k, double ck)
 {
     double v[3];
-    if (evaluator == EXTERIOR) {
-        exterior_moments(h, v);
-        for (int i = 0; i < 3; i++)
-            v[i] = v[i] / KAPPA;
-    } else
-        series_moments(h, v);
+    moments(evaluator, h, v);
     return lam1k * v[0] + lam4k * v[1] + ck * v[2];
 }
 """
@@ -1358,13 +1355,3 @@ def _kernel() -> ctypes.CDLL:
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = restype
     return kernel
-
-
-def _moments(evaluator: str, h: float) -> tuple:
-    """(I0, I2, I4') at h by the library's evaluator named evaluator in _MOMENTS: one call of its moments.
-
-    h must lie in the evaluator's domain, which its Python callers check.
-    """
-    out = (ctypes.c_double * 3)()
-    _kernel().moments(_MOMENTS.index(evaluator), h, out)
-    return tuple(out)

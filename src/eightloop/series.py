@@ -30,12 +30,15 @@ The system pins the whole structure down:
   (h^2 coefficient: 4 a1 + 5 b2 - 16).
 
 Evaluation uses the recurrences above, converted to floats once at import
-(order 10) and summed in the package's compiled library.  The log parts P are also the reduced series of the vanishing
-cycle that shrinks into the saddle: its integrals are 2 pi i P(h), analytic
-through h = 0.  A fixed classical coefficient table is kept verbatim beside
-them so that its disagreements can be reported by the test suite rather
-than silently hidden: its I2 h^4 ln h and I4' h^4 ln h entries do not match
-the recurrence.
+(order 10) and summed by Horner's rule in the package's compiled library
+(native's series_moments), with I4' from I0 and I2 by relation (3), more
+accurate than its own truncated series; melnikov.mk alone reaches the sums.
+The log parts P are also the reduced series of the vanishing cycle that
+shrinks into the saddle: its integrals are 2 pi i P(h), analytic through
+h = 0.  A fixed classical coefficient table is kept verbatim beside them so
+that its disagreements can be reported by the test suite rather than
+silently hidden: its I2 h^4 ln h and I4' h^4 ln h entries do not match the
+recurrence.
 
 The analytic constants a1, a2, b2 are not fixed by the system, but they are
 known in closed form: a1 = 1 + 4 ln 2 (the per-lobe period
@@ -61,7 +64,6 @@ from operator import mul
 
 from .geometry import NumericalFailure, geomspace
 from .integrals import IntegralTriple, QuadratureConfig, moment
-from .native import _moments
 
 TRUST_REGION_MAX = 0.2
 SERIES_ORDER = 10  # truncation order of the evaluated log parts
@@ -179,25 +181,6 @@ def _check_trust_region(h: float) -> None:
     """OutOfTrustRegion unless 0 <= h <= 0.2 (so for NaN too)."""
     if not 0.0 <= h <= TRUST_REGION_MAX:
         raise OutOfTrustRegion(f"series trusted only for 0 <= h <= {TRUST_REGION_MAX}, got {h}")
-
-
-def series_eval(h: float) -> tuple:
-    """Truncated-series per-lobe (I0, I2, I4') at 0 <= h <= 0.2.
-
-    I0 and I2 are evaluated directly at order 10; I4' goes through the exact
-    relation (4h+1) I4' = 4h I0 + 5 I2, which is noticeably more accurate
-    than an independently truncated series (the I0/I2 truncation errors
-    enter damped by the division and the large constant term).
-    At h = 0 all h-dependent terms vanish and the limit constants return.
-
-    The sums run in the package's compiled library (native's
-    series_moments, one call, with _LOG_FLOATS and _ANALYTIC_FLOATS written
-    into its source as exact literals): Horner's rule from 0.0 on each part,
-    operation for operation as on Python floats, so the values are those of
-    the same sums in Python, bit for bit.  h is checked here first.
-    """
-    _check_trust_region(h)
-    return _moments("series", h)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,20 @@
+import ctypes
+
 import pytest
 
 import eightloop as el
 from eightloop import integrals, native
+
+
+def moments(evaluator, h):
+    """The per-lobe (I0, I2, I4') at h by the library's evaluator named evaluator in native._MOMENTS.
+
+    One call of the library's moments, which melnikov.mk's mk_value makes
+    too; h is not checked, so it must lie in the evaluator's domain.
+    """
+    out = (ctypes.c_double * 3)()
+    native._kernel().moments(native._MOMENTS.index(evaluator), h, out)
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")
@@ -41,9 +54,9 @@ def quadpack_calls(monkeypatch):
 def closed_form_calls(monkeypatch):
     """A list that gains one entry, its h, per closed-form evaluation of (I0, I2, I4') in the library.
 
-    It counts the library's two entries to its closed forms, as the package
-    calls them: mk_value (behind mk) and moments (behind
-    integrals._exterior_moments), each with the exterior evaluator.
+    It counts the library's two entries to its closed forms, each with the
+    exterior evaluator: mk_value (behind mk, the package's one way in) and
+    moments (behind the tests' moments helper above).
     """
     calls = []
     kernel = native._kernel()

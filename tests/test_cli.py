@@ -467,12 +467,44 @@ def test_unknown_sweep_family_is_config_error(tmp_path):
         ("cyclicity-sweep", {"h_window": [0.2, 0.01], "n_samples": 1}),
         # a fit without an h^2 coefficient has no a2 or b2
         ("series-fit", {"degree": 0}),
+        # a window takes exactly two ends: one or none, and a third, are rejected, a sweep's before any sample
+        ("melnikov-zeros", {"lam1k": 1.0, "interval": [0.1]}),
+        ("melnikov-zeros", {"lam1k": 1.0, "interval": []}),
+        ("melnikov-zeros", {"lam1k": 1.0, "interval": [1e-3, 0.2, 0.3]}),
+        ("cyclicity-sweep", {"h_window": [0.1], "n_samples": 1}),
+        ("cyclicity-sweep", {"h_window": [1e-3, 0.2, 0.3], "n_samples": 1}),
+        ("cyclicity-sweep", {"h_window": [0.1], "n_samples": 0}),
     ],
 )
 def test_arguments_the_library_rejects_are_config_errors(command, params, tmp_path):
     assert cli.run(_scenario(command, params, out=tmp_path)) == 2
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"].startswith("error:")
+
+
+_SWEEP = ("cyclicity-sweep", {"n_samples": 1})
+
+
+@pytest.mark.parametrize(
+    "command,params,seed,flags,status",
+    [
+        (*_SWEEP, -1, [], "error: seed must be in [0, 2**64), got -1"),
+        (*_SWEEP, 2**64, [], f"error: seed must be in [0, 2**64), got {2**64}"),
+        (*_SWEEP, 2**70, [], f"error: seed must be in [0, 2**64), got {2**70}"),
+        (*_SWEEP, 0, ["--seed", "-1"], "error: seed must be in [0, 2**64), got -1"),
+        ("cyclicity-sweep", {"n_samples": -3}, 0, [], "error: n_samples must be non-negative, got -3"),
+        (*_SWEEP, 2**64 - 1, [], "ok"),
+        # other commands only stamp the seed
+        ("pf-check", {"h_min": 0.1, "h_max": 0.2, "n": 2}, -1, [], "ok"),
+    ],
+    ids=["minus-1", "2**64", "2**70", "flag-minus-1", "minus-3-samples", "largest-seed", "pf-check-minus-1"],
+)
+def test_a_sweep_checks_its_seed_and_sample_count(command, params, seed, flags, status, tmp_path):
+    """A sweep seed outside [0, 2**64), the Philox key's range, or a negative n_samples exits 2 with a manifest."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"command": command, "parameters": params, "seed": seed}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "run"), *flags]) == (0 if status == "ok" else 2)
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == status
 
 
 # ---------------------------------------------------------------------------

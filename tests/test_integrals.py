@@ -20,9 +20,10 @@ from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
 
 import eightloop as el
+from conftest import moments
 from eightloop import integrals, native
 from eightloop.geometry import SQRT2, x_plus
-from eightloop.integrals import _exterior_moments, integral_I0pp, moment
+from eightloop.integrals import integral_I0pp, moment
 from eightloop.series import KAPPA
 
 TIGHT_QUAD = el.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
@@ -261,23 +262,24 @@ def test_closed_form_moments_match_tight_quadpack():
             el.integral_xiy(h, 2, TIGHT_QUAD)[0],
             el.integral_xi_over_y(h, 4, TIGHT_QUAD)[0],
         )
-        npt.assert_allclose(_exterior_moments(h), oracle, rtol=1e-12, atol=0.0, err_msg=f"h={h}")
+        closed = [KAPPA * v for v in moments("exterior", h)]
+        npt.assert_allclose(closed, oracle, rtol=1e-12, atol=0.0, err_msg=f"h={h}")
 
 
 def test_compiled_closed_forms_equal_the_python_ones_bit_for_bit():
-    """_exterior_moments, the library's exterior_moments, is the Python oracle above, bit for bit."""
+    """KAPPA times the library's exterior moments (doubling is exact) is the Python oracle above, bit for bit."""
     rng = np.random.default_rng(24)
     random = np.exp(rng.uniform(math.log(1e-8), math.log(30.0), 10_000)).tolist()
     energies = [0.2, 1e-300, 5e-324, 1e-8, 30.0, 1e300, *random]
     for h in energies:
-        compiled, python = _exterior_moments(h), _python_exterior_moments(h)
+        compiled, python = [KAPPA * v for v in moments("exterior", h)], _python_exterior_moments(h)
         assert [v.hex() for v in compiled] == [v.hex() for v in python], h
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -0.1])
 def test_closed_forms_raise_as_the_python_ones_do(h):
     with pytest.raises(ValueError) as compiled:
-        _exterior_moments(h)
+        el.m1(h, 1.0, 0.0, backend="quadrature")
     with pytest.raises(ValueError) as python:
         _python_exterior_moments(h)
     assert compiled.type is python.type
@@ -300,7 +302,7 @@ def test_quadrature_mk_is_the_kappa_divided_quadpack_combination():
 )
 def test_closed_form_rejects_the_energies_quadpack_rejects(h, error):
     with pytest.raises(ValueError) as closed:
-        _exterior_moments(h)
+        el.m1(h, 1.0, 0.0, backend="quadrature")
     with pytest.raises(ValueError) as quadpack:
         el.integral_xiy(h, 0)
     assert closed.type is quadpack.type is error

@@ -10,10 +10,11 @@ import numpy.testing as npt
 import pytest
 
 import eightloop as el
+from conftest import moments
 from eightloop import native
-from eightloop.integrals import _exterior_moments
+from eightloop.geometry import x_plus
 from eightloop.melnikov import _bisect
-from eightloop.series import A1, KAPPA
+from eightloop.series import A1, KAPPA, _check_trust_region
 
 
 SPEC_51 = el.MelnikovSpec(k=2, lam1k=0.0, lam4k=5.0, lam2=(0.0, 1.0), lam3=(0.0, -3.0))
@@ -100,12 +101,14 @@ def test_the_cached_cross_coefficient_is_a_fresh_computation(lam2, lam3):
 
 
 def _python_mk(h, spec, backend):
-    """mk's combination on Python floats, over the moments the other modules check bit for bit against
-    their Python oracles: the oracle of the compiled mk_value."""
+    """mk's check of h and its combination on Python floats, over the library's moments, which the other
+    modules check bit for bit against their Python oracles: the oracle of the compiled mk_value."""
     if backend == "series":
-        i0, i2, i4p = el.series_eval(h)
+        _check_trust_region(h)
+        i0, i2, i4p = moments("series", h)
     elif backend == "quadrature":
-        i0, i2, i4p = (v / KAPPA for v in _exterior_moments(h))
+        x_plus(h)
+        i0, i2, i4p = moments("exterior", h)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     total = 0.0
@@ -158,7 +161,7 @@ def test_m1_basis_directions():
         for h in (0.05, 0.1):
             npt.assert_allclose(
                 el.m1(h, 1.0, 0.0, backend=backend),
-                el.series_eval(h)[0] if backend == "series"
+                moments("series", h)[0] if backend == "series"
                 else el.integral_xiy(h, 0, None)[0] / KAPPA,
                 rtol=1e-12,
             )
@@ -177,7 +180,7 @@ def test_mk_zero_spec_and_combination():
     # general spec equals the stated linear combination of the integrals
     spec = el.MelnikovSpec(k=2, lam1k=0.7, lam4k=-0.4, lam2=(0.0, 1.5), lam3=(0.0, 2.0))
     h = 0.08
-    i0, i2, i4p = el.series_eval(h)
+    i0, i2, i4p = moments("series", h)
     expect = 0.7 * i0 - 0.4 * i2 + spec.cross_coefficient * i4p
     npt.assert_allclose(el.mk(h, spec, "series"), expect, rtol=1e-12)
 
@@ -283,6 +286,20 @@ def test_leading_implications_on_random_specs():
 # ---------------------------------------------------------------------------
 # Zero counting
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ends", [(), (0.1,), (1e-3, 0.1, 0.2)], ids=["none", "one", "three"])
+def test_a_window_takes_exactly_two_ends(ends):
+    """count_zeros' interval, find_limit_cycles' h_range and a sweep's h_window: a ValueError that names it."""
+    calls = {
+        "interval": lambda: el.count_zeros(lambda h: h - 0.05, ends),
+        "h_range": lambda: el.find_limit_cycles((0.0, 0.0, 0.0, 0.0), ends),
+        "h_window": lambda: el.cyclicity_sweep(el.arc_sampler_general, 1e-3, ends, 0, grid_n=24, refine_tol=1e-4),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as rejected:
+            call()
+        assert str(rejected.value) == f"{name} must have two ends, got {len(ends)}: {ends!r}"
 
 
 def test_count_zeros_linear_function():

@@ -83,4 +83,4 @@ def test_integral_xiy_rejects_non_finite_and_non_positive_energy(h, i):
 )
 def test_series_eval_refuses_energies_outside_its_trust_region(h):
     with pytest.raises(el.OutOfTrustRegion):
-        el.series_eval(h)
+        el.m1(h, 1.0, 0.0, backend="series")

@@ -17,6 +17,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 import eightloop as el
+from conftest import moments
 from eightloop import native, series
 from eightloop.series import (
     A1,
@@ -121,12 +122,12 @@ def _python_series_eval(h):
 
 
 def test_compiled_series_equals_the_python_one_bit_for_bit():
-    """series_eval, the library's series_moments, is the Python oracle above, bit for bit."""
+    """The library's series moments are the Python oracle above, bit for bit."""
     rng = np.random.default_rng(24)
     energies = [0.0, -0.0, 0.2, 1e-300, 5e-324, math.nextafter(0.2, 0.0), *rng.uniform(0.0, 0.2, 10_000).tolist(),
                 *np.exp(rng.uniform(math.log(1e-300), math.log(0.2), 1_000)).tolist()]
     for h in energies:
-        compiled, python = el.series_eval(h), _python_series_eval(h)
+        compiled, python = moments("series", h), _python_series_eval(h)
         assert [v.hex() for v in compiled] == [v.hex() for v in python], h
 
 
@@ -143,22 +144,22 @@ def test_the_compiled_series_coefficients_are_the_exact_floats():
 
 
 def test_series_eval_limits():
-    i0, _, i4p = el.series_eval(0.0)
+    i0, _, i4p = moments("series", 0.0)
     assert i0 == 4.0 / 3.0
     assert i4p == 16.0 / 3.0
-    npt.assert_allclose(el.series_eval(1e-12)[1], 16.0 / 15.0, rtol=1e-9)
+    npt.assert_allclose(moments("series", 1e-12)[1], 16.0 / 15.0, rtol=1e-9)
 
 
 def test_series_eval_trust_region():
     for h in (0.21, -0.05, math.nan):
         with pytest.raises(el.OutOfTrustRegion):
-            el.series_eval(h)
+            el.m1(h, 1.0, 0.0, backend="series")
 
 
 @pytest.mark.parametrize("h", [-1e-300, -0.05, math.nextafter(0.2, 1.0), 0.21, math.nan, math.inf, -math.inf])
 def test_series_eval_refuses_as_the_python_series_does(h):
     with pytest.raises(el.OutOfTrustRegion) as compiled:
-        el.series_eval(h)
+        el.m1(h, 1.0, 0.0, backend="series")
     with pytest.raises(el.OutOfTrustRegion) as python:
         _python_series_eval(h)
     assert str(compiled.value) == str(python.value) == f"series trusted only for 0 <= h <= 0.2, got {h}"
@@ -169,13 +170,13 @@ def test_series_matches_quadrature(which, i, kind, quad_cfg):
     fetch = el.integral_xiy if kind == "xiy" else el.integral_xi_over_y
     for h in (0.01, 0.03, 0.1):
         q = fetch(h, i, quad_cfg)[0] / KAPPA
-        s = el.series_eval(h)[MOMENTS.index(which)]
+        s = moments("series", h)[MOMENTS.index(which)]
         assert abs(s - q) / abs(q) < 1e-3
 
 
 def test_I4p_series_close_at_h01(quad_cfg):
     q = el.integral_xi_over_y(0.1, 4, quad_cfg)[0] / KAPPA
-    s = el.series_eval(0.1)[2]
+    s = moments("series", 0.1)[2]
     assert abs(s - q) / q < 5e-4
 
 
